@@ -30,6 +30,7 @@ from fractions import Fraction
 from qseries.qcore import (
     PartitionPattern,
     QMono,
+    _binom2,
     gauss_binom,
     poch_finite,
     theta_monomial,
@@ -163,10 +164,6 @@ def _inv_or_degenerate(ring, v, what):
     if ring.is_zero(v):
         raise DegenerateSpec(f"{what} vanishes at an evaluation point")
     return ring.inv(v)
-
-
-def _binom2(m):
-    return m * (m - 1) // 2
 
 
 VARIANTS = ("classical", "carlitz", "extended", "reformulated")

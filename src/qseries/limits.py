@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
+from qseries.qcore import PoleError
 from qseries.registry import ClassicalSeries
 
 
@@ -50,16 +51,11 @@ class BigFloatCtx:
         return self.ctx.mpf(10) ** -(digits if digits is not None else self.digits)
 
 
-class PoleError(ArithmeticError):
-    def __init__(self, x):
-        super().__init__(f"Gamma pole at {x}")
-
-
 def gamma_hp(x, ctx: BigFloatCtx):
     """Gamma(x) at a rational argument, to the context precision."""
     x = Fraction(x)
     if x.denominator == 1 and x <= 0:
-        raise PoleError(x)
+        raise PoleError(f"Gamma pole at {x}")
     return ctx.ctx.gamma(ctx.mpf(x))
 
 

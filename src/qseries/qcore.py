@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from qseries.series import LaurentSeries
+from qseries.series import LaurentSeries, _inv_scalar, _norm
 
 DEFAULT_ROOT = 12
 
@@ -210,8 +211,6 @@ DUPLICATE = PartitionPattern(2, (0, 0, 1, 0), (1, 0, 1, 0))
 TRIPLICATE = PartitionPattern(3, (0, 1, 2, 0), (1, 1, 1, 0))
 TRIPLICATE_SPLIT = PartitionPattern(3, (1, 0, 1, 0), (1, 0, 2, 0))
 
-PATTERNS = {"duplicate": DUPLICATE, "triplicate": TRIPLICATE, "triplicate-split": TRIPLICATE_SPLIT}
-
 
 def partition_indices(pattern: PartitionPattern, n: int):
     return pattern.indices(n)
@@ -232,26 +231,6 @@ def poch_finite(ring, x: QMono, n: int, step: QMono | None = None):
         c *= s.coeff
         e += s.texp
     return acc
-
-
-def poch_finite_reg(ring, x: QMono, n: int, step: QMono | None = None):
-    """As poch_finite, but identically-zero factors (1 - q^0) are dropped.
-
-    Returns (value, drops).  Used when a vanishing factor is cancelled
-    against a matching zero on the other side of an identity.
-    """
-    s = step if step is not None else QMono(1, ring.root)
-    acc = ring.one()
-    drops = 0
-    c, e = x.coeff, x.texp
-    for _ in range(n):
-        if c == 1 and e == 0:
-            drops += 1
-        else:
-            acc = ring.times_binom(acc, c, e)
-        c *= s.coeff
-        e += s.texp
-    return acc, drops
 
 
 def poch_infinite(ring: SeriesRing, x: QMono, step: QMono | None = None, on_zero="zero"):
@@ -286,6 +265,89 @@ def poch_infinite(ring: SeriesRing, x: QMono, step: QMono | None = None, on_zero
     if on_zero == "drop":
         return acc, drops
     return acc
+
+
+def poch_quotient(ring: SeriesRing, num, den):
+    """prod_{x in num} (x;q)_inf / prod_{y in den} (y;q)_inf, exact to the ring order.
+
+    Factors with nonpositive valuation are taken out exactly: (1 - c*t^e)
+    with e < 0 is -c*t^e * (1 - t^-e/c), and (1 - c) with c != 1 is a
+    scalar.  What remains is a product of binomials (1 - c*t^m)^(+-1) with
+    m > 0, expanded by euler_product to exactly order - valuation
+    coefficients.  An identically-zero factor (1 - q^0) is dropped.
+
+    Returns (series, dropped): dropped lists (from_num, i) for each product
+    that lost a zero factor, numerator products first, in index order.
+    """
+    if ring.mode != "series":
+        raise TypeError("infinite products require the series ring")
+    lead = Fraction(1)
+    val = 0
+    single = []   # (c, m, sign): peeled binomials (1 - c*t^m)^sign, m > 0
+    tails = []    # (c, e, sign): (c*t^e; q)_inf^sign with e > 0
+    dropped = []
+    for sign, monos in ((1, num), (-1, den)):
+        for i, x in enumerate(monos):
+            c, e = _norm(x.coeff), x.texp
+            if not c:
+                continue
+            while e <= 0:
+                if e < 0:
+                    lead = lead * -c if sign > 0 else lead / -c
+                    val += sign * e
+                    single.append((_norm(_inv_scalar(c)), -e, sign))
+                elif c != 1:
+                    lead = lead * (1 - c) if sign > 0 else lead / (1 - c)
+                else:
+                    dropped.append((sign > 0, i))
+                e += ring.root
+            tails.append((c, e, sign))
+    n = ring.order - val
+    factors = single + [(c, m, sign) for c, e, sign in tails for m in range(e, n, ring.root)]
+    lead = _norm(lead)
+    coeffs = euler_product(factors, n)
+    if lead != 1:
+        coeffs = [_norm(lead * f) for f in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return LaurentSeries(val if coeffs else 0, coeffs, ring.order, _trusted=True), dropped
+
+
+def euler_product(factors, n: int):
+    """Coefficients 0..n-1 of prod (1 - c*t^m)^sign over (c, m, sign), m > 0.
+
+    A divisor sieve builds G = t*(log F)': each factor adds -sign*m*c^j to
+    G_{mj}.  Euler's recurrence m*F_m = sum_{k=1..m} G_k*F_{m-k} (Knuth,
+    TAOCP vol. 2, 4.7) then gives F one coefficient at a time, skipping the
+    zero G_k.  With integer c every F_m is an integer, and each division is
+    checked to be exact.
+    """
+    if n <= 0:
+        return []
+    integral = all(type(c) is int for c, _, _ in factors)
+    g = [0] * n
+    for c, m, sign in factors:
+        w = -sign * m
+        cj = 1
+        for k in range(m, n, m):
+            cj *= c
+            g[k] += w * cj
+    ks = [k for k in range(1, n) if g[k]]
+    gs = [_norm(g[k]) for k in ks]
+    f = [1] + [0] * (n - 1)
+    used = 0
+    for m in range(1, n):
+        while used < len(ks) and ks[used] <= m:
+            used += 1
+        back = f[m::-1]  # back[k] == f[m - k]
+        s = sum(map(mul, gs[:used], map(back.__getitem__, ks[:used])))
+        if integral:
+            f[m], r = divmod(s, m)
+            if r:
+                raise ArithmeticError(f"Euler recurrence: coefficient {m} of an integral product is {s}/{m}")
+        else:
+            f[m] = _norm(Fraction(s, m))
+    return f
 
 
 def gauss_binom(ring, m: int, n: int):

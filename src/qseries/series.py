@@ -22,7 +22,7 @@ class ZeroLeadingCoefficient(ArithmeticError):
 
 def _norm(c):
     """Collapse integral Fractions to int so hot loops stay on machine ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 

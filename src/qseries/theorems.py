@@ -17,6 +17,13 @@ the reduced single-sum series produced by the reverse bisection method.
 Terms are summed until a rigorous quadratic lower bound on the term
 valuation clears the truncation order; each evaluated term is checked
 against its own bound (NonmonotoneValuation guards the stop rule).
+
+The left side takes a separate path (qcore.poch_quotient): the factors of
+nonpositive valuation are taken out of the eight products exactly, and the
+remaining product of binomials is expanded by Euler's recurrence on its
+log-derivative, F_m = (1/m) * sum_{k<=m} G_k F_{m-k}, where a divisor sieve
+over the factor exponents gives G = t*(log F)'.  It is exact to the ring
+order and over the integers when every factor coefficient is an integer.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from qseries.qcore import (
     TRIPLICATE_SPLIT,
     QMono,
     SeriesRing,
-    poch_infinite,
+    poch_quotient,
 )
 from qseries.series import LaurentSeries
 
@@ -589,34 +596,30 @@ def theorem_lhs(ring, name_or_bt, p: WPParams | None = None,
                 shadow: SeriesRecipe | None = None):
     """Left side: the infinite-product quotient, with drop accounting.
 
+    The quotient comes from one exact recurrence (qcore.poch_quotient):
+    leading factors of nonpositive valuation are taken out exactly, and the
+    rest is expanded through Euler's recurrence on its log-derivative, to
+    exactly the ring order.
+
     Returns (series, net_drops, phi): net_drops counts identically-zero
     (1 - q^0) factors removed from the products, phi is the product of
     their shadow forms (numerator drops over denominator drops).  The
     regularized identity is then series * phi == theorem_series(...).
     """
     bt = name_or_bt if isinstance(name_or_bt, SeriesRecipe) else bind_theorem(name_or_bt, p, ring.root)
-    acc = ring.one()
+    series, dropped = poch_quotient(ring, bt.lhs_num, bt.lhs_den)
     net = 0
     phi = 1
-
-    def shadow_form(i, from_num):
+    for from_num, i in dropped:
         if shadow is None:
             raise SingularMismatch("vanishing product factor in an explicit record")
         m = (bt.lhs_num if from_num else bt.lhs_den)[i]
         msh = (shadow.lhs_num if from_num else shadow.lhs_den)[i]
-        j0 = -m.texp // bt.root
-        return msh.texp + j0 * shadow.root
-
-    for i, m in enumerate(bt.lhs_num):
-        val, dr = poch_infinite(ring, m, on_zero="drop")
-        if dr:
-            net -= dr
-            phi = phi * shadow_form(i, True)
-        acc = acc * val
-    for i, m in enumerate(bt.lhs_den):
-        val, dr = poch_infinite(ring, m, on_zero="drop")
-        if dr:
-            net += dr
-            phi = phi / Fraction(shadow_form(i, False))
-        acc = acc * ring.inv(val)
-    return acc.truncate(ring.order), net, phi
+        form = msh.texp + (-m.texp // bt.root) * shadow.root
+        if from_num:
+            net -= 1
+            phi = phi * form
+        else:
+            net += 1
+            phi = phi / Fraction(form)
+    return series, net, phi
