@@ -1,7 +1,11 @@
 """The reverse bisection method: recover a single alternating series.
 
 A specialized triplicate summand, cleared of denominators, becomes a
-polynomial P(y) (y standing for q^n).  The ansatz series T_n carries an
+polynomial P(y) (y standing for q^n).  P is built without rational
+functions: the numerator is multiplied out, then each denominator atom
+(1 - c*t^a*y^b), which has constant term 1 in y, is divided out exactly by
+an ascending recurrence, and any nonzero remainder raises
+ExactDivisionFailed.  The ansatz series T_n carries an
 unknown polynomial Q evaluated at q^(n/2), and matching
 
     P(y) = Q(y)*A(y) +- shift * Q(q^(1/2)y) * B(y)
@@ -30,11 +34,13 @@ from qseries.theorems import (
     SeriesRecipe,
     bind_theorem,
     eval_term,
+    stop_index,
+    term_valuation_bound,
 )
 
 
 class ExactDivisionFailed(ArithmeticError):
-    """A quotient atom of the clearing factor does not divide the weight."""
+    """A denominator atom does not divide the numerator of P exactly."""
 
 
 class NoBisection(ArithmeticError):
@@ -81,41 +87,58 @@ def _yadd(a, b):
 
 
 def _yatoms_poly(atoms):
-    """Product of (1 - t^texp * y^ypow)^mult factors."""
+    """Product of the atoms (1 - c * t^texp * y^ypow), given as (c, texp, ypow)."""
     acc = [Poly.const(1)]
-    for texp, ypow, mult in atoms:
-        factor = _yadd([Poly.const(1)], _ymono(texp, ypow, -1))
-        for _ in range(mult):
-            acc = _ymul(acc, factor)
+    for c, texp, ypow in atoms:
+        acc = _ymul(acc, _yadd([Poly.const(1)], _ymono(texp, ypow, -c)))
     return acc
 
 
-def _ydeg(a):
-    return len(a) - 1
+def _case_atoms(triples):
+    """Catalog (t-exp, y-power, multiplicity) triples as a list of unit atoms."""
+    return [(1, texp, ypow) for texp, ypow, mult in triples for _ in range(mult)]
 
 
-def _ydivmod_field(num, den):
-    """Long division in y over the fraction field QQ(t)."""
-    num = [RatFunc(p) for p in num]
-    den = [RatFunc(p) for p in den]
-    while den and den[-1].is_zero:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by the zero y-polynomial")
-    q = [RatFunc(0)] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    for k in range(len(rem) - 1, d - 1, -1):
-        if rem[k].is_zero:
-            continue
-        f = rem[k] / lead
-        q[k - d] = f
-        for j in range(d + 1):
-            rem[k - d + j] = rem[k - d + j] - f * den[j]
-    while rem and rem[-1].is_zero:
-        rem.pop()
-    return q, rem
+def _tdiv_atom(p: Poly, c, texp: int, what: str) -> Poly:
+    """p / (1 - c * t^texp) in QQ[t], by the ascending recurrence q_i = p_i + c * q_(i-texp)."""
+    if texp == 0:
+        if c == 1:
+            raise ExactDivisionFailed(f"{what}: atom (1 - 1) is identically zero")
+        return p * (1 / (1 - Fraction(c)))
+    size = len(p.coeffs) - texp
+    q = []
+    for i, x in enumerate(p.coeffs):
+        if i >= texp:
+            x = x + c * q[i - texp]
+        if i < size:
+            q.append(x)
+        elif x:
+            raise ExactDivisionFailed(f"{what}: (1 - {c}*t^{texp}) leaves a remainder in t")
+    return Poly(q)
+
+
+def _ydiv_atom(num, atom, what: str):
+    """num / (1 - c * t^texp * y^ypow) in QQ[t][y], for atom = (c, texp, ypow).
+
+    The atom has constant term 1 in y, so the quotient follows the ascending
+    recurrence Q_k = N_k + c * t^texp * Q_(k-ypow); the division is exact
+    when the top ypow rows leave zero.  A y^0 atom divides every coefficient.
+    """
+    c, texp, ypow = atom
+    if ypow == 0:
+        return [_tdiv_atom(p, c, texp, what) for p in num]
+    shift = Poly.monomial(c, texp)
+    size = len(num) - ypow
+    q = []
+    for k, p in enumerate(num):
+        if k >= ypow:
+            p = p + shift * q[k - ypow]
+        if k < size:
+            q.append(p)
+        elif not p.is_zero:
+            raise ExactDivisionFailed(
+                f"{what}: (1 - {c}*t^{texp}*y^{ypow}) leaves a remainder in y")
+    return q
 
 
 def _atom_to_y(x: BExp, root: int, what: str):
@@ -123,64 +146,49 @@ def _atom_to_y(x: BExp, root: int, what: str):
         raise ExactDivisionFailed(f"{what}: atom exponent {x.ncoef}n is not integral in y")
     if x.const < 0:
         raise ExactDivisionFailed(f"{what}: atom coefficient t^{x.const} is not polynomial")
-    return x.ncoef // root, x.const, x.coeff
+    return x.coeff, x.const, x.ncoef // root
 
 
 def weight_y_fraction(case: BisectionCase):
-    """The theorem weight at the case parameters as (num, den) y-polynomials."""
+    """The theorem weight at the case parameters as (numerator, denominator atoms).
+
+    The numerator is a y-polynomial over QQ[t]; the denominator is the list
+    of atoms (c, texp, ypow), each standing for (1 - c * t^texp * y^ypow).
+    """
     bt = bind_theorem(case.theorem, case.params, case.root)
-    root = case.root
-    wn = [Poly.const(1)]
-    wd = [Poly.const(1)]
-    for x in bt.w_num:
-        ypow, texp, coeff = _atom_to_y(x, root, "weight numerator")
-        wn = _ymul(wn, _yadd([Poly.const(1)], _ymono(texp, ypow, -coeff)))
-    for x in bt.w_den:
-        ypow, texp, coeff = _atom_to_y(x, root, "weight denominator")
-        wd = _ymul(wd, _yadd([Poly.const(1)], _ymono(texp, ypow, -coeff)))
+
+    def atoms(xs, what):
+        return [_atom_to_y(x, case.root, what) for x in xs]
+
     if len(bt.braces) != 1:
         raise ExactDivisionFailed("theorem weight must have a single brace group")
     group = bt.braces[0]
-    dens = []
-    for t in group:
-        acc = [Poly.const(1)]
-        for x in t.den:
-            ypow, texp, coeff = _atom_to_y(x, root, "brace denominator")
-            acc = _ymul(acc, _yadd([Poly.const(1)], _ymono(texp, ypow, -coeff)))
-        dens.append(acc)
+    dens = [atoms(t.den, "brace denominator") for t in group]
+    den_polys = [_yatoms_poly(d) for d in dens]
     brace_num = []
     for i, t in enumerate(group):
-        ypow, texp, coeff = _atom_to_y(t.mono, root, "brace monomial")
-        part = _ymono(texp, ypow, coeff)
-        for x in t.num:
-            ypw, tex, cf = _atom_to_y(x, root, "brace numerator")
-            part = _ymul(part, _yadd([Poly.const(1)], _ymono(tex, ypw, -cf)))
-        for j, dj in enumerate(dens):
+        c, texp, ypow = _atom_to_y(t.mono, case.root, "brace monomial")
+        part = _ymul(_ymono(texp, ypow, c), _yatoms_poly(atoms(t.num, "brace numerator")))
+        for j, dj in enumerate(den_polys):
             if j != i:
                 part = _ymul(part, dj)
         brace_num = _yadd(brace_num, part)
-    brace_den = [Poly.const(1)]
-    for dj in dens:
-        brace_den = _ymul(brace_den, dj)
-    return _ymul(wn, brace_num), _ymul(wd, brace_den)
+    wnum = _yatoms_poly(atoms(bt.w_num, "weight numerator"))
+    wden = atoms(bt.w_den, "weight denominator")
+    return _ymul(wnum, brace_num), wden + [x for d in dens for x in d]
 
 
 def build_P(case: BisectionCase):
-    """clearing-factor * weight as an exact polynomial in y over QQ[t]."""
+    """clearing-factor * weight as an exact polynomial in y over QQ[t].
+
+    The numerator is multiplied out; then every denominator atom (clearing
+    factor, weight, brace terms) is divided out exactly, one at a time.
+    """
     wnum, wden = weight_y_fraction(case)
-    num = _ymul(_yatoms_poly(case.clear_num), wnum)
-    den = _ymul(_yatoms_poly(case.clear_den), wden)
-    q, rem = _ydivmod_field(num, den)
-    if rem:
-        raise ExactDivisionFailed(f"case {case.id}: clearing factor leaves a remainder")
-    out = []
-    for i, c in enumerate(q):
-        if not c.is_polynomial():
-            raise ExactDivisionFailed(f"case {case.id}: y^{i} coefficient is not polynomial")
-        out.append(c.as_poly())
-    while out and out[-1].is_zero:
-        out.pop()
-    return out
+    P = _ymul(_yatoms_poly(_case_atoms(case.clear_num)), wnum)
+    for atom in _case_atoms(case.clear_den) + wden:
+        P = _ydiv_atom(P, atom, f"case {case.id}")
+    return P
 
 
 @dataclass
@@ -203,6 +211,15 @@ def _poly_terms(r: RatFunc):
     return [(Fraction(c), i) for i, c in enumerate(p.coeffs) if c]
 
 
+def _fe_system(case: BisectionCase):
+    """P and the functional-equation factors A and B of a case."""
+    return (
+        build_P(case),
+        _yatoms_poly(_case_atoms(case.fe_a)),
+        _yatoms_poly(_case_atoms(case.fe_b)),
+    )
+
+
 def solve_Q(case: BisectionCase, deg_q: int | None = None, forced_sign: str | None = None):
     """Assemble and solve the functional-equation system for each sign.
 
@@ -211,9 +228,11 @@ def solve_Q(case: BisectionCase, deg_q: int | None = None, forced_sign: str | No
     """
     if deg_q is None:
         deg_q = case.deg_q
-    P = build_P(case)
-    A = _yatoms_poly(case.fe_a)
-    B = _yatoms_poly(case.fe_b)
+    return _solve_signs(case, _fe_system(case), deg_q, forced_sign)
+
+
+def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | None):
+    P, A, B = system
     shift_texp, shift_ypow = case.fe_shift
     half = case.root // 2
     rows = len(P)
@@ -259,9 +278,10 @@ def solve_Q(case: BisectionCase, deg_q: int | None = None, forced_sign: str | No
 
 def degree_search(case: BisectionCase, max_deg: int):
     """Smallest Q-degree admitting a consistent sign, with its solution."""
+    system = _fe_system(case)
     for deg in range(max_deg + 1):
         try:
-            return deg, solve_Q(case, deg)
+            return deg, _solve_signs(case, system, deg, None)
         except NoBisection:
             continue
     raise NoBisection(f"case {case.id}: no solution up to degree {max_deg}")
@@ -269,9 +289,7 @@ def degree_search(case: BisectionCase, max_deg: int):
 
 def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
     """P - [Q*A + sign*shift*Q(q^(1/2)y)*B] as a y-polynomial (must be zero)."""
-    P = build_P(case)
-    A = _yatoms_poly(case.fe_a)
-    B = _yatoms_poly(case.fe_b)
+    P, A, B = _fe_system(case)
     sign = 1 if sol.sign == "+" else -1
     half = case.root // 2
     qpoly = []
@@ -347,18 +365,20 @@ def emit_reduced(case: BisectionCase, sol: BisectionSolution) -> IdentityRecord:
 
 
 def pairing_check(case: BisectionCase, sol: BisectionSolution, order: int) -> bool:
-    """T_{2n} +- T_{2n+1} must reproduce the unreduced summand exactly."""
+    """T_{2n} +- T_{2n+1} must reproduce the unreduced summand exactly.
+
+    Terms are compared up to the unreduced series' stop index, so the check
+    is bounded; NonmonotoneValuation is raised when its valuation does not
+    grow quadratically.
+    """
     ring = SeriesRing(order=order, root=case.root)
     tform = reduced_recipe(case, sol)
     ppform = pp_recipe(case)
-    n = 0
-    while True:
-        from qseries.theorems import term_valuation_bound
-
+    for n in range(max(3, stop_index(ppform, order)) + 1):
         if term_valuation_bound(ppform, n) >= order and n > 2:
             return True
         pair = eval_term(ring, tform, 2 * n).series + eval_term(ring, tform, 2 * n + 1).series
         ppt = eval_term(ring, ppform, n).series
         if pair.first_difference(ppt, order) is not None:
             return False
-        n += 1
+    return True

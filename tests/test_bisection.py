@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from qseries.bisection import (
+    ExactDivisionFailed,
     NoBisection,
+    _case_atoms,
+    _ydiv_atom,
+    _yatoms_poly,
+    _ymul,
     build_P,
     degree_search,
     emit_reduced,
@@ -14,7 +19,9 @@ from qseries.bisection import (
     pp_recipe,
     reduced_recipe,
     solve_Q,
+    weight_y_fraction,
 )
+from qseries.inversion import NonmonotoneValuation
 from qseries.polyring import Poly
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, load_catalog, record_sides
@@ -101,14 +108,67 @@ def test_normalization_invariance(cat):
 
 
 def test_exact_division_failure_names_case(cat):
-    from qseries.bisection import ExactDivisionFailed
-
     case = cat.cases["v3x1"]
     # removing the clearing factor entirely leaves the weight's own poles behind
     broken = BisectionCase(**{**case.__dict__, "clear_num": (), "clear_den": ()})
     with pytest.raises(ExactDivisionFailed) as exc:
         build_P(broken)
     assert "v3x1" in str(exc.value)
+
+
+def _num_and_den(case):
+    """The numerator and the multiplied-out denominator that build_P divides."""
+    wnum, wden = weight_y_fraction(case)
+    num = _ymul(_yatoms_poly(_case_atoms(case.clear_num)), wnum)
+    return num, _yatoms_poly(_case_atoms(case.clear_den) + wden)
+
+
+def _with(case, **changes):
+    return BisectionCase(**{**case.__dict__, **changes})
+
+
+def test_P_times_denominator_is_numerator(cat):
+    # a multiplication-based reference, independent of the atom-by-atom division
+    for cid in ("v1x3", "v3x1"):
+        case = cat.cases[cid]
+        num, den = _num_and_den(case)
+        assert _ymul(build_P(case), den) == num
+
+
+def test_y0_atom_on_both_sides_leaves_P_unchanged(cat):
+    case = cat.cases["v1x3"]
+    extra = (6, 0, 1)  # (1 - t^6) in the numerator and the denominator
+    both = _with(case, clear_num=case.clear_num + (extra,), clear_den=case.clear_den + (extra,))
+    P = build_P(both)
+    assert P == build_P(case)
+    num, den = _num_and_den(both)
+    assert _ymul(P, den) == num
+
+
+def test_division_by_non_unit_atoms(cat):
+    # atoms (1 - c t^a y^b) with c not 1, including Fraction c, b = 0 and a = b = 0
+    P = build_P(cat.cases["v3x1"])
+    atoms = [(F(2, 3), 5, 2), (-3, 4, 1), (F(-1, 2), 3, 0), (3, 0, 0), (F(1, 5), 0, 1)]
+    num = _ymul(P, _yatoms_poly(atoms))
+    for atom in atoms:
+        num = _ydiv_atom(num, atom, "synthetic")
+    assert num == P
+
+
+@pytest.mark.parametrize("extra, level", [((1, 1, 1), "in y"), ((7, 0, 1), "in t")])
+def test_atom_that_does_not_divide_names_case(cat, extra, level):
+    case = cat.cases["v3x1"]
+    broken = _with(case, clear_den=case.clear_den + (extra,))
+    with pytest.raises(ExactDivisionFailed) as exc:
+        build_P(broken)
+    assert "v3x1" in str(exc.value) and level in str(exc.value)
+
+
+def test_pairing_check_rejects_flat_valuation(cat, sols):
+    case = cat.cases["v3x1"]
+    flat = _with(case, pp_pref=(0,) + case.pp_pref[1:])
+    with pytest.raises(NonmonotoneValuation):
+        pairing_check(flat, sols["v3x1"], 120)
 
 
 def test_degree_search_finds_six(cat):

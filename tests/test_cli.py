@@ -80,6 +80,13 @@ def test_bisect_json():
     assert payload["residual_zero"] is True
 
 
+def test_bisect_degree_search_matches_catalog_degree():
+    fixed = run_cli("--json", "bisect", "v1x3")
+    searched = run_cli("--json", "bisect", "v1x3", "--max-deg", "8")
+    assert fixed.returncode == searched.returncode == 0
+    assert searched.stdout == fixed.stdout
+
+
 def test_env_catalog_override(tmp_path, monkeypatch):
     p = tmp_path / "mini.txt"
     p.write_text(
