@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from qseries.qcore import PoleError
+from qseries.qcore import PoleError, q_pochhammer_numeric
 from qseries.registry import ClassicalSeries
 
 
@@ -127,17 +127,24 @@ def term_exact(spec: ClassicalSeries, n: int) -> Fraction:
     return acc
 
 
-def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx):
+def _exact_terms(spec: ClassicalSeries, count: int):
+    """Terms start .. start+count-1 as exact rationals."""
+    return [term_exact(spec, n) for n in range(spec.start, spec.start + count)]
+
+
+def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=None):
     """Partial sum of the first `terms` terms plus a geometric tail estimate.
 
     Returns (value, tail_estimate).  Terms are exact rationals floated one
     at a time; the tail estimate is |last kept term| * r/(1-r) with r the
-    declared rate.
+    declared rate.  `exact` may hold the exact terms from spec.start on,
+    already computed; only its first `terms` entries are used.
     """
+    if exact is None:
+        exact = _exact_terms(spec, terms)
     total = ctx.ctx.mpf(0) + ctx.mpf(spec.prefix)
     last = ctx.ctx.mpf(0)
-    for n in range(spec.start, spec.start + terms):
-        t = term_exact(spec, n)
+    for t in exact[:terms]:
         ft = ctx.mpf(t)
         total += ft
         if t != 0:
@@ -147,19 +154,22 @@ def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx):
     return total, tail
 
 
-def measure_rate(spec: ClassicalSeries, upto: int = 30):
+def measure_rate(spec: ClassicalSeries, upto: int = 30, *, exact=None):
     """Successive term ratios and a Richardson-extrapolated limit.
 
     ratio_n = term(n+1)/term(n) tends to the convergence base like
     B*(1 + alpha/n + beta/n^2 + ...).  One Richardson step
     (n*r_n - (n-1)*r_{n-1}) cancels the 1/n correction; a second step on
     those values cancels 1/n^2, which some catalogued series need to reach
-    the declared base within 1% by n = 30.
+    the declared base within 1% by n = 30.  `exact` may hold the exact terms
+    from spec.start on, already computed; only its first upto + 1 entries
+    are used.
     """
+    if exact is None:
+        exact = _exact_terms(spec, upto + 1)
     ratios = {}
     prev = None
-    for n in range(spec.start, spec.start + upto + 1):
-        t = term_exact(spec, n)
+    for n, t in enumerate(exact[:upto + 1], spec.start):
         if prev not in (None, 0) and t != 0:
             ratios[n - 1] = t / prev
         prev = t
@@ -181,10 +191,15 @@ def measure_rate(spec: ClassicalSeries, upto: int = 30):
 
 
 def limit_report(rec_id: str, spec: ClassicalSeries, terms: int, ctx: BigFloatCtx):
-    """The JSON-ready comparison of the partial sum against the closed form."""
-    value, tail = eval_series(spec, terms, ctx)
+    """The JSON-ready comparison of the partial sum against the closed form.
+
+    Each exact term is computed once and shared by the partial sum and the
+    rate fit.
+    """
+    exact = _exact_terms(spec, terms)
+    value, tail = eval_series(spec, terms, ctx, exact=exact)
     target = eval_closed_form(spec, ctx)
-    ratios, fitted = measure_rate(spec, min(30, terms - 1))
+    ratios, fitted = measure_rate(spec, min(30, terms - 1), exact=exact)
     return {
         "id": rec_id,
         "series_value": mpmath.nstr(value, ctx.digits),
@@ -215,22 +230,24 @@ def balanced_product_limit(num_exps, den_exps, ctx: BigFloatCtx):
 
 
 def q_product_numeric(num_exps, den_exps, q, ctx: BigFloatCtx):
-    """Direct numeric (x;q)_inf quotient at 0 < q < 1 (sanity bridge)."""
+    """Direct numeric (x;q)_inf quotient at 0 < q < 1 (sanity bridge).
+
+    prod (q^a;q)_inf over num_exps / prod (q^b;q)_inf over den_exps, each
+    product by qcore.q_pochhammer_numeric.  Raises ValueError unless
+    0 < q < 1, and PoleError for a nonpositive integer exponent (a factor
+    1 - q^0 on either side).
+    """
     c = ctx.ctx
     qv = ctx.mpf(q)
-    tiny = c.mpf(10) ** (-(c.dps + 5))
-
-    def infprod(e):
-        z = qv**ctx.mpf(e)
-        acc = c.mpf(1)
-        while abs(z) > tiny:
-            acc *= 1 - z
-            z *= qv
-        return acc
-
+    if not 0 < qv < 1:
+        raise ValueError("need 0 < q < 1")
+    for e in (*num_exps, *den_exps):
+        e = Fraction(e)
+        if e.denominator == 1 and e <= 0:
+            raise PoleError(f"(q^{e};q)_inf has the factor 1 - q^0")
     acc = c.mpf(1)
     for e in num_exps:
-        acc *= infprod(e)
+        acc *= q_pochhammer_numeric(qv ** ctx.mpf(e), q, c)
     for e in den_exps:
-        acc /= infprod(e)
+        acc /= q_pochhammer_numeric(qv ** ctx.mpf(e), q, c)
     return acc

@@ -37,6 +37,10 @@ class PoleError(ArithmeticError):
     """Gamma-type evaluation at a nonpositive integer."""
 
 
+class ConvergenceError(ArithmeticError):
+    """A numeric expansion did not reach its tolerance within its term budget."""
+
+
 @dataclass(frozen=True)
 class QExp:
     """Exponent of q as the exact multiple num/root."""
@@ -380,14 +384,107 @@ def theta_monomial(pattern: PartitionPattern, a: QMono, b: QMono, c: QMono, d: Q
     return out
 
 
-# ------------------------------------------------------------ q-gamma checks
+# ------------------------------------------------------ numeric q-products
+
+_HEAD = 64            # factors multiplied directly before the tail
+_MAX_HEAD = 4096      # factor budget of a head that must bring x*q^k down to q^_HEAD
+_EM_TERMS = 100       # Bernoulli-term budget of the Euler-Maclaurin tail
+_EULERIAN = [[1]]     # row n: the Eulerian numbers A(n, i), i < max(n, 1)
+
+
+def q_pochhammer_numeric(x, q, ctx):
+    """(x;q)_inf = prod_{k>=0} (1 - x*q^k) at numeric x >= 0 and 0 < q < 1.
+
+    The value has the precision of ctx.  x and q are anything ctx.convert
+    accepts, converted at the working precision; log (x;q)_inf moves by
+    about 1/(1-q)^2 times a relative change of q, so pass q exactly (a
+    Fraction) near 1.
+
+    The first _HEAD factors (and, for x > 1, the further ones until
+    x*q^k <= q^_HEAD) are multiplied directly; the product stops there once
+    z = x*q^N is below min(1, t) times the tolerance 10^-(dps+5), with
+    t = -ln q, so that the rest, about z/t, is below the tolerance.
+    Otherwise the rest, sum_{k>=N} log(1 - z*q^k), is added in log space in
+    closed form:
+
+    * z <= 3/4: the exact series -sum_{m>=1} z^m / (m*(1 - q^m));
+    * otherwise Euler-Maclaurin, -Li_2(z)/t + log(1-z)/2
+      - sum_{j>=1} B_2j/(2j)! * t^(2j-1) * Li_{2-2j}(z), where each
+      Li_{-n}(z) = z*A_n(z)/(1-z)^(n+1) is a rational function (A_n the
+      Eulerian polynomial) and the sum stops at its first term below the
+      tolerance.
+
+    The Euler-Maclaurin series is asymptotic and needs z near 1 (its terms
+    shrink like (t/(2*pi*(1-z)))^2j); the log series converges like z^m.
+    So the cost depends on the precision, not on 1 - q.  The work runs with
+    log10(1/t) + 5 guard digits: the tail is about -pi^2/(6t), and
+    quotients of such products cancel.  Raises ValueError unless x >= 0 and
+    0 < q < 1, and ConvergenceError when the head needs more than _MAX_HEAD
+    factors or the Bernoulli sum has not converged after _EM_TERMS terms
+    (near q = 1 that caps the precision at about 140 digits).
+    """
+    qv = ctx.convert(q)
+    if not 0 < qv < 1:
+        raise ValueError("need 0 < q < 1")
+    if ctx.convert(x) < 0:
+        raise ValueError("need x >= 0")
+    tol = ctx.mpf(10) ** -(ctx.dps + 5)
+    guard = max(0, int(ctx.log10(-1 / ctx.ln(qv)))) + 5
+    with ctx.extradps(guard):
+        x, q = ctx.convert(x), ctx.convert(q)
+        t = -ctx.ln(q)
+        acc, z, k = ctx.one, x, 0
+        floor, stop = q**_HEAD, tol * min(1, t)
+        while (k < _HEAD or z > floor) and z >= stop:
+            if k == _MAX_HEAD:
+                raise ConvergenceError(f"(x;q)_inf head: x*q^k still above q^{_HEAD} after {k} factors")
+            acc *= 1 - z
+            z *= q
+            k += 1
+        if z >= stop:
+            acc *= ctx.exp(_log_tail(z, q, t, tol, ctx))
+    return +acc
+
+
+def _log_tail(z, q, t, tol, ctx):
+    """sum_{k>=0} log(1 - z*q^k) for 0 < z <= q^_HEAD, t = -ln q (see q_pochhammer_numeric)."""
+    if z <= 0.75:
+        tail, zm, qm, m = ctx.zero, z, q, 1
+        while zm >= tol * (1 - qm):
+            tail -= zm / (m * (1 - qm))
+            zm *= z
+            qm *= q
+            m += 1
+        return tail
+    tail = -ctx.polylog(2, z) / t + ctx.ln(1 - z) / 2
+    w = t / (1 - z)
+    for j in range(1, _EM_TERMS + 1):
+        # t^(2j-1) * Li_{2-2j}(z) = z * A_{2j-2}(z) * w^(2j-1)
+        poly = ctx.zero
+        for a in reversed(_eulerian(2 * j - 2)):
+            poly = poly * z + a
+        term = ctx.bernoulli(2 * j) / ctx.fac(2 * j) * z * poly * w ** (2 * j - 1)
+        tail -= term
+        if abs(term) < tol:
+            return tail
+    raise ConvergenceError(f"(x;q)_inf tail: Euler-Maclaurin sum not below tolerance after {_EM_TERMS} terms")
+
+
+def _eulerian(n):
+    """Row n of the Eulerian numbers: A(n, i) = (i+1)*A(n-1, i) + (n-i)*A(n-1, i-1)."""
+    while len(_EULERIAN) <= n:
+        m, prev = len(_EULERIAN), _EULERIAN[-1]
+        _EULERIAN.append([(i + 1) * (prev[i] if i < len(prev) else 0) + (m - i) * (prev[i - 1] if i else 0)
+                          for i in range(m)])
+    return _EULERIAN[n]
 
 
 def q_gamma_numeric(x, q, ctx=None):
     """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf at numeric 0 < q < 1.
 
-    Both infinite products are truncated at the first factor within
-    10^-(digits+10) of 1 (ten guard digits).
+    Both infinite products come from q_pochhammer_numeric: a direct head of
+    64 factors and a closed-form tail (Euler-Maclaurin near q = 1), so the
+    cost does not grow as q -> 1.  The default context has 30 digits.
     """
     import mpmath
 
@@ -397,17 +494,8 @@ def q_gamma_numeric(x, q, ctx=None):
     x = Fraction(x)
     if x.denominator == 1 and x <= 0:
         raise PoleError(f"Gamma_q pole at {x}")
-    qv = ctx.mpf(q.numerator) / q.denominator if isinstance(q, Fraction) else ctx.mpf(q)
+    qv = ctx.convert(q)
     if not (0 < qv < 1):
         raise ValueError("need 0 < q < 1")
-    tiny = ctx.mpf(10) ** (-(ctx.dps + 10))
-
-    def infprod(z):
-        acc = ctx.mpf(1)
-        while abs(z) > tiny:
-            acc *= 1 - z
-            z *= qv
-        return acc
-
-    xf = ctx.mpf(x.numerator) / x.denominator
-    return ctx.power(1 - qv, 1 - xf) * infprod(qv) / infprod(ctx.power(qv, xf))
+    xf = ctx.convert(x)
+    return ctx.power(1 - qv, 1 - xf) * q_pochhammer_numeric(q, q, ctx) / q_pochhammer_numeric(ctx.power(qv, xf), q, ctx)

@@ -1,7 +1,9 @@
 """High-precision numerics: Gamma, classical series, convergence rates."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import pytest
 
 from qseries.limits import (
@@ -16,6 +18,7 @@ from qseries.limits import (
     q_product_numeric,
     term_exact,
 )
+from qseries.qcore import q_pochhammer_numeric
 from qseries.registry import ClassicalSeries, FactorialFactor, load_catalog
 
 F = Fraction
@@ -182,3 +185,73 @@ def test_q_product_bridge(ctx, cat):
         lim = balanced_product_limit(num, den, ctx)
         direct = q_product_numeric(num, den, q, BigFloatCtx(digits=30))
         assert abs(lim - direct) < 0.01 * max(1, abs(lim))
+
+
+BRUTE = mpmath.ctx_mp.MPContext()
+BRUTE.dps = 50
+
+
+@lru_cache(maxsize=None)
+def brute_poch(e, q):
+    """(q^e;q)_inf at 50 digits by direct multiplication (reference).
+
+    A non-integer e is reduced to its class representative b = frac(e) - 2,
+    an integer e to b = 1, and (q^e;q)_inf = (q^b;q)_inf / prod_{b<=a<e} (1 - q^a);
+    (q^b;q)_inf multiplies factors until one is within 10^-55 of 1.
+    """
+    c = BRUTE
+    qv = c.convert(q)
+    b = e - (e.numerator // e.denominator) - 2 if e.denominator != 1 else Fraction(1)
+    if e == b:
+        tiny = c.mpf(10) ** -(c.dps + 5)
+        acc, z = c.one, c.power(qv, c.convert(b))
+        while abs(z) > tiny:
+            acc *= 1 - z
+            z *= qv
+        return acc
+    return brute_poch(e - 1, q) / (1 - c.power(qv, c.convert(e - 1)))
+
+
+def bridge_pool(cat):
+    """Balanced eight-factor left products with no Gamma pole at q = 1."""
+    out = []
+    for rec in cat.records:
+        num, den = rec.lhs_exponents()
+        poles = [e for e in num + den if e.denominator == 1 and e <= 0]
+        if len(num) + len(den) == 8 and sum(num) == sum(den) and not poles:
+            out.append((num, den))
+    return out
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(9, 10), F(99, 100), F(249, 250)], ids=str)
+def test_q_pochhammer_matches_brute_force(cat, q):
+    pool = bridge_pool(cat)
+    assert len(pool) == 50
+    exps = sorted({e for num, den in pool for e in num + den})
+    assert min(exps) < 0 and any(e.denominator != 1 for e in exps if e < 0)  # q^e > 1 too
+    c = mpmath.ctx_mp.MPContext()
+    c.dps = 40
+    for e in exps:
+        ref = brute_poch(e, q)
+        x = BRUTE.power(BRUTE.convert(q), BRUTE.convert(e))
+        got = q_pochhammer_numeric(x, q, c)
+        assert abs(got - ref) <= c.mpf(10) ** -40 * abs(ref), e
+    bf = BigFloatCtx(digits=30)
+    for num, den in pool:
+        ref = BRUTE.fprod(brute_poch(e, q) for e in num) / BRUTE.fprod(brute_poch(e, q) for e in den)
+        got = q_product_numeric(num, den, q, bf)
+        assert abs(got - ref) <= bf.tolerance() * abs(ref), (num, den)
+
+
+def test_q_product_numeric_rejects_q_outside_unit_interval(ctx):
+    for q in (F(1), F(3, 2), F(0), F(-1, 2)):
+        with pytest.raises(ValueError):
+            q_product_numeric((F(1, 2),), (F(1),), q, ctx)
+
+
+def test_q_product_numeric_pole_on_either_side(ctx):
+    # a nonpositive-integer exponent puts the factor 1 - q^0 into the product
+    with pytest.raises(PoleError):
+        q_product_numeric((F(0), F(1, 2)), (F(1, 2), F(1)), F(1, 2), ctx)
+    with pytest.raises(PoleError):
+        q_product_numeric((F(1, 2), F(1)), (F(-1), F(5, 2)), F(1, 2), ctx)

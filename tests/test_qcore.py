@@ -1,5 +1,6 @@
 """q-calculus layer: Pochhammers, patterns, theta monomials, q-gamma."""
 
+import time
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,7 @@ from qseries.qcore import (
     poch_finite,
     poch_infinite,
     q_gamma_numeric,
+    q_pochhammer_numeric,
     qpow,
     theta_monomial,
 )
@@ -198,3 +200,57 @@ def test_q_gamma_approaches_gamma():
 def test_q_gamma_pole():
     with pytest.raises(qcore.PoleError):
         q_gamma_numeric(0, Fraction(1, 2))
+
+
+def test_q_gamma_at_q_within_1e8_of_one():
+    # the cost of the numeric products does not grow as q -> 1
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = 30
+    start = time.perf_counter()
+    val = q_gamma_numeric(Fraction(1, 2), 1 - Fraction(1, 10**8), ctx)
+    elapsed = time.perf_counter() - start
+    assert abs(val - ctx.sqrt(ctx.pi)) < ctx.mpf(10) ** -7
+    assert elapsed < 0.5
+
+
+def test_q_pochhammer_trivial_arguments():
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = 30
+    assert q_pochhammer_numeric(0, Fraction(1, 2), ctx) == 1
+    assert q_pochhammer_numeric(1, Fraction(999, 1000), ctx) == 0
+    # (q^-2;q)_inf = (1 - q^-2)(1 - q^-1) * 0 at the factor 1 - q^0
+    assert q_pochhammer_numeric(Fraction(4), Fraction(1, 2), ctx) == 0
+
+
+def test_q_pochhammer_rejects_bad_arguments():
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = 30
+    for q in (0, 1, Fraction(3, 2), -Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            q_pochhammer_numeric(Fraction(1, 2), q, ctx)
+    with pytest.raises(ValueError):
+        q_pochhammer_numeric(-Fraction(1, 2), Fraction(1, 2), ctx)
+    with pytest.raises(ValueError):
+        q_gamma_numeric(Fraction(1, 2), 1)
+
+
+def test_q_pochhammer_head_budget():
+    # x = q^-5000 needs 5000 + 64 direct factors before the tail can start
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = 30
+    q = Fraction(999, 1000)
+    assert q_pochhammer_numeric(ctx.power(q, -4000), q, ctx) != 0
+    with pytest.raises(qcore.ConvergenceError):
+        q_pochhammer_numeric(ctx.power(q, -5000), q, ctx)
+
+
+def test_q_pochhammer_tail_budget():
+    # near q = 1 the asymptotic Bernoulli sum bottoms out near 10^-170 with a
+    # 64-factor head, so 200 digits cannot be reached
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = 200
+    q = Fraction(999, 1000)
+    with pytest.raises(qcore.ConvergenceError):
+        q_pochhammer_numeric(ctx.power(q, Fraction(1, 2)), q, ctx)
+    ctx.dps = 100
+    assert q_pochhammer_numeric(ctx.power(q, Fraction(1, 2)), q, ctx) > 0
