@@ -198,6 +198,19 @@ def cmd_oracle(args):
     return 0 if lhs == rhs else 1
 
 
+def _int_at_least(low):
+    """An argparse type: an integer >= low, else a usage error (exit code 2)."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="qseries",
@@ -225,8 +238,8 @@ def build_parser():
 
     p = sub.add_parser("limit", help="evaluate the classical limit numerically")
     p.add_argument("id")
-    p.add_argument("--terms", type=int, default=40)
-    p.add_argument("--digits", type=int, default=60)
+    p.add_argument("--terms", type=_int_at_least(2), default=40)
+    p.add_argument("--digits", type=_int_at_least(1), default=60)
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("bisect", help="run the reverse bisection solver on a case")

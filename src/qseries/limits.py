@@ -3,6 +3,8 @@
 Terms are built by exact rational arithmetic (rising factorials, linear
 factors, rational payloads) and only converted to arbitrary-precision
 floats when accumulated, so Pochhammer quotients never lose cancellation.
+Each term's rising factorials are built from the previous term's, so a
+limit report takes a number of Fraction products linear in its terms.
 Closed forms are products of rationals, powers of pi, Gamma at rationals,
 and algebraic surds.
 """
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from qseries.qcore import PoleError, q_pochhammer_numeric
+from qseries.qcore import PoleError, q_guard_digits, q_pochhammer_numeric
 from qseries.registry import ClassicalSeries
 
 
@@ -34,6 +36,8 @@ class BigFloatCtx:
     guard: int = 10
 
     def __post_init__(self):
+        if self.digits < 1 or self.guard < 0:
+            raise ValueError(f"need digits >= 1 and guard >= 0, got digits={self.digits}, guard={self.guard}")
         ctx = mpmath.ctx_mp.MPContext()
         ctx.dps = self.digits + self.guard
         object.__setattr__(self, "_ctx", ctx)
@@ -92,8 +96,8 @@ def _linear_product(factors, n) -> Fraction:
     return acc
 
 
-def term_exact(spec: ClassicalSeries, n: int) -> Fraction:
-    """Term n as an exact rational."""
+def _rising_part(spec: ClassicalSeries, n: int) -> Fraction:
+    """base^n * prod fnum ((p)_{kn*n+kc})^power / prod fden (...) at n."""
     acc = spec.base**n if spec.base != 1 else Fraction(1)
     for f in spec.fnum:
         acc *= _rising(f.p, f.kn * n + f.kc) ** f.power
@@ -102,6 +106,12 @@ def term_exact(spec: ClassicalSeries, n: int) -> Fraction:
         if d == 0:
             raise DegenerateTerm(n, "(rising factorial)")
         acc /= d
+    return acc
+
+
+def _payload(spec: ClassicalSeries, n: int) -> Fraction:
+    """The linear factors times the poly/polyden quotient or the brace sum at n."""
+    acc = Fraction(1)
     if spec.factor_num or spec.factor_den:
         acc *= _linear_product(spec.factor_num, n)
         d = _linear_product(spec.factor_den, n)
@@ -127,9 +137,52 @@ def term_exact(spec: ClassicalSeries, n: int) -> Fraction:
     return acc
 
 
+def term_exact(spec: ClassicalSeries, n: int) -> Fraction:
+    """Term n as an exact rational: the O(n) single-term reference.
+
+    Every rising factorial is rebuilt from (p)_0 = 1, so one term costs O(n)
+    Fraction products per factor.  _exact_terms builds a run of terms at
+    O(1) products per term and is tested against this function.
+    """
+    return _rising_part(spec, n) * _payload(spec, n)
+
+
+def _rising_step(spec: ClassicalSeries, n: int) -> Fraction:
+    """The rising-factorial part at n over that at n-1, for counts that grow with n.
+
+    base times the new factors (p+j)^power, kn*(n-1)+kc <= j < kn*n+kc (a
+    count below 0 reads as 0); raises DegenerateTerm as _rising_part does.
+    """
+    step = spec.base
+    for f in spec.fnum:
+        for j in range(max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)):
+            step *= (f.p + j) ** f.power
+    for f in spec.fden:
+        for j in range(max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)):
+            d = (f.p + j) ** f.power
+            if d == 0:
+                raise DegenerateTerm(n, "(rising factorial)")
+            step /= d
+    return step
+
+
 def _exact_terms(spec: ClassicalSeries, count: int):
-    """Terms start .. start+count-1 as exact rationals."""
-    return [term_exact(spec, n) for n in range(spec.start, spec.start + count)]
+    """Terms start .. start+count-1 as exact rationals, each from the one before.
+
+    The rising-factorial part of each term is the previous one's times
+    _rising_step, so the list costs O(count) Fraction products where
+    term_exact at each n would cost O(count^2).  The terms, and any
+    DegenerateTerm with its n and message, are those of term_exact.  A count
+    that shrinks with n (kn < 0, which the catalog grammar cannot write)
+    would divide factors out again, so such a spec takes term_exact at each n.
+    """
+    if any(f.kn < 0 for f in (*spec.fnum, *spec.fden)):
+        return [term_exact(spec, n) for n in range(spec.start, spec.start + count)]
+    out = []
+    for n in range(spec.start, spec.start + count):
+        acc = _rising_part(spec, n) if n == spec.start else acc * _rising_step(spec, n)
+        out.append(acc * _payload(spec, n))
+    return out
 
 
 def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=None):
@@ -138,10 +191,13 @@ def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=No
     Returns (value, tail_estimate).  Terms are exact rationals floated one
     at a time; the tail estimate is |last kept term| * r/(1-r) with r the
     declared rate.  `exact` may hold the exact terms from spec.start on,
-    already computed; only its first `terms` entries are used.
+    already computed; only its first `terms` entries are used, and a shorter
+    list raises ValueError.
     """
     if exact is None:
         exact = _exact_terms(spec, terms)
+    elif len(exact) < terms:
+        raise ValueError(f"exact holds {len(exact)} terms, eval_series needs {terms}")
     total = ctx.ctx.mpf(0) + ctx.mpf(spec.prefix)
     last = ctx.ctx.mpf(0)
     for t in exact[:terms]:
@@ -163,10 +219,12 @@ def measure_rate(spec: ClassicalSeries, upto: int = 30, *, exact=None):
     those values cancels 1/n^2, which some catalogued series need to reach
     the declared base within 1% by n = 30.  `exact` may hold the exact terms
     from spec.start on, already computed; only its first upto + 1 entries
-    are used.
+    are used, and a shorter list raises ValueError.
     """
     if exact is None:
         exact = _exact_terms(spec, upto + 1)
+    elif len(exact) < upto + 1:
+        raise ValueError(f"exact holds {len(exact)} terms, measure_rate needs {upto + 1}")
     ratios = {}
     prev = None
     for n, t in enumerate(exact[:upto + 1], spec.start):
@@ -194,8 +252,10 @@ def limit_report(rec_id: str, spec: ClassicalSeries, terms: int, ctx: BigFloatCt
     """The JSON-ready comparison of the partial sum against the closed form.
 
     Each exact term is computed once and shared by the partial sum and the
-    rate fit.
+    rate fit.  Raises ValueError for terms < 2: the rate fit needs a ratio.
     """
+    if terms < 2:
+        raise ValueError(f"terms must be at least 2, got {terms}")
     exact = _exact_terms(spec, terms)
     value, tail = eval_series(spec, terms, ctx, exact=exact)
     target = eval_closed_form(spec, ctx)
@@ -233,7 +293,8 @@ def q_product_numeric(num_exps, den_exps, q, ctx: BigFloatCtx):
     """Direct numeric (x;q)_inf quotient at 0 < q < 1 (sanity bridge).
 
     prod (q^a;q)_inf over num_exps / prod (q^b;q)_inf over den_exps, each
-    product by qcore.q_pochhammer_numeric.  Raises ValueError unless
+    product by qcore.q_pochhammer_numeric, each q^a taken from q as given
+    with qcore.q_guard_digits extra digits.  Raises ValueError unless
     0 < q < 1, and PoleError for a nonpositive integer exponent (a factor
     1 - q^0 on either side).
     """
@@ -245,9 +306,13 @@ def q_product_numeric(num_exps, den_exps, q, ctx: BigFloatCtx):
         e = Fraction(e)
         if e.denominator == 1 and e <= 0:
             raise PoleError(f"(q^{e};q)_inf has the factor 1 - q^0")
+    with c.extradps(q_guard_digits(qv, c)):
+        qe = ctx.mpf(q)
+        num = [qe ** ctx.mpf(e) for e in num_exps]
+        den = [qe ** ctx.mpf(e) for e in den_exps]
     acc = c.mpf(1)
-    for e in num_exps:
-        acc *= q_pochhammer_numeric(qv ** ctx.mpf(e), q, c)
-    for e in den_exps:
-        acc /= q_pochhammer_numeric(qv ** ctx.mpf(e), q, c)
+    for x in num:
+        acc *= q_pochhammer_numeric(x, q, c)
+    for x in den:
+        acc /= q_pochhammer_numeric(x, q, c)
     return acc

@@ -479,12 +479,20 @@ def _eulerian(n):
     return _EULERIAN[n]
 
 
+def q_guard_digits(qv, ctx):
+    """log10(1/(1-q)) + 5: the extra digits for q^a ahead of (q^a;q)_inf at 0 < q < 1."""
+    return max(0, int(ctx.log10(1 / (1 - qv)))) + 5
+
+
 def q_gamma_numeric(x, q, ctx=None):
     """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf at numeric 0 < q < 1.
 
     Both infinite products come from q_pochhammer_numeric: a direct head of
     64 factors and a closed-form tail (Euler-Maclaurin near q = 1), so the
-    cost does not grow as q -> 1.  The default context has 30 digits.
+    cost does not grow as q -> 1.  q^x and 1 - q are taken from q as given
+    (pass it exactly, as a Fraction, near 1) with log10(1/(1-q)) + 5 guard
+    digits, since (q^x;q)_inf magnifies an error in q^x about 1/(1-q)
+    times.  The default context has 30 digits.
     """
     import mpmath
 
@@ -497,5 +505,7 @@ def q_gamma_numeric(x, q, ctx=None):
     qv = ctx.convert(q)
     if not (0 < qv < 1):
         raise ValueError("need 0 < q < 1")
-    xf = ctx.convert(x)
-    return ctx.power(1 - qv, 1 - xf) * q_pochhammer_numeric(q, q, ctx) / q_pochhammer_numeric(ctx.power(qv, xf), q, ctx)
+    with ctx.extradps(q_guard_digits(qv, ctx)):
+        qe, xf = ctx.convert(q), ctx.convert(x)
+        scale, qx = ctx.power(1 - qe, 1 - xf), ctx.power(qe, xf)
+    return scale * q_pochhammer_numeric(q, q, ctx) / q_pochhammer_numeric(qx, q, ctx)

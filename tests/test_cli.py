@@ -70,6 +70,14 @@ def test_limit_json_fields():
     }
 
 
+def test_limit_rejects_bad_terms_and_digits():
+    for flags in (("--terms", "1"), ("--terms", "0"), ("--terms", "-3"), ("--digits", "0")):
+        proc = run_cli("--json", "limit", "g1x5pp", *flags)
+        assert proc.returncode == 2, flags
+        assert flags[0] in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_bisect_json():
     proc = run_cli("--json", "bisect", "v3x1")
     assert proc.returncode == 0

@@ -1,25 +1,29 @@
 """High-precision numerics: Gamma, classical series, convergence rates."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import pytest
 
+from qseries import limits
 from qseries.limits import (
     BigFloatCtx,
     DegenerateTerm,
     PoleError,
+    _exact_terms,
     balanced_product_limit,
     eval_closed_form,
     eval_series,
     gamma_hp,
+    limit_report,
     measure_rate,
     q_product_numeric,
     term_exact,
 )
 from qseries.qcore import q_pochhammer_numeric
-from qseries.registry import ClassicalSeries, FactorialFactor, load_catalog
+from qseries.registry import BraceRational, ClassicalSeries, FactorialFactor, LinearFactor, load_catalog
 
 F = Fraction
 
@@ -255,3 +259,112 @@ def test_q_product_numeric_pole_on_either_side(ctx):
         q_product_numeric((F(0), F(1, 2)), (F(1, 2), F(1)), F(1, 2), ctx)
     with pytest.raises(PoleError):
         q_product_numeric((F(1, 2), F(1)), (F(-1), F(5, 2)), F(1, 2), ctx)
+
+
+def reference_terms(spec, count):
+    return [term_exact(spec, n) for n in range(spec.start, spec.start + count)]
+
+
+def test_exact_terms_match_term_exact_on_catalog(cat):
+    for rec in cat.records:
+        s = rec.classical
+        assert _exact_terms(s, 100) == reference_terms(s, 100), rec.id
+
+
+def series(fnum=(), fden=(), base=F(1, 2), start=0, **payload):
+    fields = dict(poly=(), polyden=(), braces=(), factor_num=(), factor_den=())
+    fields.update(payload)
+    return ClassicalSeries(
+        value_factors=(("rat", F(1), 1),), base=base, rate=base, fnum=fnum, fden=fden,
+        start=start, prefix=F(0), **fields,
+    )
+
+
+FF, LF = FactorialFactor, LinearFactor
+SYNTHETIC = {
+    "count n-1": series((FF(F(1, 2), 1, -1, 1),), (FF(F(1), 1, -1, 1),)),
+    "count 2n-3": series((FF(F(1, 3), 2, -3, 1),), (FF(F(5, 4), 1, 0, 2),)),
+    "constant count": series((FF(F(1, 3), 0, 4, 2), FF(F(1, 2), 1, 0, 1)), (FF(F(1), 1, 0, 1),)),
+    "kn 3 and 2": series((FF(F(1, 4), 3, 1, 1),), (FF(F(2, 3), 2, 0, 1), FF(F(1), 1, 1, 1)),
+                         base=F(-1, 27)),
+    "power 3": series((FF(F(1, 2), 1, 0, 3),), (FF(F(1), 1, 0, 3),), base=F(1, 64)),
+    "base 1": series((FF(F(1, 2), 1, 0, 2),), (FF(F(3, 2), 1, 0, 2),), base=F(1)),
+    "start 1": series((FF(F(1, 2), 1, 0, 1),), (FF(F(1), 1, 0, 1),), start=1,
+                      poly=(F(1), F(3)), polyden=(F(2), F(1))),
+    "numerator zero": series((FF(F(-3), 1, 0, 1),), (FF(F(1, 2), 1, 0, 1),), poly=(F(1), F(1))),
+    "numerator p = 0": series((FF(F(0), 2, 0, 1),), (), start=1),
+    "shrinking count": series((FF(F(1, 2), -1, 5, 1),), (FF(F(1), 1, 0, 1),)),
+    "payload": series(
+        (FF(F(1, 2), 1, 0, 2),), (FF(F(1), 1, 0, 2),), factor_num=(LF(F(3), F(8)),),
+        factor_den=(LF(F(1), F(3), 2),),
+        braces=(BraceRational(F(1), 0, (), ()), BraceRational(F(16), 1, (LF(F(1), F(3), 3),),
+                                                               (LF(F(1), F(4), 3),))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_exact_terms_match_term_exact_synthetic(name):
+    s = SYNTHETIC[name]
+    assert _exact_terms(s, 40) == reference_terms(s, 40)
+    assert _exact_terms(s, 1) == reference_terms(s, 1)
+    assert _exact_terms(s, 0) == []
+
+
+DEGENERATE = {
+    "rising factorial": series((), (FF(F(-3), 1, 0, 1),)),
+    "rising factorial at start": series((), (FF(F(0), 1, 1, 1),)),
+    "rising factorial count 2n-1": series((), (FF(F(-4), 2, -1, 2),)),
+    "rising factorial past a zero numerator": series((FF(F(-2), 1, 0, 1),), (FF(F(-4), 1, 0, 1),)),
+    "factor": series((FF(F(1, 2), 1, 0, 1),), (), factor_den=(LF(F(-5), F(1)),)),
+    "payload": series((FF(F(1, 2), 1, 0, 1),), (), poly=(F(1),), polyden=(F(-6), F(1))),
+    "brace": series((FF(F(1, 2), 1, 0, 1),), (), braces=(BraceRational(F(1), 0, (), (LF(F(-7), F(1)),)),)),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_exact_terms_degenerate_like_term_exact(name):
+    s = DEGENERATE[name]
+    for n in range(s.start, s.start + 20):
+        try:
+            term_exact(s, n)
+        except DegenerateTerm as exc:
+            expected = exc
+            break
+    else:
+        pytest.fail("term_exact never raised")
+    assert _exact_terms(s, expected.n - s.start) == reference_terms(s, expected.n - s.start)
+    with pytest.raises(DegenerateTerm) as got:
+        _exact_terms(s, 20)
+    assert (got.value.n, str(got.value)) == (expected.n, str(expected))
+
+
+def test_limit_report_matches_term_exact_reports(cat, monkeypatch):
+    ctx = BigFloatCtx(digits=60)
+    fast = [json.dumps(limit_report(r.id, r.classical, 40, ctx)) for r in cat.records]
+    monkeypatch.setattr(limits, "_exact_terms", reference_terms)
+    slow = [json.dumps(limit_report(r.id, r.classical, 40, ctx)) for r in cat.records]
+    assert fast == slow
+
+
+def test_short_exact_list_rejected(ctx, cat):
+    s = cat.get("g1x5pp").classical
+    exact = _exact_terms(s, 10)
+    with pytest.raises(ValueError):
+        eval_series(s, 11, ctx, exact=exact)
+    with pytest.raises(ValueError):
+        measure_rate(s, 10, exact=exact)
+    assert eval_series(s, 10, ctx, exact=exact) == eval_series(s, 10, ctx)
+    assert measure_rate(s, 9, exact=exact) == measure_rate(s, 9)
+
+
+def test_bad_limit_parameters_rejected(ctx, cat):
+    s = cat.get("g1x5pp").classical
+    for terms in (1, 0, -3):
+        with pytest.raises(ValueError, match="terms"):
+            limit_report("g1x5pp", s, terms, ctx)
+    assert limit_report("g1x5pp", s, 2, ctx)["terms"] == 2
+    for kwargs in ({"digits": 0}, {"digits": -1}, {"guard": -1}):
+        with pytest.raises(ValueError):
+            BigFloatCtx(**kwargs)
+    assert BigFloatCtx(digits=1, guard=0).ctx.dps == 1

@@ -213,6 +213,18 @@ def test_q_gamma_at_q_within_1e8_of_one():
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(999, 1000), 1 - Fraction(1, 10**5),
+                               1 - Fraction(1, 10**8)], ids=str)
+@pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(1, 3), Fraction(5, 2)], ids=str)
+def test_q_gamma_keeps_working_precision(x, q):
+    # q^x and 1 - q are taken at more than 30 digits: (q^x;q)_inf magnifies
+    # an error in q^x about 1/(1-q) times
+    ctx, ref = mpmath.ctx_mp.MPContext(), mpmath.ctx_mp.MPContext()
+    ctx.dps, ref.dps = 30, 80
+    val, want = q_gamma_numeric(x, q, ctx), q_gamma_numeric(x, q, ref)
+    assert abs(val - want) <= ref.mpf(10) ** -29 * abs(want)
+
+
 def test_q_pochhammer_trivial_arguments():
     ctx = mpmath.ctx_mp.MPContext()
     ctx.dps = 30
