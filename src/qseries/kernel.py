@@ -1,23 +1,100 @@
-"""Selects the coefficient kernel: compiled extension if available, else pure Python.
+"""Coefficient kernels for truncated series arithmetic.
 
-Set QSERIES_PURE=1 to force the pure-Python kernel (used by the benchmark
-to compare both implementations).
+All functions operate on plain lists of exact numbers (int or Fraction),
+indexed from the valuation: a[i] is the coefficient of t**(minexp + i).
+Offset bookkeeping lives in qseries.series; these loops only ever see
+window-relative indices.
+
+Every loop returns canonical coefficients: an int wherever the value is
+integral, a Fraction only where it is not.  Integer arithmetic stays on
+ints by itself, so only an output that holds a Fraction is rewritten.
 """
 
-import os
+from fractions import Fraction
+from math import gcd
 
-if os.environ.get("QSERIES_PURE"):
-    from qseries import _kernel_py as _impl
-else:
+IMPLEMENTATION = "python"
+
+
+def _canonical(out):
+    """out with every integral Fraction replaced by its int.
+
+    math.gcd takes integers only and raises at the first other value, so it
+    tests at C speed that out is all ints, the common case, which needs
+    nothing.
+    """
     try:
-        from qseries import _coeffkernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from qseries import _kernel_py as _impl
+        gcd(*out)
+    except TypeError:
+        return [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in out]
+    return out
 
-IMPLEMENTATION = _impl.IMPLEMENTATION
-mul_dense = _impl.mul_dense
-mul_binom = _impl.mul_binom
-div_binom = _impl.div_binom
-inv_dense = _impl.inv_dense
-add_shifted = _impl.add_shifted
-scale = _impl.scale
+
+def mul_dense(a, b, nmax):
+    """Cauchy product of a and b, truncated to nmax coefficients."""
+    la, lb = len(a), len(b)
+    n = min(nmax, la + lb - 1) if la and lb else 0
+    out = [0] * n
+    for i in range(min(la, n)):
+        ai = a[i]
+        if not ai:
+            continue
+        for j, bj in enumerate(b[: n - i], i):
+            if bj:
+                out[j] += ai * bj
+    return _canonical(out)
+
+
+def mul_binom(a, e, c, nmax):
+    """Multiply a by (1 - c*t**e) with e > 0, truncated to nmax coefficients."""
+    la = len(a)
+    n = min(nmax, la + e)
+    out = list(a[:n]) + [0] * (n - min(la, n))
+    for i, ai in enumerate(a[: max(0, n - e)], e):
+        if ai:
+            out[i] -= c * ai
+    return _canonical(out)
+
+
+def div_binom(a, e, c, nmax):
+    """Divide a by (1 - c*t**e) with e > 0, extended to nmax coefficients."""
+    la = len(a)
+    out = list(a[:nmax]) + [0] * (nmax - min(la, nmax))
+    for i in range(e, nmax):
+        prev = out[i - e]
+        if prev:
+            out[i] += c * prev
+    return _canonical(out)
+
+
+def inv_dense(a, nmax):
+    """Inverse of a series with a[0] != 0, to nmax coefficients."""
+    lead = a[0]
+    la = len(a)
+    inv = 1 if lead == 1 else 1 / Fraction(lead)
+    out = [inv] + [0] * (nmax - 1)
+    for k in range(1, nmax):
+        acc = 0
+        for i in range(1, min(k, la - 1) + 1):
+            ai = a[i]
+            if ai:
+                acc += ai * out[k - i]
+        if acc:
+            out[k] = -acc * inv
+    return _canonical(out)
+
+
+def add_shifted(a, b, off, nmax):
+    """a + t**off * b (off >= 0), truncated to nmax coefficients."""
+    la = len(a)
+    n = min(nmax, max(la, len(b) + off))
+    out = list(a[:n]) + [0] * (n - min(la, n))
+    for j, bj in enumerate(b[: max(0, n - off)], off):
+        if bj:
+            out[j] += bj
+    return _canonical(out)
+
+
+def scale(a, c):
+    """Multiply every coefficient by the nonzero scalar c."""
+    return _canonical([c * x if x else 0 for x in a])

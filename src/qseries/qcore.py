@@ -127,6 +127,10 @@ class SeriesRing:
     def of_qmono(self, m: QMono):
         return LaurentSeries.monomial(m.coeff, m.texp)
 
+    def times_mono(self, v, coeff, texp):
+        """v * coeff*q^(texp/root), a shift and a scaling of the window."""
+        return v.shift(texp).scale(coeff)
+
     def times_binom(self, v, coeff, texp):
         """v * (1 - coeff*q^(texp/root)) as a t-binomial."""
         return v.times_binom(coeff, texp)
@@ -167,6 +171,9 @@ class RationalRing:
 
     def of_qmono(self, m: QMono):
         return m.coeff * self.r**m.texp
+
+    def times_mono(self, v, coeff, texp):
+        return v * (coeff * self.r**texp)
 
     def times_binom(self, v, coeff, texp):
         return v * (1 - coeff * self.r**texp)
@@ -299,7 +306,7 @@ def poch_quotient(ring: SeriesRing, num, den):
                 if e < 0:
                     lead = lead * -c if sign > 0 else lead / -c
                     val += sign * e
-                    single.append((_norm(_inv_scalar(c)), -e, sign))
+                    single.append((_inv_scalar(c), -e, sign))
                 elif c != 1:
                     lead = lead * (1 - c) if sign > 0 else lead / (1 - c)
                 else:
@@ -312,9 +319,7 @@ def poch_quotient(ring: SeriesRing, num, den):
     coeffs = euler_product(factors, n)
     if lead != 1:
         coeffs = [_norm(lead * f) for f in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return LaurentSeries(val if coeffs else 0, coeffs, ring.order, _trusted=True), dropped
+    return LaurentSeries(val, coeffs, ring.order, _canonical=True), dropped
 
 
 def euler_product(factors, n: int):

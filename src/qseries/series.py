@@ -6,6 +6,14 @@ means the value is exact (a Laurent polynomial, no truncation).  Every
 operation computes the tightest honest order of its result; truncation never
 silently widens.
 
+Coefficients are canonical: an int wherever the value is integral, a
+Fraction only where it is not, so integer series stay on int arithmetic.
+The public constructor normalizes whatever it is given.  Operations build
+their results from the kernel loops, which already return canonical
+coefficients, and pass _canonical=True to skip that per-coefficient pass;
+the flag promises nothing else, so truncation to the order and trimming of
+zero ends still run.
+
 Values are immutable after construction and safe to share across threads.
 """
 
@@ -42,42 +50,37 @@ def _add_order(o, shift):
 class LaurentSeries:
     __slots__ = ("minexp", "coeffs", "order")
 
-    def __init__(self, minexp, coeffs, order=None, _trusted=False):
-        if not _trusted:
+    def __init__(self, minexp, coeffs, order=None, _canonical=False):
+        if not _canonical:
             coeffs = [_norm(c) for c in coeffs]
-            if order is not None:
-                keep = order - minexp
-                if keep < len(coeffs):
-                    coeffs = coeffs[: max(keep, 0)]
-            lead = 0
-            n = len(coeffs)
-            while lead < n and not coeffs[lead]:
-                lead += 1
-            tail = n
-            while tail > lead and not coeffs[tail - 1]:
-                tail -= 1
-            coeffs = coeffs[lead:tail]
-            minexp = minexp + lead if coeffs else 0
-        self.minexp = minexp
-        self.coeffs = tuple(coeffs)
+        n = len(coeffs)
+        if order is not None and order - minexp < n:
+            n = max(order - minexp, 0)
+        lead = 0
+        while lead < n and not coeffs[lead]:
+            lead += 1
+        while n > lead and not coeffs[n - 1]:
+            n -= 1
+        self.minexp = minexp + lead if n > lead else 0
+        self.coeffs = tuple(coeffs[lead:n])
         self.order = order
 
     # ---------------------------------------------------------------- basics
 
     @staticmethod
     def zero(order=None):
-        return LaurentSeries(0, (), order, _trusted=True)
+        return LaurentSeries(0, (), order, _canonical=True)
 
     @staticmethod
     def one():
-        return LaurentSeries(0, (1,), None, _trusted=True)
+        return LaurentSeries(0, (1,), None, _canonical=True)
 
     @staticmethod
     def monomial(c, e):
         c = _norm(c)
         if not c:
             return LaurentSeries.zero()
-        return LaurentSeries(e, (c,), None, _trusted=True)
+        return LaurentSeries(e, (c,), None, _canonical=True)
 
     @property
     def is_zero(self):
@@ -105,12 +108,12 @@ class LaurentSeries:
 
     def truncate(self, order):
         order = _min_order(self.order, order)
-        return LaurentSeries(self.minexp, self.coeffs, order)
+        return LaurentSeries(self.minexp, self.coeffs, order, _canonical=True)
 
     # ------------------------------------------------------------ arithmetic
 
     def __neg__(self):
-        return LaurentSeries(self.minexp, [-c for c in self.coeffs], self.order, _trusted=True)
+        return LaurentSeries(self.minexp, [-c for c in self.coeffs], self.order, _canonical=True)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -119,16 +122,16 @@ class LaurentSeries:
             return NotImplemented
         order = _min_order(self.order, other.order)
         if not self.coeffs:
-            return LaurentSeries(other.minexp, other.coeffs, order)
+            return LaurentSeries(other.minexp, other.coeffs, order, _canonical=True)
         if not other.coeffs:
-            return LaurentSeries(self.minexp, self.coeffs, order)
+            return LaurentSeries(self.minexp, self.coeffs, order, _canonical=True)
         lo = min(self.minexp, other.minexp)
         hi = max(self.minexp + len(self.coeffs), other.minexp + len(other.coeffs))
         if order is not None:
             hi = min(hi, order)
         base = [0] * (self.minexp - lo) + list(self.coeffs)
         out = kernel.add_shifted(base, other.coeffs, other.minexp - lo, hi - lo)
-        return LaurentSeries(lo, out, order)
+        return LaurentSeries(lo, out, order, _canonical=True)
 
     __radd__ = __add__
 
@@ -159,7 +162,7 @@ class LaurentSeries:
         if order is not None:
             nmax = min(nmax, order - minexp)
         out = kernel.mul_dense(self.coeffs, other.coeffs, nmax)
-        return LaurentSeries(minexp, out, order)
+        return LaurentSeries(minexp, out, order, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -167,13 +170,15 @@ class LaurentSeries:
         c = _norm(c)
         if not c:
             return LaurentSeries.zero()
-        return LaurentSeries(self.minexp, kernel.scale(self.coeffs, c), self.order, _trusted=True)
+        if c == 1:
+            return self
+        return LaurentSeries(self.minexp, kernel.scale(self.coeffs, c), self.order, _canonical=True)
 
     def shift(self, e):
         """Multiply by t**e."""
         if self.is_zero:
             return LaurentSeries.zero(_add_order(self.order, e))
-        return LaurentSeries(self.minexp + e, self.coeffs, _add_order(self.order, e), _trusted=True)
+        return LaurentSeries(self.minexp + e, self.coeffs, _add_order(self.order, e), _canonical=True)
 
     def times_binom(self, c, e):
         """Multiply by the exact binomial (1 - c*t**e).
@@ -195,7 +200,7 @@ class LaurentSeries:
         if order is not None:
             nmax = min(nmax, order - self.minexp)
         out = kernel.mul_binom(self.coeffs, e, c, nmax)
-        return LaurentSeries(self.minexp, out, order)
+        return LaurentSeries(self.minexp, out, order, _canonical=True)
 
     def over_binom(self, c, e, order=None):
         """Divide by the exact binomial (1 - c*t**e).
@@ -221,7 +226,7 @@ class LaurentSeries:
         if nmax <= 0:
             return LaurentSeries.zero(eff)
         out = kernel.div_binom(self.coeffs, e, c, nmax)
-        return LaurentSeries(self.minexp, out, eff)
+        return LaurentSeries(self.minexp, out, eff, _canonical=True)
 
     def inverse(self, order=None):
         """Multiplicative inverse; requires a nonzero leading coefficient."""
@@ -238,7 +243,7 @@ class LaurentSeries:
         if nmax <= 0:
             return LaurentSeries.zero(out_order)
         out = kernel.inv_dense(self.coeffs, nmax)
-        return LaurentSeries(-v, out, out_order)
+        return LaurentSeries(-v, out, out_order, _canonical=True)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -315,4 +320,4 @@ def _inv_scalar(c):
         return 1
     if c == -1:
         return -1
-    return 1 / Fraction(c)
+    return _norm(1 / Fraction(c))

@@ -9,6 +9,10 @@ with W_n a ratio of binomial products times one or more brace groups (sums
 of binomial-quotient expressions).  Everything is a q-monomial binomial
 (1 - coeff * q^(cn*n + cc) * mono), so a term evaluates by O(order) binomial
 multiplications and divisions per factor; no dense products are needed.
+W_n is never formed on its own: it is distributed onto the running block.
+Each brace term starts from block * coeff*q^e (a shift and a scaling) and
+takes its own binomial steps, the group's terms are summed into the next
+block, and the outer w_num/w_den binomials act on that sum.
 
 The same recipe shape (SeriesRecipe) also carries catalogued identities that
 are stored explicitly: displayed sums whose theorem form is singular, and
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from qseries.inversion import (
     NonmonotoneValuation,
@@ -342,33 +347,41 @@ def term_valuation_bound(bt: SeriesRecipe, n: int) -> int:
 
 
 def stop_index(bt: SeriesRecipe, order: int) -> int:
-    """Smallest N such that term_valuation_bound(n) >= order for all n >= N."""
+    """Smallest N such that term_valuation_bound(n) >= order for all n >= N.
+
+    term_valuation_bound(n) >= alpha*n^2 - k1*n - k0 for n >= 0, where k1
+    and k0 collect only the parts that can lower the valuation: the
+    negative parts of the prefactor's linear and constant terms, of the
+    w_num atoms and of each brace term's monomial and numerator atoms
+    (the worst term of a group), and the negative-valuation factors of the
+    numerator Pochhammer blocks.  Denominator factors only raise it.  Past
+    the larger root of that quadratic every term clears the order; below
+    it the exact bound is checked n by n, down to the last n that does not.
+    """
     alpha = bt.pref_quad
     if alpha <= 0:
         raise NonmonotoneValuation("term exponent is not quadratically increasing")
-    k1 = abs(bt.pref_lin)
-    k0 = abs(bt.pref_const)
-    for f in list(bt.poch_num) + list(bt.poch_den):
+
+    def neg(x):
+        return max(0, -x)
+
+    k1 = neg(bt.pref_lin)
+    k0 = neg(bt.pref_const)
+    for f in bt.poch_num:
         if f.texp < 0:
             jneg = (-f.texp + f.step - 1) // f.step
             k0 += -(jneg * f.texp + f.step * jneg * (jneg - 1) // 2)
-    for a in list(bt.w_num) + list(bt.w_den):
-        k1 += abs(a.ncoef)
-        k0 += abs(a.const)
+    for a in bt.w_num:
+        k1 += neg(a.ncoef)
+        k0 += neg(a.const)
     for group in bt.braces:
-        k1 += max(
-            (abs(t.mono.ncoef) + sum(abs(x.ncoef) for x in list(t.num) + list(t.den)))
-            for t in group
-        )
-        k0 += max(
-            (abs(t.mono.const) + sum(abs(x.const) for x in list(t.num) + list(t.den)))
-            for t in group
-        )
-    # alpha*n^2 - k1*n - k0 >= order beyond the positive root
+        k1 += max(neg(t.mono.ncoef) + sum(neg(x.ncoef) for x in t.num) for t in group)
+        k0 += max(neg(t.mono.const) + sum(neg(x.const) for x in t.num) for t in group)
+    # alpha*n^2 - k1*n - k0 >= order for n >= (k1 + sqrt(disc)) / (2*alpha)
     disc = k1 * k1 + 4 * alpha * (k0 + max(order, 0))
-    n = int((k1 + disc**0.5) / (2 * alpha)) + 2
-    while term_valuation_bound(bt, n) < order:
-        n += 1
+    n = -(-(k1 + isqrt(disc) + 1) // (2 * alpha))
+    while n > 0 and term_valuation_bound(bt, n - 1) >= order:
+        n -= 1
     return n
 
 
@@ -422,18 +435,19 @@ def _apply_poch(ring, acc, f: PochF, n: int, invert: bool, fsh: PochF | None):
     return acc, drops, phi
 
 
-def _eval_brace(ring, group, n: int):
+def _eval_brace(ring, group, n: int, block):
+    """block times one brace group, distributed over the group's terms.
+
+    Each term starts from block * coeff*t^e and takes its own binomial
+    steps; a term with an n-dependent (1 - 1) numerator factor is zero.
+    """
     total = ring.zero()
     for t in group:
-        part = ring.mono(t.mono.coeff, t.mono.texp(n))
-        dead = False
-        for x in t.num:
-            if x.coeff == 1 and x.texp(n) == 0:
-                dead = True
-                break
-            part = ring.times_binom(part, x.coeff, x.texp(n))
-        if dead:
+        if any(x.coeff == 1 and x.texp(n) == 0 for x in t.num):
             continue
+        part = ring.times_mono(block, t.mono.coeff, t.mono.texp(n))
+        for x in t.num:
+            part = ring.times_binom(part, x.coeff, x.texp(n))
         for x in t.den:
             if x.coeff == 1 and x.texp(n) == 0:
                 raise VanishingDenominatorFactor(n, x.describe())
@@ -442,13 +456,17 @@ def _eval_brace(ring, group, n: int):
     return total
 
 
-def eval_weight(ring, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None = None):
-    """W_n (all brace groups and outer atoms) plus net dropped zero factors."""
+def eval_weight(ring, bt: SeriesRecipe, n: int, block, shadow: SeriesRecipe | None = None):
+    """block * W_n by binomial steps only, plus net dropped zero factors.
+
+    Each brace group acts on the running value term by term (_eval_brace),
+    then the outer w_num/w_den atoms act on the result.
+    """
     net = 0
     phi = 1
-    acc = ring.one()
+    acc = block
     for group in bt.braces:
-        acc = acc * _eval_brace(ring, group, n)
+        acc = _eval_brace(ring, group, n, acc)
     for i, x in enumerate(bt.w_num):
         if x.is_unit():
             if shadow is None:
@@ -512,10 +530,10 @@ def _eval_term_core(work, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None)
         acc, dr, ph = _apply_poch(work, acc, f, n, True, shadow.poch_den[i] if shadow else None)
         net += dr
         phi = phi * ph
-    w, wnet, wphi, dead = eval_weight(work, bt, n, shadow)
+    acc, wnet, wphi, dead = eval_weight(work, bt, n, acc, shadow)
     if dead:
         return None, None, 1, True
-    return acc * w, net + wnet, phi * wphi, False
+    return acc, net + wnet, phi * wphi, False
 
 
 def _margin(bt: SeriesRecipe, n: int) -> int:
@@ -588,7 +606,7 @@ def theorem_weight(ring, name: str, p: WPParams, n: int):
     """
     bt = bind_theorem(name, p, ring.root)
     psh, rsh = shadow_params(p, ring.root)
-    w, _net, _phi, dead = eval_weight(ring, bt, n, bind_theorem(name, psh, rsh))
+    w, _net, _phi, dead = eval_weight(ring, bt, n, ring.one(), bind_theorem(name, psh, rsh))
     return ring.zero() if dead else w
 
 

@@ -1,0 +1,207 @@
+"""The right (term-sum) side: the distributed weight against the product it replaced.
+
+A term is the prefactor times the finite Pochhammer block times W_n.  The
+engine applies W_n to the block by binomial steps only (each brace term
+starts from the block times its monomial); the reference builds W_n on its
+own from ring.one() and multiplies it into the block with one product, the
+way terms were built before.
+"""
+
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+
+from qseries import kernel
+from qseries.inversion import NonmonotoneValuation, VanishingDenominatorFactor, params_from_exponents
+from qseries.qcore import RationalRing, SeriesRing
+from qseries.registry import load_catalog, verify_identity
+from qseries.series import LaurentSeries
+from qseries.theorems import (
+    THEOREM_NAMES,
+    BExp,
+    BraceTerm,
+    PochF,
+    SeriesRecipe,
+    TermValue,
+    _apply_poch,
+    _margin,
+    bind_theorem,
+    eval_term,
+    eval_weight,
+    shadow_params,
+    stop_index,
+    term_valuation_bound,
+)
+
+F = Fraction
+
+CATALOG = load_catalog()
+DEEP = ("u2-02", "g1x5pp", "u2-12")      # one record per left-side shape: plain, dropped, negative valuation
+GENERIC = {
+    "2U": (F(3, 2), 1, 1, F(5, 6)),
+    "2V": (F(3, 2), 1, 1, F(5, 6)),
+    "3U": (F(3, 2), 1, 1, F(5, 6)),
+    "3V": (F(3, 2), F(7, 6), 1, F(5, 6)),
+    "p23U": (F(3, 2), 1, 1, F(5, 6)),
+}
+EQUAL = (F(1, 2), F(1, 2), F(1, 2), F(1, 2))   # a = b = c = d: dropped zero factors
+
+
+def undistributed_core(work, bt, n, shadow):
+    """Term n as block * W_n, with W_n evaluated from ring.one()."""
+    acc = work.mono(
+        (bt.pref_base**n if bt.pref_base != 1 else 1) * (-1 if bt.sign_alt and n % 2 else 1),
+        bt.pref_quad * n * n + bt.pref_lin * n + bt.pref_const,
+    )
+    net = 0
+    phi = 1
+    for invert, facs, shs in ((False, bt.poch_num, shadow and shadow.poch_num),
+                              (True, bt.poch_den, shadow and shadow.poch_den)):
+        for i, f in enumerate(facs):
+            acc, dr, ph = _apply_poch(work, acc, f, n, invert, shs[i] if shs else None)
+            net += dr if invert else -dr
+            phi = phi * ph
+    w, wnet, wphi, dead = eval_weight(work, bt, n, work.one(), shadow)
+    if dead:
+        return None, None, 1, True
+    return acc * w, net + wnet, phi * wphi, False
+
+
+def undistributed_term(ring, bt, n, shadow):
+    """eval_term's working-ring and retry rule around undistributed_core."""
+    if ring.mode == "rational":
+        acc, net, phi, dead = undistributed_core(ring, bt, n, shadow)
+        return TermValue(ring.zero(), None) if dead else TermValue(acc, net, phi)
+    margin = _margin(bt, n)
+    for _ in range(3):
+        work = SeriesRing(order=ring.order + margin, root=ring.root)
+        acc, net, phi, dead = undistributed_core(work, bt, n, shadow)
+        if dead:
+            return TermValue(ring.zero(), None)
+        if acc.order is None or acc.order >= ring.order:
+            return TermValue(acc.truncate(ring.order), net, phi)
+        margin = 2 * margin + ring.order
+    raise NonmonotoneValuation(f"reference term n={n} did not resolve")
+
+
+def record_recipes(rec):
+    if rec.kind == "theorem":
+        bt = bind_theorem(rec.theorem, rec.params, rec.root)
+        return bt, bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
+    return rec.recipe, None
+
+
+def outcome(fn, *args):
+    try:
+        tv = fn(*args)
+    except (VanishingDenominatorFactor, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return tv.series, tv.net_drops, tv.phi
+
+
+def assert_terms_match(rec, order):
+    bt, shadow = record_recipes(rec)
+    ring = SeriesRing(order=order, root=rec.root)
+    evaluated = 0
+    for n in range(bt.n_start, stop_index(bt, order) + 1):
+        if term_valuation_bound(bt, n) >= order:
+            continue
+        new = outcome(eval_term, ring, bt, n, shadow)
+        assert new == outcome(undistributed_term, ring, bt, n, shadow), (rec.id, n)
+        if isinstance(new[0], LaurentSeries):
+            assert new[0].order == order
+        evaluated += 1
+    assert evaluated
+
+
+@pytest.mark.parametrize("rec", CATALOG.records, ids=lambda r: r.id)
+def test_catalog_terms_match_undistributed_weight(rec):
+    assert_terms_match(rec, 120)
+
+
+@pytest.mark.parametrize("rid", DEEP)
+def test_deep_terms_match_undistributed_weight(rid):
+    assert_terms_match(CATALOG.get(rid), 400)
+
+
+@pytest.mark.parametrize("name", THEOREM_NAMES)
+@pytest.mark.parametrize("exps", [GENERIC, EQUAL], ids=["generic", "equal"])
+def test_rational_terms_match_undistributed_weight(name, exps):
+    ring = RationalRing(F(2, 3))
+    p = params_from_exponents(*(exps[name] if isinstance(exps, dict) else exps))
+    bt = bind_theorem(name, p, 12)
+    shadow = bind_theorem(name, *shadow_params(p, 12))
+    for n in range(5):
+        assert outcome(eval_term, ring, bt, n, shadow) == outcome(undistributed_term, ring, bt, n, shadow)
+
+
+def test_right_side_uses_no_dense_products(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "mul_dense", counted("mul_dense", kernel.mul_dense))
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted("__mul__", LaurentSeries.__mul__))
+    monkeypatch.setattr(LaurentSeries, "__rmul__", counted("__rmul__", LaurentSeries.__rmul__))
+    for rec in CATALOG.records:
+        assert verify_identity(rec, 120).status == "verified", rec.id
+    for rid in DEEP:
+        assert verify_identity(CATALOG.get(rid), 400).status == "verified", rid
+    assert calls == []
+    # the counters do see a product
+    LaurentSeries.one() * LaurentSeries.one()
+    assert calls == ["__mul__", "mul_dense"]
+
+
+@pytest.mark.parametrize("order", [24, 120, 400, 1600])
+def test_stop_index_bound_holds_past_it(order):
+    for rec in CATALOG.records:
+        bt, _ = record_recipes(rec)
+        stop = stop_index(bt, order)
+        assert all(term_valuation_bound(bt, n) >= order for n in range(stop, stop + 201)), rec.id
+
+
+SYNTHETIC = {
+    "pref_lin": dict(pref_lin=-500),
+    "pref_const": dict(pref_const=-3000),
+    "poch_num": dict(poch_num=(PochF(1, -600, 1, 0, 12),)),
+    "poch_num_count_2n": dict(poch_num=(PochF(1, -300, 2, 1, 6),)),
+    "w_num_slope": dict(w_num=(BExp(-30, 0),)),
+    "w_num_const": dict(w_num=(BExp(0, -2000),)),
+    "brace_mono": dict(braces=((BraceTerm(BExp(-40, -100)), BraceTerm(BExp(0, 0))),)),
+    "brace_num": dict(braces=((BraceTerm(BExp(0, 0), num=(BExp(-20, -500),)),),)),
+    "denominators_raise": dict(pref_lin=-200, poch_den=(PochF(1, -600, 1, 0, 12),),
+                               w_den=(BExp(-30, -900),), braces=((BraceTerm(BExp(0, 0), den=(BExp(-9, -90),)),),)),
+}
+
+
+@pytest.mark.parametrize("parts", SYNTHETIC.values(), ids=SYNTHETIC)
+def test_stop_index_is_smallest_valid_on_synthetic_shapes(parts):
+    """Each part that can lower the valuation, alone, sets the stop index."""
+    fields = dict(pref_quad=12, pref_lin=0, pref_base=1, poch_num=(), poch_den=(), w_num=(), w_den=(), braces=())
+    bt = SeriesRecipe("synthetic", 12, (), (), **{**fields, **parts})
+    for order in (1, 24, 120, 400, 1600):
+        stop = stop_index(bt, order)
+        assert all(term_valuation_bound(bt, n) >= order for n in range(stop, stop + 401)), order
+        assert stop == 0 or term_valuation_bound(bt, stop - 1) < order, order
+
+
+def test_stop_index_ignores_raising_parts(tmp_path):
+    """A large positive linear term only raises the valuation."""
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    start = text.index("record g1x5pp")
+    end = text.index("end", start)
+    block = text[start:end]
+    assert "\n  a 1/2\n" in block
+    path = tmp_path / "catalog.txt"
+    path.write_text(text[:start] + block.replace("\n  a 1/2\n", "\n  a 999\n") + text[end:])
+    rec = load_catalog(path).get("g1x5pp")
+    bt, _ = record_recipes(rec)
+    assert stop_index(bt, 24) <= 5
+    rep = verify_identity(rec, 24)
+    assert rep.status == "verified" and rep.terms_used == 2

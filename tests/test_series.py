@@ -113,3 +113,41 @@ def test_binom_mul_div_roundtrip(cs, e, num):
         return
     back = s.times_binom(c, e).over_binom(c, e)
     assert back.agrees_with(s, back.order)
+
+
+def is_canonical(s):
+    return not any(type(c) is Fraction and c.denominator == 1 for c in s.coeffs)
+
+
+def test_scale_keeps_coefficients_canonical():
+    s = L(0, [2, 4, 6], 10).scale(Fraction(1, 2))
+    assert s.coeffs == (1, 2, 3)
+    assert all(type(c) is int for c in s.coeffs)
+
+
+def test_constructor_normalizes_outside_input():
+    s = L(-1, [0, Fraction(4, 2), Fraction(1, 2), 0], 5)
+    assert (s.minexp, s.coeffs) == (0, (2, Fraction(1, 2)))
+    assert type(s.coeffs[0]) is int
+
+
+def test_canonical_flag_still_truncates_and_trims():
+    s = L(-2, [0, 0, 1, 2, 3, 0], 2, _canonical=True)
+    assert (s.minexp, s.coeffs, s.order) == (0, (1, 2), 2)
+    assert L(3, [0, 0], None, _canonical=True) == L.zero()
+
+
+fracs_st = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=8)
+
+
+@given(fracs_st, fracs_st, st.integers(1, 4), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+@settings(max_examples=80)
+def test_operations_return_canonical_coefficients(a, b, e, c):
+    sa, sb = L(0, a, 12), L(1, b, 14)
+    results = [sa + sb, sa - sb, sa * sb, -sa, sa.truncate(6), sa.shift(3)]
+    if c:
+        results += [sa.scale(c), sa.times_binom(c, e), sa.over_binom(c, e), sa.times_binom(c, -e),
+                    sa.over_binom(c, -e)]
+    if not sa.is_zero:
+        results.append(sa.inverse())
+    assert all(is_canonical(r) for r in results)
