@@ -83,10 +83,12 @@ def eval_closed_form(spec: ClassicalSeries, ctx: BigFloatCtx):
 
 
 def _rising(p: Fraction, m: int) -> Fraction:
-    acc = Fraction(1)
+    """(p)_m (1 for m <= 0) as one Fraction: prod (a + j*b) / b^m for p = a/b."""
+    a, b = p.numerator, p.denominator
+    num = 1
     for j in range(m):
-        acc *= p + j
-    return acc
+        num *= a + j * b
+    return Fraction(num, b ** max(m, 0))
 
 
 def _linear_product(factors, n) -> Fraction:
@@ -152,18 +154,27 @@ def _rising_step(spec: ClassicalSeries, n: int) -> Fraction:
 
     base times the new factors (p+j)^power, kn*(n-1)+kc <= j < kn*n+kc (a
     count below 0 reads as 0); raises DegenerateTerm as _rising_part does.
+    With p = a/b a factor is (a + j*b)^power / b^power, so the step is
+    accumulated as one integer quotient and becomes a single Fraction
+    (powers are nonnegative; the catalog grammar enforces it).
     """
-    step = spec.base
+    num = den = 1
     for f in spec.fnum:
-        for j in range(max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)):
-            step *= (f.p + j) ** f.power
+        a, b = f.p.numerator, f.p.denominator
+        j0, j1 = max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)
+        for j in range(j0, j1):
+            num *= (a + j * b) ** f.power
+        den *= b ** (f.power * max(0, j1 - j0))
     for f in spec.fden:
-        for j in range(max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)):
-            d = (f.p + j) ** f.power
+        a, b = f.p.numerator, f.p.denominator
+        j0, j1 = max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)
+        for j in range(j0, j1):
+            d = (a + j * b) ** f.power
             if d == 0:
                 raise DegenerateTerm(n, "(rising factorial)")
-            step /= d
-    return step
+            den *= d
+        num *= b ** (f.power * max(0, j1 - j0))
+    return spec.base * Fraction(num, den)
 
 
 def _exact_terms(spec: ClassicalSeries, count: int):

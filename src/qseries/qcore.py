@@ -75,9 +75,13 @@ class QMono:
 
     def __truediv__(self, other):
         if isinstance(other, QMono):
-            c = Fraction(self.coeff, 1) / other.coeff
-            if c.denominator == 1:
-                c = int(c)
+            a, b = self.coeff, other.coeff
+            if type(a) is int and type(b) is int and not a % b:
+                c = a // b  # the common case, kept off Fraction arithmetic
+            else:
+                c = Fraction(a, 1) / b
+                if c.denominator == 1:
+                    c = int(c)
             return QMono(c, self.texp - other.texp)
         return NotImplemented
 

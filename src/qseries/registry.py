@@ -4,7 +4,7 @@ The catalog is a human-editable block text file (see data/catalog.txt and
 docs/catalog-format.md).  Three record kinds exist:
 
 * theorem  -- parameters a,b,c,d for one of the five specialized theorems;
-  both sides are rebuilt from the theorem recipe at load time.
+  the theorem recipe is bound at those parameters at load time and kept.
 * explicit -- the displayed sum is stored directly (used where the theorem
   form is singular at the record's parameters and the displayed identity is
   the regularized limit, which factor-dropping cannot reproduce).
@@ -14,6 +14,9 @@ docs/catalog-format.md).  Three record kinds exist:
 Verification computes the left product and the right series independently
 and compares coefficients; a mismatch reports the lowest differing exponent
 and both coefficients.  Mismatches are results, never silently corrected.
+Both sides run in the record's reduced root s = t^g (g = root_gcd of its
+recipe), where every series is g times shorter; reported exponents and
+orders are in t.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from qseries.theorems import (
     SeriesRecipe,
     THEOREM_NAMES,
     bind_theorem,
+    has_unit_factor,
+    reduce_root,
     shadow_params,
     theorem_lhs,
     theorem_series,
@@ -109,7 +114,7 @@ class IdentityRecord:
     theorem: str | None            # for kind == theorem
     params: WPParams | None
     root: int
-    recipe: SeriesRecipe | None    # for explicit / bisected kinds
+    recipe: SeriesRecipe           # theorem records: bound from the parameters at load
     case: str | None               # bisection case id for bisected records
     sign: str | None
     classical: ClassicalSeries | None
@@ -117,9 +122,8 @@ class IdentityRecord:
 
     def lhs_exponents(self):
         """(numerator, denominator) q-exponent lists of the left product."""
-        bt = self.recipe if self.recipe is not None else bind_theorem(self.theorem, self.params, self.root)
-        num = tuple(Fraction(m.texp, self.root) for m in bt.lhs_num)
-        den = tuple(Fraction(m.texp, self.root) for m in bt.lhs_den)
+        num = tuple(Fraction(m.texp, self.root) for m in self.recipe.lhs_num)
+        den = tuple(Fraction(m.texp, self.root) for m in self.recipe.lhs_den)
         return num, den
 
 
@@ -192,8 +196,23 @@ def _parse_count(text, where):
 def _frac(text, where):
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CatalogError(f"{where}: bad rational {text!r}") from exc
+
+
+def _int(text, where):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise CatalogError(f"{where}: bad integer {text!r}") from exc
+
+
+def _pref(body, key, where):
+    """The three integer t-exponent coefficients of a prefactor line."""
+    pref = tuple(_int(x, where) for x in _single(body, key, where).split())
+    if len(pref) != 3:
+        raise CatalogError(f"{where}: {key} needs three t-exponent coefficients")
+    return pref
 
 
 def _texp(x: Fraction, root: int, where):
@@ -228,15 +247,20 @@ def _parse_value_expr(text, where):
         m = re.match(r"^([a-z]+)(?:\(([^)]*)\))?(?:\^(-?\d+))?$", tok)
         if m:
             kind, arg, power = m.group(1), m.group(2), int(m.group(3) or 1)
+            if kind != "pi" and arg is None:
+                raise CatalogError(f"{where}: value factor {tok!r} needs an argument")
             if kind == "pi":
                 out.append(("pi", Fraction(0), power))
             elif kind == "gamma":
                 out.append(("gamma", _frac(arg, where), power))
             elif kind == "sqrt":
-                out.append(("root", Fraction(int(arg), 2), power))  # arg^(1/2): store base/index
+                out.append(("root", Fraction(_int(arg, where), 2), power))  # arg^(1/2): store base/index
             elif kind == "root":
-                base, idx = arg.split(",")
-                out.append(("root", Fraction(int(base), int(idx)), power))
+                base, _, idx = arg.partition(",")
+                idx = _int(idx, where)
+                if idx == 0:
+                    raise CatalogError(f"{where}: root index 0 in {tok!r}")
+                out.append(("root", Fraction(_int(base, where), idx), power))
             else:
                 raise CatalogError(f"{where}: unknown value factor {tok!r}")
         else:
@@ -298,7 +322,10 @@ def _parse_ffactor(tok, where):
         raise CatalogError(f"{where}: factorial factor needs p:count:power, got {tok!r}")
     p = _frac(parts[0], where)
     kn, kc = _parse_count(parts[1], where)
-    return FactorialFactor(p, kn, kc, int(parts[2]))
+    power = _int(parts[2], where)
+    if power < 0:
+        raise CatalogError(f"{where}: factorial factor power must be nonnegative, got {tok!r}")
+    return FactorialFactor(p, kn, kc, power)
 
 
 def _parse_yatoms(toks, root, where):
@@ -308,8 +335,8 @@ def _parse_yatoms(toks, root, where):
         if len(parts) not in (2, 3):
             raise CatalogError(f"{where}: y-atom needs qexp:ypow[:mult], got {tok!r}")
         texp = _texp(_frac(parts[0], where), root, where)
-        ypow = int(parts[1])
-        mult = int(parts[2]) if len(parts) == 3 else 1
+        ypow = _int(parts[1], where)
+        mult = _int(parts[2], where) if len(parts) == 3 else 1
         out.append((texp, ypow, mult))
     return tuple(out)
 
@@ -383,7 +410,7 @@ def _parse_classical(body, where):
         fnum=tuple(fnum), fden=tuple(fden),
         poly=poly, polyden=polyden, braces=braces,
         factor_num=fnum2, factor_den=fden2,
-        start=int(_single(body, "classical-start", where, "0")),
+        start=_int(_single(body, "classical-start", where, "0"), where),
         prefix=_frac(_single(body, "classical-prefix", where, "0"), where),
     )
 
@@ -393,9 +420,7 @@ def _parse_explicit_recipe(rid, body, root, where):
                     for x in _single(body, "lhs-num", where).split())
     lhs_den = tuple(QMono(1, _texp(_frac(x, where), root, where))
                     for x in _single(body, "lhs-den", where).split())
-    pref = [int(x) for x in _single(body, "pref", where).split()]
-    if len(pref) != 3:
-        raise CatalogError(f"{where}: pref needs three t-exponent coefficients")
+    pref = _pref(body, "pref", where)
     poch_num = tuple(_parse_poch(t, root, where) for t in _single(body, "poch-num", where, "-").split() if t != "-")
     poch_den = tuple(_parse_poch(t, root, where) for t in _single(body, "poch-den", where, "-").split() if t != "-")
     w_num = tuple(_parse_atom(t, root, where) for t in body.get("w-num", [""])[0].split())
@@ -419,7 +444,7 @@ def _parse_explicit_recipe(rid, body, root, where):
         toks = line.split()
         if len(toks) != 3:
             raise CatalogError(f"{where}: qpoly line needs 'ypow coeff qexp'")
-        ypow = int(toks[0])
+        ypow = _int(toks[0], where)
         coeff = _frac(toks[1], where)
         texp = _texp(_frac(toks[2], where), root, where)
         if root % 2:
@@ -437,14 +462,16 @@ def _parse_explicit_recipe(rid, body, root, where):
         w_num=w_num, w_den=w_den,
         braces=tuple(groups),
         leading_one=_single(body, "leading-one", where, "false") == "true",
-        n_start=int(_single(body, "start", where, "0")),
+        n_start=_int(_single(body, "start", where, "0"), where),
         sign_alt=_single(body, "sign-alt", where, "false") == "true",
     )
 
 
-def _parse_case(cid, body, root):
-    where = f"case {cid}"
+def _parse_case(cid, body, root, where):
     exps = [_frac(_single(body, k, where), where) for k in ("a", "b", "c", "d")]
+    fe_shift = _single(body, "fe-shift", where).split()
+    if len(fe_shift) != 2:
+        raise CatalogError(f"{where}: fe-shift needs 'qexp ypow'")
     return BisectionCase(
         id=cid,
         theorem=_single(body, "theorem", where),
@@ -453,23 +480,20 @@ def _parse_case(cid, body, root):
         clear_num=_parse_yatoms(_single(body, "clear-num", where).split(), root, where),
         clear_den=_parse_yatoms(_single(body, "clear-den", where).split(), root, where),
         fe_a=_parse_yatoms(_single(body, "fe-a", where).split(), root, where),
-        fe_shift=tuple(
-            [_texp(_frac(_single(body, "fe-shift", where).split()[0], where), root, where),
-             int(_single(body, "fe-shift", where).split()[1])]
-        ),
+        fe_shift=(_texp(_frac(fe_shift[0], where), root, where), _int(fe_shift[1], where)),
         fe_b=_parse_yatoms(_single(body, "fe-b", where).split(), root, where),
-        deg_q=int(_single(body, "deg-q", where)),
+        deg_q=_int(_single(body, "deg-q", where), where),
         sign=_single(body, "sign", where),
         pp_lhs_num=tuple(_texp(_frac(x, where), root, where)
                          for x in _single(body, "pp-lhs-num", where).split()),
         pp_lhs_den=tuple(_texp(_frac(x, where), root, where)
                          for x in _single(body, "pp-lhs-den", where).split()),
-        pp_pref=tuple(int(x) for x in _single(body, "pp-pref", where).split()),
+        pp_pref=_pref(body, "pp-pref", where),
         pp_poch_num=tuple(_parse_poch(t, root, where) for t in _single(body, "pp-poch-num", where).split()),
         pp_poch_den=tuple(_parse_poch(t, root, where) for t in _single(body, "pp-poch-den", where).split()),
         pp_w_num=tuple(_parse_atom(t, root, where) for t in body.get("pp-w-num", [""])[0].split()),
         pp_w_den=tuple(_parse_atom(t, root, where) for t in body.get("pp-w-den", [""])[0].split()),
-        t_pref=tuple(int(x) for x in _single(body, "t-pref", where).split()),
+        t_pref=_pref(body, "t-pref", where),
         t_poch_num=tuple(_parse_poch(t, root, where) for t in _single(body, "t-poch-num", where).split()),
         t_poch_den=tuple(_parse_poch(t, root, where) for t in _single(body, "t-poch-den", where).split()),
         t_w_num=tuple(_parse_atom(t, root, where) for t in body.get("t-w-num", [""])[0].split()),
@@ -492,10 +516,12 @@ def load_catalog(path=None) -> Catalog:
     for kind, name, body, lineno in _blocks(text):
         where = f"{kind} {name} (line {lineno})"
         if kind == "root":
-            root = int(name)
+            root = _int(name, where)
+            if root <= 0:
+                raise CatalogError(f"{where}: root must be positive")
             continue
         if kind == "case":
-            cases[name] = _parse_case(name, body, root)
+            cases[name] = _parse_case(name, body, root, where)
             continue
         if name in seen:
             raise CatalogError(f"{where}: duplicate record id")
@@ -511,11 +537,11 @@ def load_catalog(path=None) -> Catalog:
             exps = [_frac(_single(body, k, where), where) for k in ("a", "b", "c", "d")]
             try:
                 params = params_from_exponents(*exps, root=root)
-                bind_theorem(thm, params, root)  # re-validates the side condition data
+                recipe = bind_theorem(thm, params, root)  # re-validates the side condition data
             except (ValueError, ArithmeticError) as exc:
                 raise CatalogError(f"{where}: {exc}") from exc
             records.append(IdentityRecord(name, rkind, section, thm, params, root,
-                                          None, None, None, classical, note))
+                                          recipe, None, None, classical, note))
         elif rkind in ("explicit", "bisected"):
             recipe = _parse_explicit_recipe(name, body, root, where)
             records.append(IdentityRecord(
@@ -747,41 +773,53 @@ class VerificationReport:
         return payload
 
 
-def record_sides(rec: IdentityRecord, order: int):
-    """(lhs_series, rhs_series, terms_used) at the given truncation order.
+def reduced_sides(rec: IdentityRecord, order: int):
+    """(lhs, rhs, terms_used, g): both sides as series in s = t^g, to s^ceil(order/g).
 
+    g = root_gcd of the record's recipe, so every exponent of both sides is
+    a multiple of g and the s-series hold every coefficient below t^order.
     For a regularized record (identically-vanishing factors dropped on both
     sides) the right side is rescaled by the common shadow weight, so both
-    returned series are normalized with constant term 1.
+    series are normalized with constant term 1; the shadow recipe is bound
+    only for a theorem record with such a factor.
     """
-    ring = SeriesRing(order=order, root=rec.root)
+    bt, g = reduce_root(rec.recipe)
+    ring = SeriesRing(order=-(-order // g), root=bt.root)
     if rec.kind == "theorem":
-        bt = bind_theorem(rec.theorem, rec.params, rec.root)
-        bsh = bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
+        bsh = bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root)) if has_unit_factor(bt) else None
         lhs, net, phi = theorem_lhs(ring, bt, shadow=bsh)
         res = theorem_series(ring, bt, shadow=bsh, expected_net=net)
-        return lhs, res.series.scale(1 / Fraction(phi)) if phi != 1 else res.series, res.terms_used
-    lhs, net, phi = theorem_lhs(ring, rec.recipe)
+        return lhs, res.series.scale(1 / Fraction(phi)) if phi != 1 else res.series, res.terms_used, g
+    lhs, net, phi = theorem_lhs(ring, bt)
     if net:
         raise SingularMismatch(f"{rec.id}: explicit record has a vanishing product factor")
-    res = theorem_series(ring, rec.recipe)
-    return lhs, res.series, res.terms_used
+    res = theorem_series(ring, bt)
+    return lhs, res.series, res.terms_used, g
+
+
+def record_sides(rec: IdentityRecord, order: int):
+    """(lhs_series, rhs_series, terms_used) in t at the given truncation order.
+
+    The sides of reduced_sides with s = t^g put back.
+    """
+    lhs, rhs, terms, g = reduced_sides(rec, order)
+    return lhs.inflate(g).truncate(order), rhs.inflate(g).truncate(order), terms
 
 
 def verify_identity(rec: IdentityRecord, order: int = 200) -> VerificationReport:
     """Compare the two sides to the given order; mismatches are results."""
     t0 = time.perf_counter()
     try:
-        lhs, rhs, terms = record_sides(rec, order)
+        lhs, rhs, terms, g = reduced_sides(rec, order)
     except (VanishingDenominatorFactor, SingularMismatch, ArithmeticError, ValueError) as exc:
         return VerificationReport(rec.id, "unverified", None, None, None, 0, order,
                                   (time.perf_counter() - t0) * 1000, cause=str(exc))
-    diff = lhs.first_difference(rhs, order)
+    diff = lhs.first_difference(rhs, -(-order // g))
     ms = (time.perf_counter() - t0) * 1000
     if diff is None:
         return VerificationReport(rec.id, "verified", None, None, None, terms, order, ms)
     e, cl, cr = diff
-    return VerificationReport(rec.id, "mismatch", e, str(cl), str(cr), terms, order, ms)
+    return VerificationReport(rec.id, "mismatch", e * g, str(cl), str(cr), terms, order, ms)
 
 
 def verify_all(cat: Catalog, order: int = 200, parallel: bool = False):

@@ -180,6 +180,15 @@ class LaurentSeries:
             return LaurentSeries.zero(_add_order(self.order, e))
         return LaurentSeries(self.minexp + e, self.coeffs, _add_order(self.order, e), _canonical=True)
 
+    def inflate(self, g):
+        """The series with t**g in place of t (g >= 1)."""
+        if g == 1:
+            return self
+        coeffs = [0] * (g * len(self.coeffs) - g + 1)
+        coeffs[::g] = self.coeffs
+        order = None if self.order is None else self.order * g
+        return LaurentSeries(self.minexp * g, coeffs, order, _canonical=True)
+
     def times_binom(self, c, e):
         """Multiply by the exact binomial (1 - c*t**e).
 

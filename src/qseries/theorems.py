@@ -22,6 +22,17 @@ Terms are summed until a rigorous quadratic lower bound on the term
 valuation clears the truncation order; each evaluated term is checked
 against its own bound (NonmonotoneValuation guards the stop rule).
 
+The finite Pochhammer block is carried across n (carried_terms): block n+1
+is block n times only the new factors of each (x; t^step)_{kn*n+kc}, kept
+at the precision the later terms still need, which shrinks as the quadratic
+prefactor grows.  eval_term, which builds a term from scratch, stays the
+per-term reference; a carried term that does not resolve falls back to it.
+
+Reduced root: every exponent of a recipe may share a factor g with its root
+(root_gcd).  Both sides are then series in s = t^g, and reduce_root rewrites
+the recipe in s, so that every series and every binomial step is g times
+shorter.  The verification driver (registry) runs there and reports in t.
+
 The left side takes a separate path (qcore.poch_quotient): the factors of
 nonpositive valuation are taken out of the eight products exactly, and the
 remaining product of binomials is expanded by Euler's recurrence on its
@@ -32,9 +43,9 @@ order and over the integers when every factor coefficient is an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from qseries.inversion import (
     NonmonotoneValuation,
@@ -68,8 +79,9 @@ class BExp:
         """The monomial is identically 1, so (1 - it) is identically zero."""
         return self.coeff == 1 and self.ncoef == 0 and self.const == 0
 
-    def describe(self):
-        return f"(1 - {self.coeff}*t^({self.ncoef}n{self.const:+d}))"
+    def describe(self, unit=1):
+        """The binomial as text, with exponents in t for a recipe written in t^unit."""
+        return f"(1 - {self.coeff}*t^({self.ncoef * unit}n{self.const * unit:+d}))"
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,8 @@ class SeriesRecipe:
     pattern: object = None
     delta: int = 0
     variant: str = "U"
+    # exponents count powers of t^unit (reduce_root's g); messages report t
+    unit: int = 1
 
 
 def _mono_pochf(m: QMono, kn, kc=0, step=12):
@@ -308,6 +322,69 @@ def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
 THEOREM_NAMES = ("2U", "2V", "3U", "3V", "p23U")
 
 
+# ------------------------------------------------------------ root reduction
+
+
+def _atoms(bt: SeriesRecipe):
+    """Every BExp of the weight: the w_num/w_den atoms and each brace term's."""
+    yield from bt.w_num
+    yield from bt.w_den
+    for group in bt.braces:
+        for t in group:
+            yield t.mono
+            yield from t.num
+            yield from t.den
+
+
+def root_gcd(bt: SeriesRecipe) -> int:
+    """The largest g such that both sides of bt are series in s = t^g.
+
+    g divides the root (so q = s^(root/g)), every left-side monomial, every
+    Pochhammer exponent and step, the prefactor's exponent coefficients and
+    every weight and brace exponent, which are all the t-exponents a term or
+    a product factor is built from.
+    """
+    exps = [bt.root, bt.pref_quad, bt.pref_lin, bt.pref_const]
+    exps += [m.texp for m in (*bt.lhs_num, *bt.lhs_den)]
+    for f in (*bt.poch_num, *bt.poch_den):
+        exps += (f.texp, f.step)
+    for x in _atoms(bt):
+        exps += (x.ncoef, x.const)
+    return gcd(*exps)
+
+
+def reduce_root(bt: SeriesRecipe) -> tuple[SeriesRecipe, int]:
+    """(bt written in s = t^g, g) with g = root_gcd(bt): every t-exponent over g.
+
+    g = 1 returns bt itself.  Shadow recipes need no reduction: only their
+    exponents' values enter, as the perturbation forms of dropped factors.
+    """
+    g = root_gcd(bt)
+    if g == 1:
+        return bt, 1
+
+    def mono(m):
+        return QMono(m.coeff, m.texp // g)
+
+    def poch(f):
+        return PochF(f.coeff, f.texp // g, f.kn, f.kc, f.step // g)
+
+    def atom(x):
+        return BExp(x.ncoef // g, x.const // g, x.coeff)
+
+    return replace(
+        bt, root=bt.root // g, unit=bt.unit * g,
+        lhs_num=tuple(map(mono, bt.lhs_num)), lhs_den=tuple(map(mono, bt.lhs_den)),
+        pref_quad=bt.pref_quad // g, pref_lin=bt.pref_lin // g, pref_const=bt.pref_const // g,
+        poch_num=tuple(map(poch, bt.poch_num)), poch_den=tuple(map(poch, bt.poch_den)),
+        w_num=tuple(map(atom, bt.w_num)), w_den=tuple(map(atom, bt.w_den)),
+        braces=tuple(
+            tuple(BraceTerm(atom(t.mono), tuple(map(atom, t.num)), tuple(map(atom, t.den))) for t in group)
+            for group in bt.braces
+        ),
+    ), g
+
+
 # ------------------------------------------------------------- term assembly
 
 
@@ -408,18 +485,35 @@ def shadow_params(p: WPParams, root: int):
     return WPParams(*monos), root * big
 
 
-def _apply_poch(ring, acc, f: PochF, n: int, invert: bool, fsh: PochF | None):
+def has_unit_factor(bt: SeriesRecipe) -> bool:
+    """Whether a product, Pochhammer or weight factor of bt can be (1 - 1).
+
+    Only such a factor is dropped and weighed by its shadow form, so a recipe
+    without one never consults a shadow recipe.  (The n-dependent zeros of
+    brace terms and of w_num/w_den atoms need no shadow.)
+    """
+    for m in (*bt.lhs_num, *bt.lhs_den):
+        if m.coeff == 1 and m.texp <= 0 and m.texp % bt.root == 0:
+            return True
+    for f in (*bt.poch_num, *bt.poch_den):
+        # some j >= 0 with texp + j*step == 0
+        if f.coeff == 1 and (f.texp == 0 or f.step and -f.texp % f.step == 0 and -f.texp // f.step > 0):
+            return True
+    return any(x.is_unit() for x in (*bt.w_num, *bt.w_den))
+
+
+def _apply_poch(ring, acc, f: PochF, n: int, invert: bool, fsh: PochF | None, first: int = 0):
     """Multiply or divide by the finite Pochhammer, dropping (1-1) factors.
 
+    Only factors first .. count(n)-1 are applied (all of them by default).
     Dropped factors multiply phi by their shadow exponent (the perturbation
     form), keeping the regularization orientation-exact.
     """
     drops = 0
     phi = 1
-    cnt = f.count(n)
-    c, e = f.coeff, f.texp
-    esh = fsh.texp if fsh is not None else None
-    for _ in range(cnt):
+    c, e = f.coeff, f.texp + first * f.step
+    esh = fsh.texp + first * fsh.step if fsh is not None else None
+    for _ in range(first, f.count(n)):
         if c == 1 and e == 0:
             if fsh is None:
                 raise SingularMismatch("vanishing Pochhammer factor in an explicit record")
@@ -435,7 +529,7 @@ def _apply_poch(ring, acc, f: PochF, n: int, invert: bool, fsh: PochF | None):
     return acc, drops, phi
 
 
-def _eval_brace(ring, group, n: int, block):
+def _eval_brace(ring, group, n: int, block, unit: int = 1):
     """block times one brace group, distributed over the group's terms.
 
     Each term starts from block * coeff*t^e and takes its own binomial
@@ -450,7 +544,7 @@ def _eval_brace(ring, group, n: int, block):
             part = ring.times_binom(part, x.coeff, x.texp(n))
         for x in t.den:
             if x.coeff == 1 and x.texp(n) == 0:
-                raise VanishingDenominatorFactor(n, x.describe())
+                raise VanishingDenominatorFactor(n, x.describe(unit))
             part = ring.over_binom(part, x.coeff, x.texp(n))
         total = total + part
     return total
@@ -466,7 +560,7 @@ def eval_weight(ring, bt: SeriesRecipe, n: int, block, shadow: SeriesRecipe | No
     phi = 1
     acc = block
     for group in bt.braces:
-        acc = _eval_brace(ring, group, n, acc)
+        acc = _eval_brace(ring, group, n, acc, bt.unit)
     for i, x in enumerate(bt.w_num):
         if x.is_unit():
             if shadow is None:
@@ -484,7 +578,7 @@ def eval_weight(ring, bt: SeriesRecipe, n: int, block, shadow: SeriesRecipe | No
             net += 1
             phi = phi / Fraction(shadow.w_den[i].texp(n))
         elif x.coeff == 1 and x.texp(n) == 0:
-            raise VanishingDenominatorFactor(n, x.describe())
+            raise VanishingDenominatorFactor(n, x.describe(bt.unit))
         else:
             acc = ring.over_binom(acc, x.coeff, x.texp(n))
     return acc, net, phi, False
@@ -504,22 +598,26 @@ def eval_term(ring, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None = None
         if acc.order is None or acc.order >= ring.order:
             if not acc.is_zero and acc.val_floor() < term_valuation_bound(bt, n):
                 raise NonmonotoneValuation(
-                    f"term n={n} valuation {acc.val_floor()} below structural "
-                    f"bound {term_valuation_bound(bt, n)}"
+                    f"term n={n} valuation {acc.val_floor() * bt.unit} below structural "
+                    f"bound {term_valuation_bound(bt, n) * bt.unit}"
                 )
             return TermValue(acc.truncate(ring.order), net, phi)
         margin = 2 * margin + ring.order
     raise NonmonotoneValuation(
-        f"term n={n} resolved only to t^{acc.order} < requested t^{ring.order}"
+        f"term n={n} resolved only to t^{acc.order * bt.unit} < requested t^{ring.order * bt.unit}"
     )
 
 
-def _eval_term_core(work, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None):
-    pref_texp = bt.pref_quad * n * n + bt.pref_lin * n + bt.pref_const
-    pref_coeff = bt.pref_base**n if bt.pref_base != 1 else 1
+def _prefactor(bt: SeriesRecipe, n: int):
+    """(coefficient, t-exponent) of the prefactor monomial of term n."""
+    coeff = bt.pref_base**n if bt.pref_base != 1 else 1
     if bt.sign_alt and n % 2:
-        pref_coeff = -pref_coeff
-    acc = work.mono(pref_coeff, pref_texp)
+        coeff = -coeff
+    return coeff, bt.pref_quad * n * n + bt.pref_lin * n + bt.pref_const
+
+
+def _eval_term_core(work, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None):
+    acc = work.mono(*_prefactor(bt, n))
     net = 0
     phi = 1
     for i, f in enumerate(bt.poch_num):
@@ -538,9 +636,15 @@ def _eval_term_core(work, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None)
 
 def _margin(bt: SeriesRecipe, n: int) -> int:
     """Working-order headroom covering every negative-valuation factor."""
-    gross = max(0, -(bt.pref_quad * n * n + bt.pref_lin * n + bt.pref_const))
+    gross = max(0, -_prefactor(bt, n)[1]) + _weight_margin(bt, n)
     for f in bt.poch_num:
         gross += -_poch_val(f, n)
+    return gross
+
+
+def _weight_margin(bt: SeriesRecipe, n: int) -> int:
+    """The part of _margin that W_n's negative exponents need."""
+    gross = 0
     for a in bt.w_num:
         gross += -_atom_val(a, n)
     for group in bt.braces:
@@ -548,6 +652,63 @@ def _margin(bt: SeriesRecipe, n: int) -> int:
             (max(0, -t.mono.texp(n)) + sum(-_atom_val(x, n) for x in t.num)) for t in group
         )
     return gross
+
+
+def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
+    """(n, TermValue) for each term of the right side, each block built from the one before.
+
+    The terms are those theorem_series sums: n from n_start through
+    stop_index whose valuation bound is below the ring order.  The finite
+    Pochhammer block B(n) (numerator over denominator products, without the
+    prefactor) is carried across n: block n is the previous block times only
+    the new factors of each (x; t^step)_{kn*n+kc}, with the drop count and
+    phi carried along.  Term n is t^P(n)*c^n * B(n) * W_n, so B(n) is needed
+    to t^(order + _weight_margin(n) - P(n)): less as the quadratic
+    prefactor P grows.  Before each step the block is cut to the most any
+    later term still needs, plus how far the new numerator factors of
+    negative exponent will shift it down.
+
+    Every term equals eval_term(ring, bt, n, shadow), the per-term
+    reference, which also takes over any term that does not resolve and a
+    recipe whose counts shrink with n (kn < 0).  A vanishing factor raises
+    at the first term whose block holds it, as in eval_term.
+    """
+    order, root = ring.order, ring.root
+    terms = [(n, b) for n in range(bt.n_start, stop_index(bt, order) + 1)
+             if (b := term_valuation_bound(bt, n)) < order]
+    if any(f.kn < 0 for f in (*bt.poch_num, *bt.poch_den)):
+        for n, _ in terms:
+            yield n, eval_term(ring, bt, n, shadow)
+        return
+    margin = [_weight_margin(bt, n) for n, _ in terms]
+    low = [-sum(_poch_val(f, n) for f in bt.poch_num) for n, _ in terms]   # downward shift of B(n)
+    # reach[i]: the precision B(n_i) needs plus low[i], then the most of it any later term needs
+    reach = [order + m - _prefactor(bt, n)[1] + lo for (n, _), m, lo in zip(terms, margin, low)]
+    for i in range(len(reach) - 2, -1, -1):
+        reach[i] = max(reach[i], reach[i + 1])
+    facs = [(f, False, shadow.poch_num[i] if shadow else None) for i, f in enumerate(bt.poch_num)]
+    facs += [(f, True, shadow.poch_den[i] if shadow else None) for i, f in enumerate(bt.poch_den)]
+    done = [0] * len(facs)
+    block, net, phi, shifted = ring.one(), 0, 1, 0
+    for i, (n, bound) in enumerate(terms):
+        keep = reach[i] - shifted
+        block = block.truncate(keep)
+        step = SeriesRing(order=max(keep, 1), root=root)   # a ring order is positive; the block's may not be
+        for k, (f, invert, fsh) in enumerate(facs):
+            block, dr, ph = _apply_poch(step, block, f, n, invert, fsh, done[k])
+            net += dr if invert else -dr
+            phi = phi * ph
+            done[k] = max(done[k], f.count(n))
+        shifted = low[i]
+        coeff, texp = _prefactor(bt, n)
+        work = SeriesRing(order=order + margin[i], root=root)
+        acc, wnet, wphi, dead = eval_weight(work, bt, n, work.times_mono(block, coeff, texp), shadow)
+        if dead:
+            yield n, TermValue(ring.zero(), None)
+        elif acc.order < order or (not acc.is_zero and acc.val_floor() < bound):
+            yield n, eval_term(ring, bt, n, shadow)
+        else:
+            yield n, TermValue(acc.truncate(order), net + wnet, phi * wphi)
 
 
 @dataclass
@@ -570,17 +731,10 @@ def theorem_series(ring, name_or_bt, p: WPParams | None = None,
     """
     bt = name_or_bt if isinstance(name_or_bt, SeriesRecipe) else bind_theorem(name_or_bt, p, ring.root)
     order = ring.order
-    terms = []
-    terms_used = 0
-    nstop = stop_index(bt, order)
-    for n in range(bt.n_start, nstop + 1):
-        if term_valuation_bound(bt, n) >= order:
-            continue
-        tv = eval_term(ring, bt, n, shadow)
-        terms_used += 1
-        if tv.net_drops is None:
-            continue  # term vanished through an n-dependent numerator zero
-        terms.append((n, tv))
+    terms = list(carried_terms(ring, bt, shadow))
+    terms_used = len(terms)
+    # a term with net_drops None vanished through an n-dependent numerator zero
+    terms = [(n, tv) for n, tv in terms if tv.net_drops is not None]
     if expected_net is None:
         expected_net = max((tv.net_drops for _, tv in terms), default=0)
     total = ring.zero()

@@ -3,8 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from qseries.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -121,3 +126,11 @@ def test_verify_all_parallel_matches_serial():
     serial = run_cli("--json", "verify-all", "--order", "60", "--section", "4.1").stdout
     parallel = run_cli("--json", "verify-all", "--order", "60", "--section", "4.1", "--parallel").stdout
     assert json.loads(serial) == json.loads(parallel)
+
+
+@pytest.mark.parametrize("order", [120, 400])
+def test_verify_all_json_is_byte_identical_to_recorded(order):
+    # recorded from the engine before root reduction and the carried block
+    proc = run_cli("--json", "verify-all", "--order", str(order))
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / f"verify_all_t{order}.json").read_text()

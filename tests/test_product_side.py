@@ -4,8 +4,10 @@ The reference is the quotient built factor by factor from poch_infinite,
 series products and series inverses, with the same drop accounting.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,8 +42,7 @@ def reference_lhs(ring, bt, shadow):
 
 def record_recipes(rec):
     if rec.kind == "theorem":
-        bt = bind_theorem(rec.theorem, rec.params, rec.root)
-        return bt, bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
+        return rec.recipe, bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
     return rec.recipe, None
 
 
@@ -111,8 +112,12 @@ def test_lhs_known_to_requested_order(rec):
     assert record_sides(rec, 120)[0].order == 120
 
 
-@pytest.mark.parametrize("rid", ["g1x5pp", "u2-12"])
+DEEP_REPORTS = {r["id"]: r for r in json.loads((Path(__file__).parent / "data" / "verify_all_t1600.json").read_text())}
+
+
+@pytest.mark.parametrize("rid", [r.id for r in CATALOG.records])
 def test_deep_tier_verifies_at_1600(rid):
-    # g1x5pp has a dropped (1 - q^0) factor, u2-12 a negative-valuation one
+    # the whole catalog; g1x5pp has a dropped (1 - q^0) factor, u2-12 a negative-valuation one
     rep = verify_identity(CATALOG.get(rid), 1600)
     assert (rep.status, rep.order) == ("verified", 1600)
+    assert rep.to_json(include_elapsed=False) == DEEP_REPORTS[rid]

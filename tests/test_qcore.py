@@ -39,6 +39,16 @@ def test_qexp_validation():
         QExp.of(Fraction(1, 5))
 
 
+@pytest.mark.parametrize("a, b, quotient", [
+    (6, 3, 2), (-6, 3, -2), (1, 2, Fraction(1, 2)), (2, -4, Fraction(-1, 2)),
+    (Fraction(3, 2), Fraction(1, 2), 3), (Fraction(1, 3), 2, Fraction(1, 6)), (4, Fraction(4, 3), 3),
+])
+def test_qmono_quotient_is_canonical(a, b, quotient):
+    q = QMono(a, 5) / QMono(b, 2)
+    assert q == QMono(quotient, 3)
+    assert type(q.coeff) is type(quotient)
+
+
 def test_poch_empty_product():
     ring = SeriesRing(order=40)
     assert poch_finite(ring, qpow(Fraction(7, 3), root=ring.root), 0) == ring.one()

@@ -1,6 +1,7 @@
 """Catalog loading, validation, and the verification driver."""
 
 import textwrap
+from importlib import resources
 
 import pytest
 
@@ -58,6 +59,45 @@ def test_bad_exponent_rejected(tmp_path):
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
     assert "broken" in str(exc.value)
+
+
+def _mutated(tmp_path, key, edit):
+    """The shipped catalog with the first line starting with key rewritten by edit."""
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    start = text.index(f"\n  {key} ") + 1
+    end = text.index("\n", start)
+    p = tmp_path / "catalog.txt"
+    p.write_text(text[:start] + edit(text[start:end]) + text[end:])
+    return p
+
+
+def test_non_integer_prefactor_is_a_located_catalog_error(tmp_path):
+    p = _mutated(tmp_path, "t-pref", lambda line: "  t-pref 9 -1/2 0")
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value).startswith("case v1x3 (line ")
+    assert "bad integer '-1/2'" in str(exc.value)
+
+
+def test_zero_denominator_is_a_located_catalog_error(tmp_path):
+    p = _mutated(tmp_path, "classical-lower", lambda line: line + " 1/0")
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value) == "record g1x5pp (line 23): bad rational '1/0'"
+
+
+def test_negative_factorial_power_rejected(tmp_path):
+    p = _mutated(tmp_path, "classical-fnum", lambda line: line.rsplit(":", 1)[0] + ":-1")
+    with pytest.raises(CatalogError, match="power must be nonnegative"):
+        load_catalog(p)
+
+
+def test_theorem_record_keeps_its_bound_recipe(cat):
+    from qseries.theorems import bind_theorem
+
+    for rec in cat.records:
+        if rec.kind == "theorem":
+            assert rec.recipe == bind_theorem(rec.theorem, rec.params, rec.root)
 
 
 def test_duplicate_id_rejected(tmp_path):

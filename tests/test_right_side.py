@@ -87,8 +87,7 @@ def undistributed_term(ring, bt, n, shadow):
 
 def record_recipes(rec):
     if rec.kind == "theorem":
-        bt = bind_theorem(rec.theorem, rec.params, rec.root)
-        return bt, bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
+        return rec.recipe, bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
     return rec.recipe, None
 
 

@@ -194,7 +194,7 @@ def test_no_weight_denominator_vanishes_up_to_50():
                 yield from t.den
 
     for rec in load_catalog().records:
-        bt = rec.recipe if rec.recipe is not None else bind_theorem(rec.theorem, rec.params, rec.root)
+        bt = rec.recipe
         for x in atoms_of(bt):
             if x.is_unit():
                 continue
