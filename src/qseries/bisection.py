@@ -2,11 +2,13 @@
 
 A specialized triplicate summand, cleared of denominators, becomes a
 polynomial P(y) (y standing for q^n).  P is built without rational
-functions: the numerator is multiplied out, then each denominator atom
-(1 - c*t^a*y^b), which has constant term 1 in y, is divided out exactly by
-an ascending recurrence, and any nonzero remainder raises
-ExactDivisionFailed.  The ansatz series T_n carries an
-unknown polynomial Q evaluated at q^(n/2), and matching
+functions, as a list of coefficient rows (one plain list of t-coefficients
+per power of y) changed only by atom steps.  Every factor is an atom
+(1 - c*t^a*y^b): times an atom, row k takes -c*t^a times row k-b; over an
+atom, which has constant term 1 in y, an ascending recurrence divides
+exactly, and any nonzero remainder raises ExactDivisionFailed.  Equal
+numerator and denominator atoms cancel before any step.  The ansatz series
+T_n carries an unknown polynomial Q evaluated at q^(n/2), and matching
 
     P(y) = Q(y)*A(y) +- shift * Q(q^(1/2)y) * B(y)
 
@@ -21,6 +23,7 @@ recipe, never transcribed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,42 +59,45 @@ class AmbiguousSign(ArithmeticError):
 
 
 # ------------------------------------------------- y-polynomials over QQ[t]
+#
+# A y-polynomial is a list of rows: row k is the plain list of int/Fraction
+# t-coefficients of y^k.  Rows change only by atom steps, times or over one
+# atom (c, texp, ypow) standing for (1 - c * t^texp * y^ypow), and are turned
+# into Poly entries only where they leave this module's arithmetic.
 
 
-def _ymono(texp, ypow, coeff=1):
-    return [Poly()] * ypow + [Poly.monomial(coeff, texp)]
-
-
-def _ymul(a, b):
-    if not a or not b:
-        return []
-    out = [Poly() for _ in range(len(a) + len(b) - 1)]
-    for i, pa in enumerate(a):
-        if pa.is_zero:
-            continue
-        for j, pb in enumerate(b):
-            if not pb.is_zero:
-                out[i + j] = out[i + j] + pa * pb
+def _axpy(row, src, c, texp):
+    """row + c * t^texp * src, as a new row."""
+    out = row + [0] * (len(src) + texp - len(row))
+    for j, x in enumerate(src, texp):
+        if x:
+            out[j] += c * x
     return out
 
 
-def _yadd(a, b):
-    out = [Poly() for _ in range(max(len(a), len(b)))]
-    for i, p in enumerate(a):
-        out[i] = out[i] + p
-    for i, p in enumerate(b):
-        out[i] = out[i] + p
-    while out and out[-1].is_zero:
+def _ytimes(rows, atoms):
+    """rows times the product of the atoms (c, texp, ypow).
+
+    Each atom is one step: row k -= c * t^texp * row(k-ypow), top row first,
+    so every row reads its source before that source changes.
+    """
+    for c, texp, ypow in atoms:
+        rows = rows + [[]] * ypow
+        for k in range(len(rows) - 1, ypow - 1, -1):
+            rows[k] = _axpy(rows[k], rows[k - ypow], -c, texp)
+    return rows
+
+
+def _ysum(parts):
+    """The row-wise sum of y-polynomials, without trailing zero rows."""
+    out = []
+    for part in parts:
+        out += [[]] * (len(part) - len(out))
+        for k, row in enumerate(part):
+            out[k] = _axpy(out[k], row, 1, 0)
+    while out and not any(out[-1]):
         out.pop()
     return out
-
-
-def _yatoms_poly(atoms):
-    """Product of the atoms (1 - c * t^texp * y^ypow), given as (c, texp, ypow)."""
-    acc = [Poly.const(1)]
-    for c, texp, ypow in atoms:
-        acc = _ymul(acc, _yadd([Poly.const(1)], _ymono(texp, ypow, -c)))
-    return acc
 
 
 def _case_atoms(triples):
@@ -99,43 +105,43 @@ def _case_atoms(triples):
     return [(1, texp, ypow) for texp, ypow, mult in triples for _ in range(mult)]
 
 
-def _tdiv_atom(p: Poly, c, texp: int, what: str) -> Poly:
-    """p / (1 - c * t^texp) in QQ[t], by the ascending recurrence q_i = p_i + c * q_(i-texp)."""
+def _tdiv_atom(row, c, texp: int, what: str):
+    """row / (1 - c * t^texp) in QQ[t], by the ascending recurrence q_i = p_i + c * q_(i-texp)."""
     if texp == 0:
         if c == 1:
             raise ExactDivisionFailed(f"{what}: atom (1 - 1) is identically zero")
-        return p * (1 / (1 - Fraction(c)))
-    size = len(p.coeffs) - texp
+        inv = 1 / (1 - Fraction(c))
+        return [x * inv for x in row]
+    size = len(row) - texp
     q = []
-    for i, x in enumerate(p.coeffs):
+    for i, x in enumerate(row):
         if i >= texp:
             x = x + c * q[i - texp]
         if i < size:
             q.append(x)
         elif x:
             raise ExactDivisionFailed(f"{what}: (1 - {c}*t^{texp}) leaves a remainder in t")
-    return Poly(q)
+    return q
 
 
-def _ydiv_atom(num, atom, what: str):
-    """num / (1 - c * t^texp * y^ypow) in QQ[t][y], for atom = (c, texp, ypow).
+def _ydiv_atom(rows, atom, what: str):
+    """rows / (1 - c * t^texp * y^ypow) in QQ[t][y], for atom = (c, texp, ypow).
 
     The atom has constant term 1 in y, so the quotient follows the ascending
     recurrence Q_k = N_k + c * t^texp * Q_(k-ypow); the division is exact
-    when the top ypow rows leave zero.  A y^0 atom divides every coefficient.
+    when the top ypow rows leave zero.  A y^0 atom divides every row.
     """
     c, texp, ypow = atom
     if ypow == 0:
-        return [_tdiv_atom(p, c, texp, what) for p in num]
-    shift = Poly.monomial(c, texp)
-    size = len(num) - ypow
+        return [_tdiv_atom(row, c, texp, what) for row in rows]
+    size = len(rows) - ypow
     q = []
-    for k, p in enumerate(num):
+    for k, row in enumerate(rows):
         if k >= ypow:
-            p = p + shift * q[k - ypow]
+            row = _axpy(row, q[k - ypow], c, texp)
         if k < size:
-            q.append(p)
-        elif not p.is_zero:
+            q.append(row)
+        elif any(row):
             raise ExactDivisionFailed(
                 f"{what}: (1 - {c}*t^{texp}*y^{ypow}) leaves a remainder in y")
     return q
@@ -150,10 +156,11 @@ def _atom_to_y(x: BExp, root: int, what: str):
 
 
 def weight_y_fraction(case: BisectionCase):
-    """The theorem weight at the case parameters as (numerator, denominator atoms).
+    """The theorem weight at the case parameters as (brace numerator, numerator atoms, denominator atoms).
 
-    The numerator is a y-polynomial over QQ[t]; the denominator is the list
-    of atoms (c, texp, ypow), each standing for (1 - c * t^texp * y^ypow).
+    The brace numerator is a y-polynomial in rows: a row-wise sum of one atom
+    product per brace term, each started from the term's monomial.  The
+    atoms (c, texp, ypow) each stand for (1 - c * t^texp * y^ypow).
     """
     bt = bind_theorem(case.theorem, case.params, case.root)
 
@@ -164,31 +171,36 @@ def weight_y_fraction(case: BisectionCase):
         raise ExactDivisionFailed("theorem weight must have a single brace group")
     group = bt.braces[0]
     dens = [atoms(t.den, "brace denominator") for t in group]
-    den_polys = [_yatoms_poly(d) for d in dens]
-    brace_num = []
+    parts = []
     for i, t in enumerate(group):
         c, texp, ypow = _atom_to_y(t.mono, case.root, "brace monomial")
-        part = _ymul(_ymono(texp, ypow, c), _yatoms_poly(atoms(t.num, "brace numerator")))
-        for j, dj in enumerate(den_polys):
+        part = _ytimes([[]] * ypow + [[0] * texp + [c]], atoms(t.num, "brace numerator"))
+        for j, dj in enumerate(dens):
             if j != i:
-                part = _ymul(part, dj)
-        brace_num = _yadd(brace_num, part)
-    wnum = _yatoms_poly(atoms(bt.w_num, "weight numerator"))
+                part = _ytimes(part, dj)
+        parts.append(part)
     wden = atoms(bt.w_den, "weight denominator")
-    return _ymul(wnum, brace_num), wden + [x for d in dens for x in d]
+    return _ysum(parts), atoms(bt.w_num, "weight numerator"), wden + [x for d in dens for x in d]
 
 
 def build_P(case: BisectionCase):
     """clearing-factor * weight as an exact polynomial in y over QQ[t].
 
-    The numerator is multiplied out; then every denominator atom (clearing
-    factor, weight, brace terms) is divided out exactly, one at a time.
+    Numerator atoms (clearing factor, weight) cancel against equal
+    denominator atoms (clearing factor, weight, brace terms); the brace
+    numerator takes the atom steps of the numerator atoms left, and every
+    denominator atom left is divided out exactly, one at a time.  Returns
+    one Poly in t per power of y.
     """
-    wnum, wden = weight_y_fraction(case)
-    P = _ymul(_yatoms_poly(_case_atoms(case.clear_num)), wnum)
-    for atom in _case_atoms(case.clear_den) + wden:
+    brace, wnum, wden = weight_y_fraction(case)
+    num = Counter(_case_atoms(case.clear_num) + wnum)
+    den = Counter(_case_atoms(case.clear_den) + wden)
+    common = num & den
+    del common[1, 0, 0]  # the zero atom (1 - 1) never cancels
+    P = _ytimes(brace, (num - common).elements())
+    for atom in (den - common).elements():
         P = _ydiv_atom(P, atom, f"case {case.id}")
-    return P
+    return [Poly(row) for row in P]
 
 
 @dataclass
@@ -215,8 +227,8 @@ def _fe_system(case: BisectionCase):
     """P and the functional-equation factors A and B of a case."""
     return (
         build_P(case),
-        _yatoms_poly(_case_atoms(case.fe_a)),
-        _yatoms_poly(_case_atoms(case.fe_b)),
+        [Poly(row) for row in _ytimes([[1]], _case_atoms(case.fe_a))],
+        [Poly(row) for row in _ytimes([[1]], _case_atoms(case.fe_b))],
     )
 
 
@@ -288,21 +300,23 @@ def degree_search(case: BisectionCase, max_deg: int):
 
 
 def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
-    """P - [Q*A + sign*shift*Q(q^(1/2)y)*B] as a y-polynomial (must be zero)."""
-    P, A, B = _fe_system(case)
+    """P - [Q*A + sign*shift*Q(q^(1/2)y)*B] as a y-polynomial (must be zero).
+
+    Both products start from -Q (the second one already shifted and with
+    its coefficient i at t^(half*i)) and take the atom steps of A and B.
+    """
+    shift_texp, shift_ypow = case.fe_shift
     sign = 1 if sol.sign == "+" else -1
     half = case.root // 2
-    qpoly = []
-    qshift = []
+    qa = []
+    qb = [[]] * shift_ypow
     for i, r in enumerate(sol.coeffs):
-        c = r.as_poly()
-        qpoly.append(c)
-        qshift.append(c * Poly.monomial(1, half * i))
-    rhs = _ymul(qpoly, A)
-    sh = _ymul(qshift, B)
-    sh = _ymul(sh, _ymono(case.fe_shift[0], case.fe_shift[1], sign))
-    rhs = _yadd(rhs, sh)
-    return _yadd(P, [(-1) * p for p in rhs])
+        c = r.as_poly().coeffs
+        qa.append([-x for x in c])
+        qb.append([0] * (shift_texp + half * i) + [-sign * x for x in c])
+    P = [p.coeffs for p in build_P(case)]
+    residual = _ysum([P, _ytimes(qa, _case_atoms(case.fe_a)), _ytimes(qb, _case_atoms(case.fe_b))])
+    return [Poly(row) for row in residual]
 
 
 # ------------------------------------------------------------ emitted series

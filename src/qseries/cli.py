@@ -244,7 +244,7 @@ def build_parser():
 
     p = sub.add_parser("bisect", help="run the reverse bisection solver on a case")
     p.add_argument("case")
-    p.add_argument("--max-deg", type=int, default=None, help="search degrees 0..K")
+    p.add_argument("--max-deg", type=_int_at_least(0), default=None, help="search degrees 0..K")
     p.set_defaults(fn=cmd_bisect)
 
     p = sub.add_parser("oracle", help="exact-rational oracle checks")

@@ -337,6 +337,14 @@ def _parse_yatoms(toks, root, where):
         texp = _texp(_frac(parts[0], where), root, where)
         ypow = _int(parts[1], where)
         mult = _int(parts[2], where) if len(parts) == 3 else 1
+        if mult < 1:
+            raise CatalogError(f"{where}: y-atom {tok!r} needs a positive multiplicity")
+        if ypow < 0:
+            raise CatalogError(f"{where}: y-atom {tok!r} needs a nonnegative y-power")
+        if texp < 0:
+            raise CatalogError(f"{where}: y-atom {tok!r} needs a nonnegative q-exponent")
+        if texp == ypow == 0:
+            raise CatalogError(f"{where}: y-atom {tok!r} is identically zero")
         out.append((texp, ypow, mult))
     return tuple(out)
 
@@ -472,6 +480,12 @@ def _parse_case(cid, body, root, where):
     fe_shift = _single(body, "fe-shift", where).split()
     if len(fe_shift) != 2:
         raise CatalogError(f"{where}: fe-shift needs 'qexp ypow'")
+    fe_shift = (_texp(_frac(fe_shift[0], where), root, where), _int(fe_shift[1], where))
+    if min(fe_shift) < 0:
+        raise CatalogError(f"{where}: fe-shift needs a nonnegative q-exponent and y-power")
+    deg_q = _int(_single(body, "deg-q", where), where)
+    if deg_q < 0:
+        raise CatalogError(f"{where}: deg-q must be nonnegative, got {deg_q}")
     return BisectionCase(
         id=cid,
         theorem=_single(body, "theorem", where),
@@ -480,9 +494,9 @@ def _parse_case(cid, body, root, where):
         clear_num=_parse_yatoms(_single(body, "clear-num", where).split(), root, where),
         clear_den=_parse_yatoms(_single(body, "clear-den", where).split(), root, where),
         fe_a=_parse_yatoms(_single(body, "fe-a", where).split(), root, where),
-        fe_shift=(_texp(_frac(fe_shift[0], where), root, where), _int(fe_shift[1], where)),
+        fe_shift=fe_shift,
         fe_b=_parse_yatoms(_single(body, "fe-b", where).split(), root, where),
-        deg_q=_int(_single(body, "deg-q", where), where),
+        deg_q=deg_q,
         sign=_single(body, "sign", where),
         pp_lhs_num=tuple(_texp(_frac(x, where), root, where)
                          for x in _single(body, "pp-lhs-num", where).split()),

@@ -1,16 +1,18 @@
 """Reverse bisection: P construction, the sign systems, emitted series."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from qseries import bisection
 from qseries.bisection import (
     ExactDivisionFailed,
     NoBisection,
+    _atom_to_y,
     _case_atoms,
     _ydiv_atom,
-    _yatoms_poly,
-    _ymul,
+    _ytimes,
     build_P,
     degree_search,
     emit_reduced,
@@ -25,14 +27,126 @@ from qseries.inversion import NonmonotoneValuation
 from qseries.polyring import Poly
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, load_catalog, record_sides
-from qseries.theorems import eval_term, theorem_lhs, theorem_series
+from qseries.theorems import bind_theorem, eval_term, theorem_lhs, theorem_series
 
 F = Fraction
+
+# Atoms (1 - c t^a y^b) as (c, a, b): Fraction c, b = 0, and a = b = 0.
+SYNTHETIC_ATOMS = [(F(2, 3), 5, 2), (-3, 4, 1), (F(-1, 2), 3, 0), (3, 0, 0), (F(1, 5), 0, 1)]
+
+
+# ----------------------------- dense reference: y-polynomials as Poly lists
+
+
+def _ymono(texp, ypow, coeff=1):
+    return [Poly()] * ypow + [Poly.monomial(coeff, texp)]
+
+
+def _ymul(a, b):
+    if not a or not b:
+        return []
+    out = [Poly() for _ in range(len(a) + len(b) - 1)]
+    for i, pa in enumerate(a):
+        if pa.is_zero:
+            continue
+        for j, pb in enumerate(b):
+            if not pb.is_zero:
+                out[i + j] = out[i + j] + pa * pb
+    return out
+
+
+def _yadd(a, b):
+    out = [Poly() for _ in range(max(len(a), len(b)))]
+    for i, p in enumerate(a):
+        out[i] = out[i] + p
+    for i, p in enumerate(b):
+        out[i] = out[i] + p
+    while out and out[-1].is_zero:
+        out.pop()
+    return out
+
+
+def _yatoms_poly(atoms):
+    """Product of the atoms (1 - c * t^texp * y^ypow), given as (c, texp, ypow)."""
+    acc = [Poly.const(1)]
+    for c, texp, ypow in atoms:
+        acc = _ymul(acc, _yadd([Poly.const(1)], _ymono(texp, ypow, -c)))
+    return acc
+
+
+def _ydiv(num, den):
+    """num / den in QQ[t][y] by ascending long division, each step an exact t-division."""
+    q = []
+    for k in range(len(num) - len(den) + 1):
+        acc = num[k]
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * q[k - j]
+        quo = acc.exact_div(den[0])  # Fraction coefficients: keep the integral ones as int
+        q.append(Poly([x.numerator if x.denominator == 1 else x for x in quo.coeffs]))
+    assert _yadd(num, [-p for p in _ymul(q, den)]) == []
+    return q
+
+
+def _polys(rows):
+    return [Poly(row) for row in rows]
+
+
+def _rows(polys):
+    return [list(p.coeffs) for p in polys]
+
+
+def _dense_weight(case):
+    """The theorem weight at the case parameters as a multiplied-out (num, den)."""
+    bt = bind_theorem(case.theorem, case.params, case.root)
+
+    def atoms_poly(xs):
+        return _yatoms_poly([_atom_to_y(x, case.root, "reference") for x in xs])
+
+    group = bt.braces[0]
+    dens = [atoms_poly(t.den) for t in group]
+    brace = []
+    for i, t in enumerate(group):
+        c, texp, ypow = _atom_to_y(t.mono, case.root, "reference")
+        part = _ymul(_ymono(texp, ypow, c), atoms_poly(t.num))
+        for j, dj in enumerate(dens):
+            if j != i:
+                part = _ymul(part, dj)
+        brace = _yadd(brace, part)
+    den = atoms_poly(bt.w_den)
+    for d in dens:
+        den = _ymul(den, d)
+    return _ymul(atoms_poly(bt.w_num), brace), den
+
+
+def _reference_P(case):
+    """Multiply the numerator and the denominator out, then divide."""
+    wnum, wden = _dense_weight(case)
+    num = _ymul(_yatoms_poly(_case_atoms(case.clear_num)), wnum)
+    den = _ymul(_yatoms_poly(_case_atoms(case.clear_den)), wden)
+    return _ydiv(num, den)
+
+
+def _reference_residual(case, sol, P):
+    """P - [Q*A + sign*shift*Q(q^(1/2)y)*B], multiplied out densely."""
+    A = _yatoms_poly(_case_atoms(case.fe_a))
+    B = _yatoms_poly(_case_atoms(case.fe_b))
+    sign = 1 if sol.sign == "+" else -1
+    half = case.root // 2
+    Q = [r.as_poly() for r in sol.coeffs]
+    Qshift = [c * Poly.monomial(1, half * i) for i, c in enumerate(Q)]
+    shifted = _ymul(_ymul(Qshift, B), _ymono(case.fe_shift[0], case.fe_shift[1], sign))
+    rhs = _yadd(_ymul(Q, A), shifted)
+    return _yadd(P, [-p for p in rhs])
 
 
 @pytest.fixture(scope="module")
 def cat():
     return load_catalog()
+
+
+@pytest.fixture(scope="module")
+def ref_P(cat):
+    return {cid: _reference_P(cat.cases[cid]) for cid in ("v1x3", "v3x1")}
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +201,20 @@ def test_functional_equation_residual_zero(cat, sols):
         assert functional_equation_residual(cat.cases[cid], sol) == []
 
 
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_functional_equation_residual_matches_reference(cat, sols, ref_P, cid):
+    case = cat.cases[cid]
+    sol = sols[cid]
+    plus = dataclasses.replace(sol, sign="+")  # the solved Q under the wrong sign
+    forced = solve_Q(case, forced_sign="+")    # no Q at all: the residual is P
+    assert functional_equation_residual(case, sol) == _reference_residual(case, sol, ref_P[cid]) == []
+    for wrong in (plus, forced):
+        residual = functional_equation_residual(case, wrong)
+        assert residual == _reference_residual(case, wrong, ref_P[cid])
+        assert residual != []
+    assert functional_equation_residual(case, forced) == build_P(case)
+
+
 def test_normalization_invariance(cat):
     # scaling the clearing factor by a nonzero factor scales P accordingly,
     # and when the same factor scales both functional-equation sides the
@@ -118,8 +246,8 @@ def test_exact_division_failure_names_case(cat):
 
 def _num_and_den(case):
     """The numerator and the multiplied-out denominator that build_P divides."""
-    wnum, wden = weight_y_fraction(case)
-    num = _ymul(_yatoms_poly(_case_atoms(case.clear_num)), wnum)
+    brace, wnum, wden = weight_y_fraction(case)
+    num = _ymul(_yatoms_poly(_case_atoms(case.clear_num) + wnum), _polys(brace))
     return num, _yatoms_poly(_case_atoms(case.clear_den) + wden)
 
 
@@ -148,11 +276,59 @@ def test_y0_atom_on_both_sides_leaves_P_unchanged(cat):
 def test_division_by_non_unit_atoms(cat):
     # atoms (1 - c t^a y^b) with c not 1, including Fraction c, b = 0 and a = b = 0
     P = build_P(cat.cases["v3x1"])
-    atoms = [(F(2, 3), 5, 2), (-3, 4, 1), (F(-1, 2), 3, 0), (3, 0, 0), (F(1, 5), 0, 1)]
-    num = _ymul(P, _yatoms_poly(atoms))
+    atoms = SYNTHETIC_ATOMS
+    num = _rows(_ymul(P, _yatoms_poly(atoms)))
     for atom in atoms:
         num = _ydiv_atom(num, atom, "synthetic")
+    num = _polys(num)
     assert num == P
+
+
+def test_atom_steps_match_dense_product(cat):
+    P = build_P(cat.cases["v3x1"])
+    for k in range(len(SYNTHETIC_ATOMS) + 1):
+        atoms = SYNTHETIC_ATOMS[:k]
+        assert _polys(_ytimes(_rows(P), atoms)) == _ymul(P, _yatoms_poly(atoms))
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_build_P_matches_multiplied_out_reference(cat, ref_P, cid):
+    assert build_P(cat.cases[cid]) == ref_P[cid]
+
+
+@pytest.mark.parametrize("extra", [(6, 0, 1), (3, 2, 2), (4, 1, 1)])
+def test_build_P_with_matching_case_atoms_matches_reference(cat, extra):
+    # (t-exp, y-power, multiplicity) added to the clearing numerator and denominator
+    case = cat.cases["v1x3"]
+    both = _with(case, clear_num=case.clear_num + (extra,), clear_den=case.clear_den + (extra,))
+    assert build_P(both) == _reference_P(both) == build_P(case)
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_build_P_with_matching_weight_atoms_matches_reference(cat, ref_P, cid, monkeypatch):
+    # non-unit, Fraction, y^0 and constant atoms multiplied into the brace
+    # numerator and divided out again leave the unpadded case's P
+    weight = bisection.weight_y_fraction
+
+    def padded(case):
+        brace, num, den = weight(case)
+        return _rows(_ymul(_polys(brace), _yatoms_poly(SYNTHETIC_ATOMS))), num, den + SYNTHETIC_ATOMS
+
+    monkeypatch.setattr(bisection, "weight_y_fraction", padded)
+    assert build_P(cat.cases[cid]) == ref_P[cid]
+
+
+def test_zero_atom_does_not_cancel(cat, monkeypatch):
+    # (1 - 1) in the numerator and the denominator is 0/0, not 1
+    weight = bisection.weight_y_fraction
+
+    def zeroed(case):
+        brace, num, den = weight(case)
+        return brace, num + [(1, 0, 0)], den + [(1, 0, 0)]
+
+    monkeypatch.setattr(bisection, "weight_y_fraction", zeroed)
+    with pytest.raises(ExactDivisionFailed, match="identically zero"):
+        build_P(cat.cases["v3x1"])
 
 
 @pytest.mark.parametrize("extra, level", [((1, 1, 1), "in y"), ((7, 0, 1), "in t")])

@@ -100,6 +100,23 @@ def test_bisect_degree_search_matches_catalog_degree():
     assert searched.stdout == fixed.stdout
 
 
+def test_bisect_rejects_negative_max_deg():
+    proc = run_cli("--json", "bisect", "v1x3", "--max-deg", "-1")
+    assert proc.returncode == 2
+    assert "--max-deg" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [("v1x3",), ("v3x1",), ("v1x3", "--max-deg", "8")],
+                         ids=["v1x3", "v3x1", "v1x3-max-deg-8"])
+def test_bisect_json_is_byte_identical_to_recorded(args):
+    # recorded before P was built by atom steps on coefficient rows
+    proc = run_cli("--json", "bisect", *args)
+    name = "_".join(("bisect",) + args).replace("--", "").replace("-", "_")
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / f"{name}.json").read_text()
+
+
 def test_env_catalog_override(tmp_path, monkeypatch):
     p = tmp_path / "mini.txt"
     p.write_text(

@@ -92,6 +92,34 @@ def test_negative_factorial_power_rejected(tmp_path):
         load_catalog(p)
 
 
+@pytest.mark.parametrize("atom, reason", [
+    ("2:1:-1", "positive multiplicity"),
+    ("2:1:0", "positive multiplicity"),
+    ("1:-1", "nonnegative y-power"),
+    ("-1:0", "nonnegative q-exponent"),
+    ("0:0", "identically zero"),
+], ids=["negative-multiplicity", "zero-multiplicity", "negative-y-power", "negative-q-exponent", "zero-atom"])
+def test_bad_y_atom_is_a_located_catalog_error(tmp_path, atom, reason):
+    p = _mutated(tmp_path, "clear-num", lambda line: f"{line} {atom}")
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value).startswith("case v1x3 (line ")
+    assert f"y-atom {atom!r}" in str(exc.value) and reason in str(exc.value)
+
+
+@pytest.mark.parametrize("key, line, reason", [
+    ("fe-shift", "  fe-shift 4/3 -3", "nonnegative q-exponent and y-power"),
+    ("fe-shift", "  fe-shift -4/3 3", "nonnegative q-exponent and y-power"),
+    ("deg-q", "  deg-q -1", "deg-q must be nonnegative"),
+], ids=["negative-shift-y-power", "negative-shift-q-exponent", "negative-deg-q"])
+def test_bad_functional_equation_data_is_a_located_catalog_error(tmp_path, key, line, reason):
+    p = _mutated(tmp_path, key, lambda _: line)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value).startswith("case v1x3 (line ")
+    assert reason in str(exc.value)
+
+
 def test_theorem_record_keeps_its_bound_recipe(cat):
     from qseries.theorems import bind_theorem
 
