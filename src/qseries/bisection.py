@@ -262,8 +262,9 @@ def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | Non
                 entry = A[k - i] if 0 <= k - i < len(A) else Poly()
                 jb = k - shift_ypow - i
                 if 0 <= jb < len(B) and not B[jb].is_zero:
-                    contrib = Poly.monomial(sign, shift_texp + half * i) * B[jb]
-                    entry = entry + contrib
+                    # sign * t^(shift_texp + half*i) * B[jb], as a shift of B[jb]'s coefficients
+                    shifted = (0,) * (shift_texp + half * i) + tuple(sign * c for c in B[jb].coeffs)
+                    entry = entry + Poly(shifted)
                 row.append(entry)
             M.append(row)
         sol, ok = poly_solve_overdetermined(M, P)

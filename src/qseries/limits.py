@@ -3,8 +3,10 @@
 Terms are built by exact rational arithmetic (rising factorials, linear
 factors, rational payloads) and only converted to arbitrary-precision
 floats when accumulated, so Pochhammer quotients never lose cancellation.
-Each term's rising factorials are built from the previous term's, so a
-limit report takes a number of Fraction products linear in its terms.
+A run of terms comes from the spec compiled once into integer linear forms:
+each term's rising part is the previous one's times one integer quotient,
+and each term is a single Fraction, so a limit report takes a number of
+integer products linear in its terms.
 Closed forms are products of rationals, powers of pi, Gamma at rationals,
 and algebraic surds.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 
@@ -144,55 +147,159 @@ def term_exact(spec: ClassicalSeries, n: int) -> Fraction:
 
     Every rising factorial is rebuilt from (p)_0 = 1, so one term costs O(n)
     Fraction products per factor.  _exact_terms builds a run of terms at
-    O(1) products per term and is tested against this function.
+    O(1) integer products per term and is tested against this function.
     """
     return _rising_part(spec, n) * _payload(spec, n)
 
 
-def _rising_step(spec: ClassicalSeries, n: int) -> Fraction:
-    """The rising-factorial part at n over that at n-1, for counts that grow with n.
+def _cleared(coeffs):
+    """Integer numerators of Fraction coefficients over their least common denominator."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
 
-    base times the new factors (p+j)^power, kn*(n-1)+kc <= j < kn*n+kc (a
-    count below 0 reads as 0); raises DegenerateTerm as _rising_part does.
-    With p = a/b a factor is (a + j*b)^power / b^power, so the step is
-    accumulated as one integer quotient and becomes a single Fraction
-    (powers are nonnegative; the catalog grammar enforces it).
+
+def _linear_forms(factors):
+    """Linear factors as integer forms (u0, u1, power) and the constant they were cleared by.
+
+    prod (c0 + c1*n)^power == prod (u0 + u1*n)^power / const.
     """
-    num = den = 1
-    for f in spec.fnum:
-        a, b = f.p.numerator, f.p.denominator
-        j0, j1 = max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)
-        for j in range(j0, j1):
-            num *= (a + j * b) ** f.power
-        den *= b ** (f.power * max(0, j1 - j0))
-    for f in spec.fden:
-        a, b = f.p.numerator, f.p.denominator
-        j0, j1 = max(0, f.kn * (n - 1) + f.kc), max(0, f.kn * n + f.kc)
-        for j in range(j0, j1):
-            d = (a + j * b) ** f.power
+    forms, const = [], 1
+    for f in factors:
+        (u0, u1), d = _cleared((f.c0, f.c1))
+        forms.append((u0, u1, f.power))
+        const *= d**f.power
+    return tuple(forms), const
+
+
+def _at(forms, n):
+    """prod (u0 + u1*n)^power over integer forms (1 for no forms)."""
+    v = 1
+    for u0, u1, power in forms:
+        v *= (u0 + u1 * n) ** power
+    return v
+
+
+def _horner(coeffs, n):
+    v = 0
+    for c in reversed(coeffs):
+        v = v * n + c
+    return v
+
+
+def _compile_payload(spec: ClassicalSeries):
+    """_payload as a function of n returning an integer (numerator, denominator).
+
+    Linear factors and poly/polyden are cleared to integer coefficients once,
+    and brace terms are summed by integer cross-multiplication.  The
+    DegenerateTerm checks come in _payload's order, with its messages.
+    """
+    lin = poly = None
+    braces = []
+    if spec.factor_num or spec.factor_den:
+        fnum, cnum = _linear_forms(spec.factor_num)
+        fden, cden = _linear_forms(spec.factor_den)
+        lin = (fnum, cden, fden, cnum)
+    if spec.poly:
+        pcoeffs, pd = _cleared(spec.poly)
+        qcoeffs, qd = _cleared(spec.polyden) if spec.polyden else ((1,), 1)
+        poly = (pcoeffs, qd, qcoeffs, pd)
+    else:
+        for b in spec.braces:
+            fnum, cnum = _linear_forms(b.num)
+            fden, cden = _linear_forms(b.den)
+            braces.append((b.coeff.numerator * cden, b.npow, fnum, b.coeff.denominator * cnum, fden))
+
+    def payload(n):
+        num = den = 1
+        if lin is not None:
+            fnum, cn, fden, cd = lin
+            d = _at(fden, n)
             if d == 0:
-                raise DegenerateTerm(n, "(rising factorial)")
-            den *= d
-        num *= b ** (f.power * max(0, j1 - j0))
-    return spec.base * Fraction(num, den)
+                raise DegenerateTerm(n, "(factor)")
+            num, den = cn * _at(fnum, n), cd * d
+        if poly is not None:
+            pcoeffs, cn, qcoeffs, cd = poly
+            d = _horner(qcoeffs, n)
+            if d == 0:
+                raise DegenerateTerm(n, "(payload denominator)")
+            num, den = num * cn * _horner(pcoeffs, n), den * cd * d
+        elif braces:
+            bn, bd = 0, 1
+            for cn, npow, fnum, cd, fden in braces:
+                d = _at(fden, n)
+                if d == 0:
+                    raise DegenerateTerm(n, "(brace denominator)")
+                d *= cd
+                bn, bd = bn * d + cn * n**npow * _at(fnum, n) * bd, bd * d
+            num, den = num * bn, den * bd
+        return num, den
+
+    return payload
+
+
+def _step_forms(spec: ClassicalSeries, n: int):
+    """The rising-factorial part at n over that at n-1, as integer linear forms.
+
+    ((p)_{kn*n+kc})^power gains (p + j)^power for j = j0 + i, 0 <= i < kn,
+    j0 = kn*(n-1) + kc, where a j below 0 is clamped away (a count below 0
+    reads as 0).  With p = a/b, p + j is (alpha + beta*n) / b with
+    alpha = a + b*(kc - kn + i) and beta = b*kn, so once j0 >= 0 the forms
+    are the same at every later step.  Returns (cn, upper, cd, lower): the
+    step is cn * prod upper / (cd * prod lower), equal forms merged into one
+    power, with base and every b^power folded into the integers cn and cd.
+    """
+    cn, cd = spec.base.numerator, spec.base.denominator
+    sides = ({}, {})
+    for upper, factors in ((True, spec.fnum), (False, spec.fden)):
+        side = sides[upper]
+        for f in factors:
+            a, b = f.p.numerator, f.p.denominator
+            i0 = min(f.kn, max(0, -(f.kn * (n - 1) + f.kc)))
+            for i in range(i0, f.kn):
+                form = (a + b * (f.kc - f.kn + i), b * f.kn)
+                side[form] = side.get(form, 0) + f.power
+            if upper:
+                cd *= b ** (f.power * (f.kn - i0))
+            else:
+                cn *= b ** (f.power * (f.kn - i0))
+    lower, upper = (tuple((alpha, beta, power) for (alpha, beta), power in side.items()) for side in sides)
+    return cn, upper, cd, lower
 
 
 def _exact_terms(spec: ClassicalSeries, count: int):
-    """Terms start .. start+count-1 as exact rationals, each from the one before.
+    """Terms start .. start+count-1 as exact rationals from compiled integer forms.
 
-    The rising-factorial part of each term is the previous one's times
-    _rising_step, so the list costs O(count) Fraction products where
-    term_exact at each n would cost O(count^2).  The terms, and any
-    DegenerateTerm with its n and message, are those of term_exact.  A count
-    that shrinks with n (kn < 0, which the catalog grammar cannot write)
-    would divide factors out again, so such a spec takes term_exact at each n.
+    Each call compiles the spec into integer linear forms: the payload once
+    (_compile_payload), and the rising-factorial step once it is fixed
+    (_step_forms, taken anew at each step while a count is still clamped at
+    0).  Term start takes _rising_part; each later rising part is the one
+    before times one integer quotient, and each term is one Fraction of
+    integers, so the list costs O(count) integer products
+    where term_exact at each n would cost O(count^2) Fraction products.  The
+    terms, and any DegenerateTerm with its n and message, are those of
+    term_exact.  A count that shrinks with n (kn < 0, which the catalog
+    grammar cannot write) would divide factors out again, so such a spec
+    takes term_exact at each n.
     """
     if any(f.kn < 0 for f in (*spec.fnum, *spec.fden)):
         return [term_exact(spec, n) for n in range(spec.start, spec.start + count)]
+    if count <= 0:
+        return []
+    # from this n on, every kn*(n-1)+kc >= 0 and the step's forms stay fixed
+    ready = max((1 - f.kc // f.kn for f in (*spec.fnum, *spec.fden) if f.kn), default=0)
+    payload = _compile_payload(spec)
     out = []
+    acc = _rising_part(spec, spec.start)
     for n in range(spec.start, spec.start + count):
-        acc = _rising_part(spec, n) if n == spec.start else acc * _rising_step(spec, n)
-        out.append(acc * _payload(spec, n))
+        if n > spec.start:
+            if n == spec.start + 1 or n <= ready:
+                cn, upper, cd, lower = _step_forms(spec, n)
+            d = _at(lower, n)
+            if d == 0:
+                raise DegenerateTerm(n, "(rising factorial)")
+            acc = Fraction(acc.numerator * cn * _at(upper, n), acc.denominator * cd * d)
+        pn, pd = payload(n)
+        out.append(Fraction(acc.numerator * pn, acc.denominator * pd))
     return out
 
 

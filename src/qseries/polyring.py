@@ -75,7 +75,11 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return Poly(out)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -391,6 +391,10 @@ def _parse_classical(body, where):
     value = _parse_value_expr(_single(body, "classical-value", where), where)
     base = _frac(_single(body, "classical-base", where, "1"), where)
     rate = _frac(_single(body, "classical-rate", where, str(base) if base != 1 else "1"), where)
+    if ("classical-rate" in body or base != 1) and not 0 < abs(rate) < 1:
+        # the tail estimate |last term| * r/(1 - r) needs 0 < r < 1; rate 1 is
+        # kept only as the default for a series with no geometric factor
+        raise CatalogError(f"{where}: classical rate {rate} needs 0 < |rate| < 1")
     fnum = []
     fden = []
     for r in _single(body, "classical-upper", where, "-").split():

@@ -75,6 +75,13 @@ def test_limit_json_fields():
     }
 
 
+def test_limit_json_is_byte_identical_to_recorded():
+    # recorded before the terms came from compiled integer forms
+    proc = run_cli("--json", "limit", "v3x1")
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / "limit_v3x1.json").read_text()
+
+
 def test_limit_rejects_bad_terms_and_digits():
     for flags in (("--terms", "1"), ("--terms", "0"), ("--terms", "-3"), ("--digits", "0")):
         proc = run_cli("--json", "limit", "g1x5pp", *flags)

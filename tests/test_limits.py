@@ -3,9 +3,12 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qseries import limits
 from qseries.limits import (
@@ -26,6 +29,7 @@ from qseries.qcore import q_pochhammer_numeric
 from qseries.registry import BraceRational, ClassicalSeries, FactorialFactor, LinearFactor, load_catalog
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +341,69 @@ def test_exact_terms_degenerate_like_term_exact(name):
     with pytest.raises(DegenerateTerm) as got:
         _exact_terms(s, 20)
     assert (got.value.n, str(got.value)) == (expected.n, str(expected))
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+rising_p = st.one_of(
+    st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6),
+    st.fractions(min_value=-4, max_value=F(-1, 6), max_denominator=6),
+    st.integers(-5, 0).map(F),
+)
+ffactors = st.lists(st.builds(FF, rising_p, st.integers(0, 6), st.integers(-3, 3), st.integers(0, 6)),
+                    max_size=3)
+
+
+@st.composite
+def linear_factors(draw):
+    """(c0 + c1*n)^power, a third of them vanishing at an integer n in 0..6."""
+    c1 = draw(small)
+    c0 = -c1 * draw(st.integers(0, 6)) if draw(st.integers(0, 2)) == 0 else draw(small)
+    return LF(c0, c1, draw(st.integers(0, 3)))
+
+
+lfs = st.lists(linear_factors(), max_size=2)
+braces = st.lists(st.builds(BraceRational, small, st.integers(0, 3), lfs, lfs), min_size=1, max_size=3)
+
+
+@st.composite
+def random_series(draw):
+    payload = {"factor_num": tuple(draw(lfs)), "factor_den": tuple(draw(lfs))}
+    kind = draw(st.sampled_from(("none", "poly", "braces")))
+    if kind == "poly":
+        payload["poly"] = tuple(draw(st.lists(small, min_size=1, max_size=3)))
+        payload["polyden"] = tuple(draw(st.lists(small, max_size=3)))
+    elif kind == "braces":
+        payload["braces"] = tuple(draw(braces))
+    return series(tuple(draw(ffactors)), tuple(draw(ffactors)), base=draw(small),
+                  start=draw(st.integers(0, 3)), **payload)
+
+
+@given(random_series())
+@settings(max_examples=70, deadline=None)
+def test_exact_terms_match_term_exact_random(s):
+    count = 8
+    expected = None
+    for n in range(s.start, s.start + count):
+        try:
+            term_exact(s, n)
+        except DegenerateTerm as exc:
+            expected = exc
+            break
+    if expected is None:
+        assert _exact_terms(s, count) == reference_terms(s, count)
+        return
+    assert _exact_terms(s, expected.n - s.start) == reference_terms(s, expected.n - s.start)
+    with pytest.raises(DegenerateTerm) as got:
+        _exact_terms(s, count)
+    assert (got.value.n, str(got.value)) == (expected.n, str(expected))
+
+
+@pytest.mark.parametrize("terms,digits", [(40, 60), (100, 120)], ids=["40x60", "100x120"])
+def test_limit_reports_match_recorded(cat, terms, digits):
+    # recorded before the terms came from compiled integer forms
+    ctx = BigFloatCtx(digits=digits)
+    got = [json.dumps(limit_report(r.id, r.classical, terms, ctx)) for r in cat.records]
+    assert got == json.loads((DATA / f"limit_reports_{terms}x{digits}.json").read_text())
 
 
 def test_limit_report_matches_term_exact_reports(cat, monkeypatch):

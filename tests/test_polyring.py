@@ -21,6 +21,20 @@ def test_poly_basic_ops():
 
 
 @given(
+    st.lists(st.integers(-2, 2) | st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5),
+    st.lists(st.integers(-2, 2) | st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5),
+    st.integers(0, 3),
+)
+@settings(max_examples=80)
+def test_poly_sub_matches_add_negated(a, b, common):
+    # a shared top part makes the leading coefficients cancel
+    p, q = Poly(a + [1] * common), Poly(b[:len(a)] + [1] * common)
+    assert (p - q).coeffs == (p + (-q)).coeffs
+    assert (q - p).coeffs == (q + (-p)).coeffs
+    assert (p - 2).coeffs == (p + Poly.const(-2)).coeffs
+
+
+@given(
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=5),
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=5),
 )

@@ -92,6 +92,28 @@ def test_negative_factorial_power_rejected(tmp_path):
         load_catalog(p)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda line: line + "\n  classical-rate 0",
+    lambda line: line + "\n  classical-rate -1",
+    lambda line: line + "\n  classical-rate 2",
+    lambda line: line + "\n  classical-rate 1",
+    lambda line: line + "\n  classical-rate -27/16",
+    lambda line: "  classical-base 2",
+    lambda line: "  classical-base 0",
+], ids=["rate-0", "rate-minus-1", "rate-2", "rate-1-declared", "rate-minus-27/16", "base-2", "base-0"])
+def test_unusable_classical_rate_is_a_located_catalog_error(tmp_path, edit):
+    p = _mutated(tmp_path, "classical-base", edit)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value).startswith("record g1x5pp (line 23): classical rate ")
+    assert str(exc.value).endswith("needs 0 < |rate| < 1")
+
+
+def test_default_rate_one_without_geometric_factor(tmp_path):
+    p = _mutated(tmp_path, "classical-base", lambda line: "")
+    assert load_catalog(p).get("g1x5pp").classical.rate == 1
+
+
 @pytest.mark.parametrize("atom, reason", [
     ("2:1:-1", "positive multiplicity"),
     ("2:1:0", "positive multiplicity"),
