@@ -36,9 +36,7 @@ from qseries.theorems import (
     BraceTerm,
     SeriesRecipe,
     bind_theorem,
-    eval_term,
-    stop_index,
-    term_valuation_bound,
+    carried_terms,
 )
 
 
@@ -382,18 +380,17 @@ def emit_reduced(case: BisectionCase, sol: BisectionSolution) -> IdentityRecord:
 def pairing_check(case: BisectionCase, sol: BisectionSolution, order: int) -> bool:
     """T_{2n} +- T_{2n+1} must reproduce the unreduced summand exactly.
 
-    Terms are compared up to the unreduced series' stop index, so the check
-    is bounded; NonmonotoneValuation is raised when its valuation does not
-    grow quadratically.
+    The terms of both series below the order come from carried_terms, which
+    stops at each series' stop index, so the check is bounded; a term left
+    out is zero to that order.  NonmonotoneValuation is raised when a
+    valuation does not grow quadratically.
     """
     ring = SeriesRing(order=order, root=case.root)
-    tform = reduced_recipe(case, sol)
-    ppform = pp_recipe(case)
-    for n in range(max(3, stop_index(ppform, order)) + 1):
-        if term_valuation_bound(ppform, n) >= order and n > 2:
-            return True
-        pair = eval_term(ring, tform, 2 * n).series + eval_term(ring, tform, 2 * n + 1).series
-        ppt = eval_term(ring, ppform, n).series
-        if pair.first_difference(ppt, order) is not None:
+    t = {n: tv.series for n, tv in carried_terms(ring, reduced_recipe(case, sol))}
+    pp = {n: tv.series for n, tv in carried_terms(ring, pp_recipe(case))}
+    zero = ring.zero()
+    for n in sorted(set(pp) | {k // 2 for k in t}):
+        pair = t.get(2 * n, zero) + t.get(2 * n + 1, zero)
+        if pair.first_difference(pp.get(n, zero), order) is not None:
             return False
     return True

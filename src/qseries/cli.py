@@ -50,7 +50,7 @@ def cmd_list(args):
     if args.json:
         _emit(rows, True)
     else:
-        width = max(len(r["id"]) for r in rows)
+        width = max((len(r["id"]) for r in rows), default=0)
         for r in rows:
             flag = "classical" if r["classical"] else ""
             print(f'{r["id"]:<{width}}  {r["theorem"]:<14} sec {r["section"]:<4} L={r["root"]}  {flag}')
@@ -168,9 +168,6 @@ def cmd_oracle(args):
     from qseries.inversion import jackson_lhs, jackson_rhs, params_from_exponents
     from qseries.qcore import RationalRing
 
-    if args.kind != "jackson":
-        print(f"unknown oracle {args.kind!r}", file=sys.stderr)
-        return 2
     r = Fraction(args.r)
     ring = RationalRing(r)
     p = params_from_exponents(
@@ -227,11 +224,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="verify one identity as truncated series")
     p.add_argument("id")
-    p.add_argument("--order", type=int, default=200, help="truncation order in t (default 200)")
+    p.add_argument("--order", type=_int_at_least(1), default=200, help="truncation order in t (default 200)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-all", help="verify every catalogued identity")
-    p.add_argument("--order", type=int, default=200)
+    p.add_argument("--order", type=_int_at_least(1), default=200)
     p.add_argument("--section", help="restrict to a section prefix")
     p.add_argument("--parallel", action="store_true", help="verify records in parallel")
     p.set_defaults(fn=cmd_verify_all)
@@ -260,12 +257,7 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        raise
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

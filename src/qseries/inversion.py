@@ -75,10 +75,6 @@ class WPParams:
         q = QMono(1, root)
         return q ** (n + 1) * self.a**2 / (self.b * self.c * self.d)
 
-    def e_nonterminating(self, root):
-        q = QMono(1, root)
-        return q * self.a**2 / (self.b * self.c * self.d)
-
 
 def params_from_exponents(ea, eb, ec, ed, root=12):
     """Build WPParams from rational exponents of q."""

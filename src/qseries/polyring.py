@@ -123,9 +123,6 @@ class Poly:
                     rem[k - d + j] -= f * other.coeffs[j]
         return Poly(q), Poly(rem)
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 
@@ -135,12 +132,6 @@ class Poly:
         if not r.is_zero:
             raise ValueError("polynomial division is not exact")
         return q
-
-    def eval(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def monic(self):
         if self.is_zero:

@@ -57,9 +57,6 @@ class QExp:
             raise RootMismatch(f"exponent {x} is not a multiple of 1/{root}")
         return QExp(int(num), root)
 
-    def as_fraction(self):
-        return Fraction(self.num, self.root)
-
 
 @dataclass(frozen=True)
 class QMono:

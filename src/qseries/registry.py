@@ -118,7 +118,6 @@ class IdentityRecord:
     case: str | None               # bisection case id for bisected records
     sign: str | None
     classical: ClassicalSeries | None
-    note: str | None = None
 
     def lhs_exponents(self):
         """(numerator, denominator) q-exponent lists of the left product."""
@@ -268,9 +267,6 @@ def _parse_value_expr(text, where):
     return tuple(out)
 
 
-_LINFACTOR_RE = re.compile(r"^\((-?\d+)([+-]\d+)n\)(?:\^(\d+))?$|^\((-?\d+)n\)(?:\^(\d+))?$|^n(?:\^(\d+))?$")
-
-
 def _parse_brace_line(text, where):
     """coeff [n^k] (c0+c1n)^k ... / (c0+c1n)^k ...
 
@@ -374,19 +370,51 @@ def _blocks(text):
         raise CatalogError(f"unterminated block starting at line {cur[3]}")
 
 
+# The keys each block kind reads; any other key is an error.  `note` is a
+# comment key: allowed everywhere and read by nothing.
+_RECORD_KEYS = {
+    "kind", "section", "note",
+    "classical-value", "classical-base", "classical-rate", "classical-start", "classical-prefix",
+    "classical-upper", "classical-lower", "classical-fnum", "classical-fden", "classical-factor",
+    "classical-poly", "classical-polyden", "classical-brace",
+}
+_BLOCK_KEYS = {
+    "theorem": _RECORD_KEYS | {"theorem", "a", "b", "c", "d"},
+    "explicit": _RECORD_KEYS | {
+        "lhs-num", "lhs-den", "pref", "sign-alt", "start", "leading-one", "poch-num", "poch-den",
+        "w-num", "w-den", "brace", "qpoly", "case", "sign",
+    },
+    "case": {
+        "note", "theorem", "a", "b", "c", "d", "clear-num", "clear-den", "fe-a", "fe-shift", "fe-b",
+        "deg-q", "sign", "pp-lhs-num", "pp-lhs-den", "pp-pref", "pp-poch-num", "pp-poch-den",
+        "pp-w-num", "pp-w-den", "t-pref", "t-poch-num", "t-poch-den", "t-w-num", "t-w-den", "emit-id",
+    },
+}
+_BLOCK_KEYS["bisected"] = _BLOCK_KEYS["explicit"]
+_REPEATABLE_KEYS = {"note", "brace", "qpoly", "classical-brace"}
+
+
+def _check_keys(body, kind, where):
+    for key, vals in body.items():
+        if key not in _BLOCK_KEYS[kind]:
+            raise CatalogError(f"{where}: unknown key {key!r} (kind {kind})")
+        if len(vals) > 1 and key not in _REPEATABLE_KEYS:
+            raise CatalogError(f"{where}: duplicate key {key!r}")
+
+
 def _single(body, key, where, default=None):
     vals = body.get(key)
     if not vals:
         if default is not None:
             return default
         raise CatalogError(f"{where}: missing key {key!r}")
-    if len(vals) > 1:
-        raise CatalogError(f"{where}: duplicate key {key!r}")
     return vals[0]
 
 
 def _parse_classical(body, where):
     if "classical-value" not in body:
+        if any(k.startswith("classical-") for k in body):
+            raise CatalogError(f"{where}: classical keys without classical-value")
         return None
     value = _parse_value_expr(_single(body, "classical-value", where), where)
     base = _frac(_single(body, "classical-base", where, "1"), where)
@@ -539,15 +567,18 @@ def load_catalog(path=None) -> Catalog:
                 raise CatalogError(f"{where}: root must be positive")
             continue
         if kind == "case":
+            _check_keys(body, "case", where)
             cases[name] = _parse_case(name, body, root, where)
             continue
         if name in seen:
             raise CatalogError(f"{where}: duplicate record id")
         seen.add(name)
         rkind = _single(body, "kind", where, "theorem")
+        if rkind not in ("theorem", "explicit", "bisected"):
+            raise CatalogError(f"{where}: unknown kind {rkind!r}")
+        _check_keys(body, rkind, where)
         section = _single(body, "section", where, "?")
         classical = _parse_classical(body, where)
-        note = body.get("note", [None])[0]
         if rkind == "theorem":
             thm = _single(body, "theorem", where)
             if thm not in THEOREM_NAMES:
@@ -559,204 +590,17 @@ def load_catalog(path=None) -> Catalog:
             except (ValueError, ArithmeticError) as exc:
                 raise CatalogError(f"{where}: {exc}") from exc
             records.append(IdentityRecord(name, rkind, section, thm, params, root,
-                                          recipe, None, None, classical, note))
-        elif rkind in ("explicit", "bisected"):
+                                          recipe, None, None, classical))
+        else:
             recipe = _parse_explicit_recipe(name, body, root, where)
             records.append(IdentityRecord(
                 name, rkind, section, None, None, root, recipe,
-                body.get("case", [None])[0], body.get("sign", [None])[0],
-                classical, note,
+                body.get("case", [None])[0], body.get("sign", [None])[0], classical,
             ))
-        else:
-            raise CatalogError(f"{where}: unknown kind {rkind!r}")
     for r in records:
         if r.kind == "bisected" and r.case not in cases:
             raise CatalogError(f"record {r.id}: unknown bisection case {r.case!r}")
     return Catalog(root, records, cases)
-
-
-def serialize_catalog_ids(cat: Catalog):
-    """Stable snapshot used by the round-trip test."""
-    return [(r.id, r.kind, r.section) for r in cat.records]
-
-
-# ---------------------------------------------------------------- serializer
-
-
-def _fmt_q(texp: int, root: int) -> str:
-    return str(Fraction(texp, root))
-
-
-def _fmt_count(kn: int, kc: int) -> str:
-    if kn == 0:
-        return str(kc)
-    head = "n" if kn == 1 else f"{kn}n"
-    return head if kc == 0 else f"{head}+{kc}" if kc > 0 else f"{head}{kc}"
-
-
-def _fmt_poch(f: PochF, root: int) -> str:
-    return f"{_fmt_q(f.texp, root)}:{_fmt_q(f.step, root)}:{_fmt_count(f.kn, f.kc)}"
-
-
-def _fmt_atom(x: BExp, root: int) -> str:
-    return f"{_fmt_q(x.ncoef, root)}:{_fmt_q(x.const, root)}"
-
-
-def _fmt_linfactors(factors) -> str:
-    out = []
-    for f in factors:
-        c1 = f.c1 if f.c1 < 0 else f"+{f.c1}"
-        body = f"({f.c0}{c1}n)"
-        out.append(body if f.power == 1 else f"{body}^{f.power}")
-    return " ".join(out)
-
-
-def _dump_classical(s: ClassicalSeries, out):
-    toks = []
-    for kind, arg, power in s.value_factors:
-        if kind == "rat":
-            toks.append(str(arg))
-        elif kind == "pi":
-            toks.append("pi" if power == 1 else f"pi^{power}")
-        elif kind == "root":
-            body = f"sqrt({arg.numerator})" if arg.denominator == 2 else \
-                f"root({arg.numerator},{arg.denominator})"
-            toks.append(body if power == 1 else f"{body}^{power}")
-        else:
-            body = f"gamma({arg})"
-            toks.append(body if power == 1 else f"{body}^{power}")
-    out.append(f"  classical-value {' '.join(toks)}")
-    if s.base != 1:
-        out.append(f"  classical-base {s.base}")
-    if s.rate != s.base:
-        out.append(f"  classical-rate {s.rate}")
-    if s.start:
-        out.append(f"  classical-start {s.start}")
-    if s.prefix:
-        out.append(f"  classical-prefix {s.prefix}")
-    plain_num = [f for f in s.fnum if (f.kn, f.kc, f.power) == (1, 0, 1)]
-    plain_den = [f for f in s.fden if (f.kn, f.kc, f.power) == (1, 0, 1)]
-    if plain_num:
-        out.append("  classical-upper " + " ".join(str(f.p) for f in plain_num))
-    if plain_den:
-        out.append("  classical-lower " + " ".join(str(f.p) for f in plain_den))
-    rest_num = [f for f in s.fnum if (f.kn, f.kc, f.power) != (1, 0, 1)]
-    rest_den = [f for f in s.fden if (f.kn, f.kc, f.power) != (1, 0, 1)]
-    if rest_num:
-        out.append("  classical-fnum " + " ".join(
-            f"{f.p}:{_fmt_count(f.kn, f.kc)}:{f.power}" for f in rest_num))
-    if rest_den:
-        out.append("  classical-fden " + " ".join(
-            f"{f.p}:{_fmt_count(f.kn, f.kc)}:{f.power}" for f in rest_den))
-    if s.factor_num or s.factor_den:
-        left = _fmt_linfactors(s.factor_num)
-        right = _fmt_linfactors(s.factor_den)
-        out.append(f"  classical-factor {left} / {right}".rstrip() if right
-                   else f"  classical-factor {left}")
-    if s.poly:
-        out.append("  classical-poly " + " ".join(str(c) for c in s.poly))
-    if s.polyden:
-        out.append("  classical-polyden " + " ".join(str(c) for c in s.polyden))
-    for b in s.braces:
-        left = " ".join(x for x in (str(b.coeff), "n" if b.npow == 1 else
-                                    (f"n^{b.npow}" if b.npow else ""),
-                                    _fmt_linfactors(b.num)) if x)
-        right = _fmt_linfactors(b.den)
-        out.append(f"  classical-brace {left} / {right}" if right else f"  classical-brace {left} /")
-
-
-def _dump_recipe(r: SeriesRecipe, root: int, out):
-    out.append("  lhs-num " + " ".join(_fmt_q(m.texp, root) for m in r.lhs_num))
-    out.append("  lhs-den " + " ".join(_fmt_q(m.texp, root) for m in r.lhs_den))
-    out.append(f"  pref {r.pref_quad} {r.pref_lin} {r.pref_const}")
-    if r.sign_alt:
-        out.append("  sign-alt true")
-    if r.n_start:
-        out.append(f"  start {r.n_start}")
-    if r.leading_one:
-        out.append("  leading-one true")
-    if r.poch_num:
-        out.append("  poch-num " + " ".join(_fmt_poch(f, root) for f in r.poch_num))
-    if r.poch_den:
-        out.append("  poch-den " + " ".join(_fmt_poch(f, root) for f in r.poch_den))
-    if r.w_num:
-        out.append("  w-num " + " ".join(_fmt_atom(x, root) for x in r.w_num))
-    if r.w_den:
-        out.append("  w-den " + " ".join(_fmt_atom(x, root) for x in r.w_den))
-    half = root // 2
-    for group in r.braces:
-        if len(group) == 1 and not group[0].num and not group[0].den and group[0].mono.is_unit():
-            continue  # the implicit trivial brace
-        mono_only = all(not t.num and not t.den for t in group)
-        if mono_only and all(t.mono.ncoef % half == 0 for t in group):
-            for t in group:
-                out.append(f"  qpoly {t.mono.ncoef // half} {t.mono.coeff} "
-                           f"{_fmt_q(t.mono.const, root)}")
-        else:
-            for t in group:
-                out.append(
-                    f"  brace {t.mono.coeff} {_fmt_q(t.mono.ncoef, root)}:{_fmt_q(t.mono.const, root)}"
-                    f" | {' '.join(_fmt_atom(x, root) for x in t.num)}"
-                    f" | {' '.join(_fmt_atom(x, root) for x in t.den)}"
-                )
-
-
-def dump_catalog(cat: Catalog) -> str:
-    """Serialize a catalog back to block text (field order is canonical)."""
-    out = [f"root {cat.root}", ""]
-    for r in cat.records:
-        out.append(f"record {r.id}")
-        out.append(f"  kind {r.kind}")
-        out.append(f"  section {r.section}")
-        if r.note:
-            out.append(f"  note {r.note}")
-        if r.kind == "theorem":
-            out.append(f"  theorem {r.theorem}")
-            for k, m in zip("abcd", (r.params.a, r.params.b, r.params.c, r.params.d)):
-                out.append(f"  {k} {_fmt_q(m.texp, r.root)}")
-        else:
-            if r.case:
-                out.append(f"  case {r.case}")
-            if r.sign:
-                out.append(f"  sign {r.sign}")
-            _dump_recipe(r.recipe, r.root, out)
-        if r.classical:
-            _dump_classical(r.classical, out)
-        out.append("end")
-        out.append("")
-    for case in cat.cases.values():
-        root = case.root
-        out.append(f"case {case.id}")
-        out.append(f"  theorem {case.theorem}")
-        for k, m in zip("abcd", (case.params.a, case.params.b, case.params.c, case.params.d)):
-            out.append(f"  {k} {_fmt_q(m.texp, root)}")
-        for key, atoms in (("clear-num", case.clear_num), ("clear-den", case.clear_den),
-                           ("fe-a", case.fe_a), ("fe-b", case.fe_b)):
-            out.append(f"  {key} " + " ".join(
-                f"{_fmt_q(t, root)}:{y}" + (f":{m}" if m != 1 else "") for t, y, m in atoms))
-        out.append(f"  fe-shift {_fmt_q(case.fe_shift[0], root)} {case.fe_shift[1]}")
-        out.append(f"  deg-q {case.deg_q}")
-        out.append(f"  sign {case.sign}")
-        out.append("  pp-lhs-num " + " ".join(_fmt_q(e, root) for e in case.pp_lhs_num))
-        out.append("  pp-lhs-den " + " ".join(_fmt_q(e, root) for e in case.pp_lhs_den))
-        out.append(f"  pp-pref {' '.join(str(x) for x in case.pp_pref)}")
-        out.append("  pp-poch-num " + " ".join(_fmt_poch(f, root) for f in case.pp_poch_num))
-        out.append("  pp-poch-den " + " ".join(_fmt_poch(f, root) for f in case.pp_poch_den))
-        if case.pp_w_num:
-            out.append("  pp-w-num " + " ".join(_fmt_atom(x, root) for x in case.pp_w_num))
-        if case.pp_w_den:
-            out.append("  pp-w-den " + " ".join(_fmt_atom(x, root) for x in case.pp_w_den))
-        out.append(f"  t-pref {' '.join(str(x) for x in case.t_pref)}")
-        out.append("  t-poch-num " + " ".join(_fmt_poch(f, root) for f in case.t_poch_num))
-        out.append("  t-poch-den " + " ".join(_fmt_poch(f, root) for f in case.t_poch_den))
-        if case.t_w_num:
-            out.append("  t-w-num " + " ".join(_fmt_atom(x, root) for x in case.t_w_num))
-        if case.t_w_den:
-            out.append("  t-w-den " + " ".join(_fmt_atom(x, root) for x in case.t_w_den))
-        out.append(f"  emit-id {case.emit_id}")
-        out.append("end")
-        out.append("")
-    return "\n".join(out)
 
 
 # ------------------------------------------------------------- verification

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qseries import bisection
+from qseries import bisection, theorems
 from qseries.bisection import (
     ExactDivisionFailed,
     NoBisection,
@@ -380,6 +380,29 @@ def test_emitted_matches_shipped_catalog_record(cat, sols):
             assert a.first_difference(b, 100) is None
 
 
-def test_pairwise_combination_matches_unreduced(cat, sols):
+def test_pairwise_combination_matches_unreduced(cat, sols, monkeypatch):
+    # every term comes from the carried path, never from the per-term reference
+    def no_reference(*args, **kwargs):
+        raise AssertionError("pairing_check fell back to eval_term")
+
+    monkeypatch.setattr(theorems, "eval_term", no_reference)
+    # bisection may hold its own binding, from `from qseries.theorems import eval_term`
+    monkeypatch.setattr(bisection, "eval_term", no_reference, raising=False)
     for cid, sol in sols.items():
         assert pairing_check(cat.cases[cid], sol, 120)
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+@pytest.mark.parametrize("entry", [0, 1, 6])
+def test_pairing_check_rejects_perturbed_Q_coefficient(cat, sols, cid, entry):
+    sol = sols[cid]
+    terms = [list(t) for t in sol.terms]
+    coeff, texp = terms[entry][0]
+    terms[entry][0] = (coeff + 1, texp)
+    assert not pairing_check(cat.cases[cid], dataclasses.replace(sol, terms=terms), 120)
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_pairing_check_rejects_flipped_sign(cat, sols, cid):
+    flipped = dataclasses.replace(sols[cid], sign="+" if sols[cid].sign == "-" else "-")
+    assert not pairing_check(cat.cases[cid], flipped, 120)

@@ -36,6 +36,13 @@ def test_list_section_filter():
     assert len(rows3) + len(rows4) == len(json.loads(run_cli("--json", "list").stdout))
 
 
+def test_list_empty_section(capsys):
+    assert main(["list", "--section", "9"]) == 0
+    assert capsys.readouterr().out == "0 records\n"
+    assert main(["--json", "list", "--section", "9"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+
+
 def test_verify_single_json():
     proc = run_cli("--json", "verify", "g1x5pp", "--order", "120")
     assert proc.returncode == 0
@@ -49,6 +56,17 @@ def test_verify_single_json():
 def test_verify_unknown_id_exits_2():
     proc = run_cli("verify", "no-such-id")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", [("verify", "g1x5pp"), ("verify-all",)], ids=["verify", "verify-all"])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_verify_rejects_order_below_one(capsys, command, order):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", *command, "--order", order])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "--order" in out.err and "must be at least 1" in out.err
+    assert out.out == ""
 
 
 def test_json_is_deterministic():

@@ -8,7 +8,6 @@ import pytest
 from qseries.registry import (
     CatalogError,
     load_catalog,
-    serialize_catalog_ids,
     verify_all,
     verify_identity,
 )
@@ -142,6 +141,28 @@ def test_bad_functional_equation_data_is_a_located_catalog_error(tmp_path, key, 
     assert reason in str(exc.value)
 
 
+@pytest.mark.parametrize("key, edit, message", [
+    ("w-num", lambda line: line + "\n  leading-on true",
+     "record u2-05 (line 83): unknown key 'leading-on' (kind explicit)"),
+    ("a", lambda line: line + "\n  pref 12 8 0", "record g1x5pp (line 23): unknown key 'pref' (kind theorem)"),
+    ("w-num", lambda line: line + "\n" + line, "record u2-05 (line 83): duplicate key 'w-num'"),
+    ("classical-fnum", lambda line: line + "\n" + line,
+     "record w1+1+1a (line 915): duplicate key 'classical-fnum'"),
+    ("t-w-den", lambda line: line + "\n" + line, "case v1x3 (line 1049): duplicate key 't-w-den'"),
+    ("classical-value", lambda line: "", "record g1x5pp (line 23): classical keys without classical-value"),
+], ids=["misspelt-key", "pref-on-theorem", "second-w-num", "second-classical-fnum", "second-t-w-den",
+        "classical-without-value"])
+def test_unread_or_repeated_key_is_a_located_catalog_error(tmp_path, key, edit, message):
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_mutated(tmp_path, key, edit))
+    assert str(exc.value) == message
+
+
+def test_note_is_a_comment_key(cat, tmp_path):
+    p = _mutated(tmp_path, "deg-q", lambda line: line + "\n  note first\n  note second")
+    assert load_catalog(p).cases == cat.cases
+
+
 def test_theorem_record_keeps_its_bound_recipe(cat):
     from qseries.theorems import bind_theorem
 
@@ -163,26 +184,6 @@ def test_unterminated_block_rejected(tmp_path):
     p.write_text("root 12\nrecord x\n kind theorem\n")
     with pytest.raises(CatalogError):
         load_catalog(p)
-
-
-def test_catalog_roundtrip_stability(cat):
-    snap = serialize_catalog_ids(cat)
-    again = serialize_catalog_ids(load_catalog())
-    assert snap == again
-
-
-def test_catalog_serialize_roundtrip(cat, tmp_path):
-    # dump -> reload reproduces every record and case up to field ordering
-    from qseries.registry import dump_catalog
-
-    p = tmp_path / "dumped.txt"
-    p.write_text(dump_catalog(cat))
-    again = load_catalog(p)
-    assert again.root == cat.root
-    assert len(again.records) == len(cat.records)
-    for a, b in zip(cat.records, again.records):
-        assert a == b, a.id
-    assert again.cases == cat.cases
 
 
 def test_verify_identity_g1x5pp(cat):
