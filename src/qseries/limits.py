@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 import mpmath
+from mpmath.libmp import from_int, fzero, mpf_abs, mpf_add, mpf_div
 
 from qseries.qcore import PoleError, q_guard_digits, q_pochhammer_numeric
 from qseries.registry import ClassicalSeries
@@ -307,8 +308,10 @@ def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=No
     """Partial sum of the first `terms` terms plus a geometric tail estimate.
 
     Returns (value, tail_estimate).  Terms are exact rationals floated one
-    at a time; the tail estimate is |last kept term| * r/(1-r) with r the
-    declared rate.  `exact` may hold the exact terms from spec.start on,
+    at a time: each is rounded as ctx.mpf(term) rounds it and added as an
+    mpf += adds it, but on raw mpmath values, with no mpf object per term.
+    The tail estimate is |last kept term| * r/(1-r) with r the declared
+    rate.  `exact` may hold the exact terms from spec.start on,
     already computed; only its first `terms` entries are used, and a shorter
     list raises ValueError.
     """
@@ -316,16 +319,18 @@ def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=No
         exact = _exact_terms(spec, terms)
     elif len(exact) < terms:
         raise ValueError(f"exact holds {len(exact)} terms, eval_series needs {terms}")
-    total = ctx.ctx.mpf(0) + ctx.mpf(spec.prefix)
-    last = ctx.ctx.mpf(0)
+    c = ctx.ctx
+    prec, rnd = c._prec_rounding
+    total = (c.mpf(0) + ctx.mpf(spec.prefix))._mpf_
+    last = fzero
     for t in exact[:terms]:
-        ft = ctx.mpf(t)
-        total += ft
+        ft = mpf_div(from_int(t.numerator, prec, rnd), from_int(t.denominator), prec, rnd)
+        total = mpf_add(total, ft, prec, rnd)
         if t != 0:
-            last = abs(ft)
-    r = abs(ctx.mpf(spec.rate)) if spec.rate != 1 else ctx.ctx.mpf("0.5")
-    tail = last * r / (1 - r)
-    return total, tail
+            last = mpf_abs(ft)
+    r = abs(ctx.mpf(spec.rate)) if spec.rate != 1 else c.mpf("0.5")
+    tail = c.make_mpf(last) * r / (1 - r)
+    return c.make_mpf(total), tail
 
 
 def measure_rate(spec: ClassicalSeries, upto: int = 30, *, exact=None):

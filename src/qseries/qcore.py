@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from operator import mul
 
 from qseries.series import LaurentSeries, _inv_scalar, _norm
@@ -396,84 +397,157 @@ _HEAD = 64            # factors multiplied directly before the tail
 _MAX_HEAD = 4096      # factor budget of a head that must bring x*q^k down to q^_HEAD
 _EM_TERMS = 100       # Bernoulli-term budget of the Euler-Maclaurin tail
 _EULERIAN = [[1]]     # row n: the Eulerian numbers A(n, i), i < max(n, 1)
+_BERNOULLI = []       # entry j-1: B_2j/(2j)! as (numerator, denominator)
 
 
 def q_pochhammer_numeric(x, q, ctx):
     """(x;q)_inf = prod_{k>=0} (1 - x*q^k) at numeric x >= 0 and 0 < q < 1.
 
     The value has the precision of ctx.  x and q are anything ctx.convert
-    accepts, converted at the working precision; log (x;q)_inf moves by
-    about 1/(1-q)^2 times a relative change of q, so pass q exactly (a
-    Fraction) near 1.
+    accepts, converted at the working precision wp (ctx's precision plus
+    log10(1/t) + 5 guard digits, t = -ln q: the tail is about -pi^2/(6t),
+    and quotients of such products cancel); log (x;q)_inf moves by about
+    1/(1-q)^2 times a relative change of q, so pass q exactly (a Fraction)
+    near 1.
 
     The first _HEAD factors (and, for x > 1, the further ones until
     x*q^k <= q^_HEAD) are multiplied directly; the product stops there once
-    z = x*q^N is below min(1, t) times the tolerance 10^-(dps+5), with
-    t = -ln q, so that the rest, about z/t, is below the tolerance.
-    Otherwise the rest, sum_{k>=N} log(1 - z*q^k), is added in log space in
-    closed form:
+    z = x*q^N is below min(1, t) times the tolerance 10^-(dps+5), so that
+    the rest, about z/t, is below the tolerance.  Otherwise the rest,
+    sum_{k>=N} log(1 - z*q^k), is added in log space in closed form:
 
     * z <= 3/4: the exact series -sum_{m>=1} z^m / (m*(1 - q^m));
     * otherwise Euler-Maclaurin, -Li_2(z)/t + log(1-z)/2
       - sum_{j>=1} B_2j/(2j)! * t^(2j-1) * Li_{2-2j}(z), where each
       Li_{-n}(z) = z*A_n(z)/(1-z)^(n+1) is a rational function (A_n the
       Eulerian polynomial) and the sum stops at its first term below the
-      tolerance.
+      tolerance.  Li_2(z) comes from the reflection
+      pi^2/6 - ln z ln(1-z) - sum_{k>=1} (1-z)^k/k^2, whose ratio 1 - z
+      is below 1/4.
 
     The Euler-Maclaurin series is asymptotic and needs z near 1 (its terms
     shrink like (t/(2*pi*(1-z)))^2j); the log series converges like z^m.
-    So the cost depends on the precision, not on 1 - q.  The work runs with
-    log10(1/t) + 5 guard digits: the tail is about -pi^2/(6t), and
-    quotients of such products cancel.  Raises ValueError unless x >= 0 and
-    0 < q < 1, and ConvergenceError when the head needs more than _MAX_HEAD
-    factors or the Bernoulli sum has not converged after _EM_TERMS terms
-    (near q = 1 that caps the precision at about 140 digits).
+    So the cost depends on the precision, not on 1 - q.
+
+    All of it runs on Python ints with P = wp + 32 fractional bits, and the
+    result is rounded once into an mpf at the end.  z, q, t, 1 - z, the
+    logarithms and every partial sum are fixed-point ints (value * 2^P);
+    the head's product is an int mantissa acc times 2^scale, cut back to P
+    bits after each factor.  The error budget, in units u = 2^-P:
+
+    * z_k = x*q^k is truncated once per step, so it is off by at most about
+      2(k+1) u relative to max(1, z_k); the cut of acc adds 2u relative.  A
+      head of at most _MAX_HEAD = 4096 factors so loses at most
+      sum_{k<4096} 2(k+2) u, about 2^24 u, times each factor's own
+      condition max(1, z)/|1 - z|, which the product itself has.
+    * The tail truncates once per series term: at most P/2 terms of the
+      Li_2 series, 2j Horner steps and one quotient per Bernoulli term,
+      and one step per log-series term, a few hundred u in all; -Li_2/t
+      magnifies that by 1/t, which the guard digits in wp already cover.
+      w^(2j-1) = t^(2j-1)/(1-z)^(2j-1) is kept as an exact ratio of int
+      powers: as a fixed-point power it would underflow.
+    * ln z, ln(1-z), pi, t and exp of the tail come from mpmath's raw mpf
+      functions at P bits.
+
+    So the head and the tail together stay below 2^25 u, and the 32 extra
+    bits keep that below one unit in the last place of wp.  Raises
+    ValueError unless x >= 0 and 0 < q < 1, and ConvergenceError when the
+    head needs more than _MAX_HEAD factors or the Bernoulli sum has not
+    converged after _EM_TERMS terms (near q = 1 that caps the precision at
+    about 140 digits).
     """
+    from mpmath import libmp
+
     qv = ctx.convert(q)
     if not 0 < qv < 1:
         raise ValueError("need 0 < q < 1")
     if ctx.convert(x) < 0:
         raise ValueError("need x >= 0")
-    tol = ctx.mpf(10) ** -(ctx.dps + 5)
+    dps, (prec, rnd) = ctx.dps, ctx._prec_rounding
     guard = max(0, int(ctx.log10(-1 / ctx.ln(qv)))) + 5
     with ctx.extradps(guard):
-        x, q = ctx.convert(x), ctx.convert(q)
-        t = -ctx.ln(q)
-        acc, z, k = ctx.one, x, 0
-        floor, stop = q**_HEAD, tol * min(1, t)
-        while (k < _HEAD or z > floor) and z >= stop:
-            if k == _MAX_HEAD:
-                raise ConvergenceError(f"(x;q)_inf head: x*q^k still above q^{_HEAD} after {k} factors")
-            acc *= 1 - z
-            z *= q
-            k += 1
-        if z >= stop:
-            acc *= ctx.exp(_log_tail(z, q, t, tol, ctx))
-    return +acc
+        bits = ctx.prec + 32
+        xf, qf = ctx.convert(x)._mpf_, ctx.convert(q)._mpf_
+    one = 1 << bits
+    z, qx = libmp.to_fixed(xf, bits), libmp.to_fixed(qf, bits)
+    tf = libmp.mpf_neg(libmp.mpf_log(qf, bits))
+    t = libmp.to_fixed(tf, bits)
+    tol = one // 10 ** (dps + 5)
+    floor = libmp.to_fixed(libmp.mpf_pow_int(qf, _HEAD, bits), bits)
+    stop = tol if t >= one else tol * t >> bits
+    acc, scale, k = one, -bits, 0
+    while (k < _HEAD or z > floor) and z >= stop:
+        if k == _MAX_HEAD:
+            raise ConvergenceError(f"(x;q)_inf head: x*q^k still above q^{_HEAD} after {k} factors")
+        acc *= one - z
+        shift = acc.bit_length() - bits
+        if shift > 0:
+            acc >>= shift
+            scale += shift
+        scale -= bits
+        z = z * qx >> bits
+        k += 1
+    if z >= stop:
+        _, man, exp, _ = libmp.mpf_exp(libmp.from_man_exp(_log_tail(z, qx, t, tf, tol, bits), -bits), bits)
+        acc *= man
+        scale += exp
+    return ctx.make_mpf(libmp.from_man_exp(acc, scale, prec, rnd))
 
 
-def _log_tail(z, q, t, tol, ctx):
-    """sum_{k>=0} log(1 - z*q^k) for 0 < z <= q^_HEAD, t = -ln q (see q_pochhammer_numeric)."""
-    if z <= 0.75:
-        tail, zm, qm, m = ctx.zero, z, q, 1
-        while zm >= tol * (1 - qm):
-            tail -= zm / (m * (1 - qm))
-            zm *= z
-            qm *= q
+def _log_tail(z, q, t, tf, tol, bits):
+    """sum_{k>=0} log(1 - z*q^k) for 0 < z <= q^_HEAD, in fixed point (see q_pochhammer_numeric).
+
+    z, q, t = -ln q and tol are ints scaled by 2^bits, tf is t as a raw mpf;
+    returns the sum scaled by 2^bits.
+    """
+    from mpmath import libmp
+
+    one = 1 << bits
+    if 4 * z <= 3 * one:
+        tail, zm, qm, m = 0, z, q, 1
+        while zm >= tol * (one - qm) >> bits:
+            tail -= (zm << bits) // (m * (one - qm))
+            zm = zm * z >> bits
+            qm = qm * q >> bits
             m += 1
         return tail
-    tail = -ctx.polylog(2, z) / t + ctx.ln(1 - z) / 2
-    w = t / (1 - z)
+    u = one - z
+    ln_z = libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(z, -bits), bits), bits)
+    ln_u = libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(u, -bits), bits), bits)
+    pi = libmp.to_fixed(libmp.mpf_pi(bits), bits)
+    li2, uk, k = pi * pi // (6 * one) - (ln_z * ln_u >> bits), u, 1
+    while uk >= k * k:
+        li2 -= uk // (k * k)
+        uk = uk * u >> bits
+        k += 1
+    li2_t = libmp.to_fixed(libmp.mpf_div(libmp.from_man_exp(li2, -bits), tf, bits), bits)
+    tail = -li2_t + (ln_u >> 1)
+    # w^(2j-1) = t^(2j-1) / (1-z)^(2j-1), kept as the ratio wn / wd
+    wn, wd, t2, u2 = t, u, t * t, u * u
     for j in range(1, _EM_TERMS + 1):
         # t^(2j-1) * Li_{2-2j}(z) = z * A_{2j-2}(z) * w^(2j-1)
-        poly = ctx.zero
+        poly = 0
         for a in reversed(_eulerian(2 * j - 2)):
-            poly = poly * z + a
-        term = ctx.bernoulli(2 * j) / ctx.fac(2 * j) * z * poly * w ** (2 * j - 1)
+            poly = (poly * z >> bits) + (a << bits)
+        bn, bd = _bernoulli_over_factorial(j)
+        term = bn * (poly * z >> bits) * wn // (bd * wd)
         tail -= term
         if abs(term) < tol:
             return tail
+        wn *= t2
+        wd *= u2
     raise ConvergenceError(f"(x;q)_inf tail: Euler-Maclaurin sum not below tolerance after {_EM_TERMS} terms")
+
+
+def _bernoulli_over_factorial(j):
+    """B_2j/(2j)! as an exact (numerator, denominator) pair of ints, cached on first use."""
+    import mpmath
+
+    while len(_BERNOULLI) < j:
+        n = 2 * len(_BERNOULLI) + 2
+        num, den = mpmath.bernfrac(n)
+        _BERNOULLI.append((num, den * factorial(n)))
+    return _BERNOULLI[j - 1]
 
 
 def _eulerian(n):

@@ -346,7 +346,8 @@ def _parse_yatoms(toks, root, where):
 
 
 def _blocks(text):
-    """Yield (kind, name, dict-of-key->list-of-values, line_no)."""
+    """Yield (kind, name, body, lines, line_no): body maps each key to its
+    values and lines maps it to the line number of each value."""
     cur = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -355,9 +356,9 @@ def _blocks(text):
         head = line.split()
         if cur is None:
             if head[0] in ("record", "case") and len(head) == 2:
-                cur = (head[0], head[1], {}, lineno)
+                cur = (head[0], head[1], {}, {}, lineno)
             elif head[0] == "root" and len(head) == 2:
-                yield ("root", head[1], {}, lineno)
+                yield ("root", head[1], {}, {}, lineno)
             else:
                 raise CatalogError(f"line {lineno}: expected 'record <id>' or 'case <id>', got {line!r}")
         elif line == "end":
@@ -366,8 +367,9 @@ def _blocks(text):
         else:
             key, _, rest = line.partition(" ")
             cur[2].setdefault(key, []).append(rest.strip())
+            cur[3].setdefault(key, []).append(lineno)
     if cur is not None:
-        raise CatalogError(f"unterminated block starting at line {cur[3]}")
+        raise CatalogError(f"unterminated block starting at line {cur[4]}")
 
 
 # The keys each block kind reads; any other key is an error.  `note` is a
@@ -382,7 +384,7 @@ _BLOCK_KEYS = {
     "theorem": _RECORD_KEYS | {"theorem", "a", "b", "c", "d"},
     "explicit": _RECORD_KEYS | {
         "lhs-num", "lhs-den", "pref", "sign-alt", "start", "leading-one", "poch-num", "poch-den",
-        "w-num", "w-den", "brace", "qpoly", "case", "sign",
+        "w-num", "w-den", "brace", "qpoly",
     },
     "case": {
         "note", "theorem", "a", "b", "c", "d", "clear-num", "clear-den", "fe-a", "fe-shift", "fe-b",
@@ -390,16 +392,29 @@ _BLOCK_KEYS = {
         "pp-w-num", "pp-w-den", "t-pref", "t-poch-num", "t-poch-den", "t-w-num", "t-w-den", "emit-id",
     },
 }
-_BLOCK_KEYS["bisected"] = _BLOCK_KEYS["explicit"]
+_BLOCK_KEYS["bisected"] = _BLOCK_KEYS["explicit"] | {"case", "sign"}
 _REPEATABLE_KEYS = {"note", "brace", "qpoly", "classical-brace"}
 
 
-def _check_keys(body, kind, where):
-    for key, vals in body.items():
+def _check_keys(lines, kind, label):
+    """Reject a key the block kind does not read, or a repeated one, at its own line."""
+    for key, at in lines.items():
         if key not in _BLOCK_KEYS[kind]:
-            raise CatalogError(f"{where}: unknown key {key!r} (kind {kind})")
-        if len(vals) > 1 and key not in _REPEATABLE_KEYS:
-            raise CatalogError(f"{where}: duplicate key {key!r}")
+            raise CatalogError(f"{label} (line {at[0]}): unknown key {key!r} (kind {kind})")
+        if len(at) > 1 and key not in _REPEATABLE_KEYS:
+            raise CatalogError(f"{label} (line {at[1]}): duplicate key {key!r}")
+
+
+def _check_sign(body, lines, label):
+    """A bisected record's sign is '-' exactly when its terms alternate (sign-alt true)."""
+    if "sign" not in body:
+        return
+    sign, alt = body["sign"][0], _single(body, "sign-alt", label, "false")
+    where = f"{label} (line {lines['sign'][0]})"
+    if sign not in ("+", "-"):
+        raise CatalogError(f"{where}: sign must be '+' or '-', got {sign!r}")
+    if (sign == "-") != (alt == "true"):
+        raise CatalogError(f"{where}: sign {sign} contradicts sign-alt {alt}")
 
 
 def _single(body, key, where, default=None):
@@ -559,15 +574,16 @@ def load_catalog(path=None) -> Catalog:
     records = []
     cases = {}
     seen = set()
-    for kind, name, body, lineno in _blocks(text):
-        where = f"{kind} {name} (line {lineno})"
+    for kind, name, body, lines, lineno in _blocks(text):
+        label = f"{kind} {name}"
+        where = f"{label} (line {lineno})"
         if kind == "root":
             root = _int(name, where)
             if root <= 0:
                 raise CatalogError(f"{where}: root must be positive")
             continue
         if kind == "case":
-            _check_keys(body, "case", where)
+            _check_keys(lines, "case", label)
             cases[name] = _parse_case(name, body, root, where)
             continue
         if name in seen:
@@ -576,7 +592,9 @@ def load_catalog(path=None) -> Catalog:
         rkind = _single(body, "kind", where, "theorem")
         if rkind not in ("theorem", "explicit", "bisected"):
             raise CatalogError(f"{where}: unknown kind {rkind!r}")
-        _check_keys(body, rkind, where)
+        _check_keys(lines, rkind, label)
+        if rkind == "bisected":
+            _check_sign(body, lines, label)
         section = _single(body, "section", where, "?")
         classical = _parse_classical(body, where)
         if rkind == "theorem":

@@ -1,5 +1,6 @@
 """High-precision numerics: Gamma, classical series, convergence rates."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,8 @@ from qseries.limits import (
     q_product_numeric,
     term_exact,
 )
-from qseries.qcore import q_pochhammer_numeric
+from qpoch_reference import q_pochhammer_reference
+from qseries.qcore import q_guard_digits, q_pochhammer_numeric
 from qseries.registry import BraceRational, ClassicalSeries, FactorialFactor, LinearFactor, load_catalog
 
 F = Fraction
@@ -249,6 +251,57 @@ def test_q_pochhammer_matches_brute_force(cat, q):
         ref = BRUTE.fprod(brute_poch(e, q) for e in num) / BRUTE.fprod(brute_poch(e, q) for e in den)
         got = q_product_numeric(num, den, q, bf)
         assert abs(got - ref) <= bf.tolerance() * abs(ref), (num, den)
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(9, 10), F(99, 100), F(249, 250), F(999, 1000),
+                               1 - F(1, 10**5), 1 - F(1, 10**8)], ids=str)
+def test_q_pochhammer_matches_mpf_reference(cat, q):
+    # the fixed-point path against the mpf-object path it replaced, each
+    # q^e taken as q_product_numeric takes it, and an x small enough for the
+    # head to stop early: within one unit in the last place of the working
+    # precision
+    exps = sorted({e for num, den in bridge_pool(cat) for e in num + den})
+    for dps in (30, 40, 60, 100):
+        c = mpmath.ctx_mp.MPContext()
+        c.dps = dps
+        qv = c.convert(q)
+        with c.extradps(q_guard_digits(qv, c)):
+            xs = [c.power(c.convert(q), c.convert(e)) for e in exps]
+        for e, x in [*zip(exps, xs), ("tiny", c.mpf(10) ** -(dps + 6))]:
+            got, want = q_pochhammer_numeric(x, q, c), q_pochhammer_reference(x, q, c)
+            assert abs(got - want) <= c.ldexp(1, c.mag(want) - c.prec), (dps, e)
+
+
+def _eval_series_mpf(spec, exact, ctx):
+    """eval_series as an mpf-object loop: one mpf per term, added with +=."""
+    total = ctx.ctx.mpf(0) + ctx.mpf(spec.prefix)
+    last = ctx.ctx.mpf(0)
+    for t in exact:
+        ft = ctx.mpf(t)
+        total += ft
+        if t != 0:
+            last = abs(ft)
+    r = abs(ctx.mpf(spec.rate)) if spec.rate != 1 else ctx.ctx.mpf("0.5")
+    return total, last * r / (1 - r)
+
+
+_big_fraction = st.builds(F, st.integers(-(10**300), 10**300), st.integers(1, 10**300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(_big_fraction | st.just(F(0)), min_size=1, max_size=30),
+    prefix=_big_fraction,
+    rate=st.just(F(1)) | st.fractions(min_value=F(-99, 100), max_value=F(99, 100)).filter(bool),
+    digits=st.integers(1, 80),
+    guard=st.integers(0, 12),
+)
+def test_eval_series_equals_mpf_object_loop(terms, prefix, rate, digits, guard):
+    spec = dataclasses.replace(zero_series(), prefix=prefix, rate=rate)
+    bf = BigFloatCtx(digits=digits, guard=guard)
+    got = eval_series(spec, len(terms), bf, exact=terms)
+    want = _eval_series_mpf(spec, terms, bf)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 def test_q_product_numeric_rejects_q_outside_unit_interval(ctx):

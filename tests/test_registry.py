@@ -142,20 +142,46 @@ def test_bad_functional_equation_data_is_a_located_catalog_error(tmp_path, key, 
 
 
 @pytest.mark.parametrize("key, edit, message", [
+    # a key error names the line of the key itself (the repeat, for a duplicate)
     ("w-num", lambda line: line + "\n  leading-on true",
-     "record u2-05 (line 83): unknown key 'leading-on' (kind explicit)"),
-    ("a", lambda line: line + "\n  pref 12 8 0", "record g1x5pp (line 23): unknown key 'pref' (kind theorem)"),
-    ("w-num", lambda line: line + "\n" + line, "record u2-05 (line 83): duplicate key 'w-num'"),
+     "record u2-05 (line 93): unknown key 'leading-on' (kind explicit)"),
+    ("a", lambda line: line + "\n  pref 12 8 0", "record g1x5pp (line 28): unknown key 'pref' (kind theorem)"),
+    ("w-num", lambda line: line + "\n" + line, "record u2-05 (line 93): duplicate key 'w-num'"),
     ("classical-fnum", lambda line: line + "\n" + line,
-     "record w1+1+1a (line 915): duplicate key 'classical-fnum'"),
-    ("t-w-den", lambda line: line + "\n" + line, "case v1x3 (line 1049): duplicate key 't-w-den'"),
+     "record w1+1+1a (line 927): duplicate key 'classical-fnum'"),
+    ("t-w-den", lambda line: line + "\n" + line, "case v1x3 (line 1072): duplicate key 't-w-den'"),
     ("classical-value", lambda line: "", "record g1x5pp (line 23): classical keys without classical-value"),
+    ("qpoly", lambda line: line + "\n  leading-on true",
+     "record v1x3a (line 1006): unknown key 'leading-on' (kind bisected)"),
+    ("t-poch-den", lambda line: line + "\n  leading-on true",
+     "case v1x3 (line 1071): unknown key 'leading-on' (kind case)"),
+    ("w-num", lambda line: line + "\n  case v1x3", "record u2-05 (line 93): unknown key 'case' (kind explicit)"),
+    ("w-num", lambda line: line + "\n  sign -", "record u2-05 (line 93): unknown key 'sign' (kind explicit)"),
 ], ids=["misspelt-key", "pref-on-theorem", "second-w-num", "second-classical-fnum", "second-t-w-den",
-        "classical-without-value"])
+        "classical-without-value", "misspelt-key-deep-in-bisected", "misspelt-key-deep-in-case",
+        "case-on-explicit", "sign-on-explicit"])
 def test_unread_or_repeated_key_is_a_located_catalog_error(tmp_path, key, edit, message):
     with pytest.raises(CatalogError) as exc:
         load_catalog(_mutated(tmp_path, key, edit))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("sign", lambda line: "  sign +", "record v1x3a (line 997): sign + contradicts sign-alt true"),
+    ("sign", lambda line: "  sign x", "record v1x3a (line 997): sign must be '+' or '-', got 'x'"),
+    ("sign-alt", lambda line: "  sign-alt false", "record v1x3a (line 997): sign - contradicts sign-alt false"),
+], ids=["plus-with-alternation", "not-a-sign", "minus-without-alternation"])
+def test_bisected_sign_must_agree_with_sign_alt(tmp_path, key, edit, message):
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_mutated(tmp_path, key, edit))
+    assert str(exc.value) == message
+
+
+def test_bisected_sign_plus_without_alternation_loads(tmp_path):
+    p = _mutated(tmp_path, "sign", lambda line: "  sign +")
+    p.write_text(p.read_text().replace("  sign-alt true\n", "", 1))  # v1x3a's, the first
+    rec = load_catalog(p).get("v1x3a")
+    assert rec.sign == "+" and not rec.recipe.sign_alt
 
 
 def test_note_is_a_comment_key(cat, tmp_path):
