@@ -16,20 +16,23 @@ coefficientwise yields an overdetermined linear system over the polynomial
 ring in t, solved fraction-free.  At most one sign admits a solution; the
 solved Q turns the double-width sum into sum(+-1)^n T_n.
 
-Case data (clearing factor, functional-equation factors, term blocks) ships
-in the catalog; the weight polynomial itself is rebuilt from the theorem
-recipe, never transcribed.
+Case data ships in the catalog: the clearing factor, the functional-equation
+factors, and two series recipes, the unreduced double-width series (pp)
+and the term block T_n of the reduced series (t).  pp_recipe puts P(q^n)
+into pp's braces and reduced_recipe puts the solved Q into t's.  The
+weight polynomial itself is rebuilt from the theorem recipe, never
+transcribed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from qseries.linsolve import poly_solve_overdetermined
 from qseries.polyring import Poly, RatFunc
-from qseries.qcore import QMono, SeriesRing
+from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, IdentityRecord
 from qseries.theorems import (
     BExp,
@@ -331,40 +334,18 @@ def reduced_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
         for i, entry in enumerate(sol.terms)
         for coeff, texp in entry
     )
-    return SeriesRecipe(
-        name=f"{case.emit_id}",
-        root=case.root,
-        lhs_num=tuple(QMono(1, e) for e in case.pp_lhs_num),
-        lhs_den=tuple(QMono(1, e) for e in case.pp_lhs_den),
-        pref_quad=case.t_pref[0], pref_lin=case.t_pref[1], pref_const=case.t_pref[2],
-        pref_base=1,
-        poch_num=case.t_poch_num, poch_den=case.t_poch_den,
-        w_num=case.t_w_num, w_den=case.t_w_den,
-        braces=(qgroup,),
-        leading_one=False, n_start=0,
-        sign_alt=(sol.sign == "-"),
-    )
+    return replace(case.t, braces=(qgroup,), sign_alt=sol.sign == "-")
 
 
 def pp_recipe(case: BisectionCase) -> SeriesRecipe:
     """The double-width (unreduced) series with P(q^n) as its weight."""
-    P = build_P(case)
-    group = []
-    for k, c in enumerate(P):
-        for texp, coeff in [(i, x) for i, x in enumerate(c.coeffs) if x]:
-            group.append(BraceTerm(BExp(k * case.root, texp, coeff), (), ()))
-    return SeriesRecipe(
-        name=f"{case.id}-pp",
-        root=case.root,
-        lhs_num=tuple(QMono(1, e) for e in case.pp_lhs_num),
-        lhs_den=tuple(QMono(1, e) for e in case.pp_lhs_den),
-        pref_quad=case.pp_pref[0], pref_lin=case.pp_pref[1], pref_const=case.pp_pref[2],
-        pref_base=1,
-        poch_num=case.pp_poch_num, poch_den=case.pp_poch_den,
-        w_num=case.pp_w_num, w_den=case.pp_w_den,
-        braces=(tuple(group),),
-        leading_one=False, n_start=0,
+    group = tuple(
+        BraceTerm(BExp(k * case.root, texp, coeff), (), ())
+        for k, c in enumerate(build_P(case))
+        for texp, coeff in enumerate(c.coeffs)
+        if coeff
     )
+    return replace(case.pp, braces=(group,))
 
 
 def emit_reduced(case: BisectionCase, sol: BisectionSolution) -> IdentityRecord:

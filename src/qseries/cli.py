@@ -161,7 +161,10 @@ def cmd_bisect(args):
         for i, entry in enumerate(sol.terms or []):
             pretty = " + ".join(f"{c}*q^({e}/{case.root})" for c, e in entry) or "0"
             print(f"  a_{i} = {pretty}")
-    return 0 if sol.consistent and residual_zero else 1
+    if sol.sign != case.sign:
+        print(f"case {case.id}: solved sign {sol.sign} contradicts the declared sign {case.sign}",
+              file=sys.stderr)
+    return 0 if sol.consistent and residual_zero and sol.sign == case.sign else 1
 
 
 def cmd_oracle(args):

@@ -115,7 +115,7 @@ def jackson_lhs(ring, p: WPParams, n: int):
         raise ParameterError("a = 1 makes the well-poised prefactor singular")
     num = (p.a, p.b, p.c, p.d, e, q**-n)
     den = (q, q * p.a / p.b, q * p.a / p.c, q * p.a / p.d, q * p.a / e, q ** (n + 1) * p.a)
-    total = ring.zero() if ring.mode == "series" else Fraction(0)
+    total = ring.zero()
     one_minus_a = ring.times_binom(ring.one(), p.a.coeff, p.a.texp)
     inv_1ma = ring.inv(one_minus_a)
     for k in range(n + 1):
@@ -187,7 +187,7 @@ def gould_hsu_roundtrip(ring, spec: InversionSpec, g, N: int, variant: str) -> b
             )
 
         def dual(n, f):
-            acc = ring.zero() if ring.mode == "series" else Fraction(0)
+            acc = ring.zero()
             for k in range(n + 1):
                 w = qm(spec.a_seq[k]) + k * qm(spec.b_seq[k])
                 den = _inv_or_degenerate(ring, phi_poly(ring, spec, ring.mono(n, 0), k + 1), "phi(n;k+1)")
@@ -203,7 +203,7 @@ def gould_hsu_roundtrip(ring, spec: InversionSpec, g, N: int, variant: str) -> b
             )
 
         def dual(n, f):
-            acc = ring.zero() if ring.mode == "series" else Fraction(0)
+            acc = ring.zero()
             for k in range(n + 1):
                 w = qm(spec.a_seq[k]) + qm(q**-k) * qm(spec.b_seq[k])
                 den = _inv_or_degenerate(ring, phi_poly(ring, spec, qm(q**-n), k + 1), "phi(q^-n;k+1)")
@@ -216,7 +216,7 @@ def gould_hsu_roundtrip(ring, spec: InversionSpec, g, N: int, variant: str) -> b
             raise DegenerateSpec("extended pair needs sigma")
 
         def forward(n):
-            acc = ring.zero() if ring.mode == "series" else Fraction(0)
+            acc = ring.zero()
             for k in range(n + 1):
                 t = (-1) ** k * gauss_binom(ring, n, k)
                 t = t * phi_poly(ring, spec, qm(q**k * sig), n)
@@ -228,7 +228,7 @@ def gould_hsu_roundtrip(ring, spec: InversionSpec, g, N: int, variant: str) -> b
             return acc
 
         def dual(n, f):
-            acc = ring.zero() if ring.mode == "series" else Fraction(0)
+            acc = ring.zero()
             for k in range(n + 1):
                 t = (-1) ** k * gauss_binom(ring, n, k) * ring.mono(1, _binom2(n - k) * root)
                 t = t * (qm(spec.a_seq[k]) + qm(q**k * sig) * qm(spec.b_seq[k]))
@@ -251,7 +251,7 @@ def gould_hsu_roundtrip(ring, spec: InversionSpec, g, N: int, variant: str) -> b
             return poch_finite(ring, x * sig, n)
 
         def forward(n):
-            acc = ring.zero() if ring.mode == "series" else Fraction(0)
+            acc = ring.zero()
             for k in range(n + 1):
                 t = (-1) ** k * gauss_binom(ring, n, k)
                 t = t * big_phi(q**k, n)
@@ -262,7 +262,7 @@ def gould_hsu_roundtrip(ring, spec: InversionSpec, g, N: int, variant: str) -> b
             return acc
 
         def dual(n, f):
-            acc = ring.zero() if ring.mode == "series" else Fraction(0)
+            acc = ring.zero()
             for k in range(n + 1):
                 t = (-1) ** k * gauss_binom(ring, n, k) * ring.mono(1, _binom2(n - k) * root)
                 t = t * psi(q**k, n)
@@ -362,7 +362,7 @@ def lemma_H_verify(ring, p: WPParams, pattern: PartitionPattern, n: int) -> bool
     lhs = _poch_quotient(
         ring, (b, c, d, e), (q * a / b, q * a / c, q * a / d, b * c * d / a), n
     )
-    rhs = ring.zero() if ring.mode == "series" else Fraction(0)
+    rhs = ring.zero()
     for k in range(n + 1):
         t = ring.mono(1, (k - n) * ring.root)
         t = t * poch_finite(ring, q**n * a, k)
@@ -401,7 +401,7 @@ def general_dual_group(ring, sysm: PatternSystem, delta: int, variant: str, n: i
     """Sum of the inner window at outer index n."""
     Lam = sysm.pattern.Lam
     window = range(delta, delta + Lam) if variant == "U" else range(delta - Lam, delta)
-    acc = ring.zero() if ring.mode == "series" else Fraction(0)
+    acc = ring.zero()
     for i in window:
         acc = acc + dual_series_term(ring, sysm, delta, variant, n, i)
     return acc
@@ -409,7 +409,7 @@ def general_dual_group(ring, sysm: PatternSystem, delta: int, variant: str, n: i
 
 def general_dual_prefix(ring, sysm: PatternSystem, delta: int):
     """The singled-out initial delta terms."""
-    acc = ring.zero() if ring.mode == "series" else Fraction(0)
+    acc = ring.zero()
     for k in range(delta):
         acc = acc + sysm.dual_term(ring, k)
     return acc

@@ -364,7 +364,7 @@ def euler_product(factors, n: int):
 def gauss_binom(ring, m: int, n: int):
     """Gaussian binomial coefficient [m, n] as a ring element."""
     if n < 0 or n > m:
-        return ring.zero() if ring.mode == "series" else Fraction(0)
+        return ring.zero()
     n = min(n, m - n)
     q = QMono(1, ring.root)
     num = poch_finite(ring, q ** (m - n + 1), n)

@@ -23,16 +23,11 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from qseries.inversion import (
-    SingularMismatch,
-    VanishingDenominatorFactor,
-    WPParams,
-    params_from_exponents,
-)
+from qseries.inversion import WPParams
 from qseries.qcore import QMono, SeriesRing
 from qseries.theorems import (
     BExp,
@@ -140,19 +135,9 @@ class BisectionCase:
     fe_shift: tuple[int, int]                      # (t-exp, y-power)
     fe_b: tuple[tuple[int, int, int], ...]
     deg_q: int
-    sign: str
-    pp_lhs_num: tuple[int, ...]                    # t-exponents
-    pp_lhs_den: tuple[int, ...]
-    pp_pref: tuple[int, int, int]
-    pp_poch_num: tuple[PochF, ...]
-    pp_poch_den: tuple[PochF, ...]
-    pp_w_num: tuple[BExp, ...]
-    pp_w_den: tuple[BExp, ...]
-    t_pref: tuple[int, int, int]
-    t_poch_num: tuple[PochF, ...]
-    t_poch_den: tuple[PochF, ...]
-    t_w_num: tuple[BExp, ...]
-    t_w_den: tuple[BExp, ...]
+    sign: str                                      # the declared consistent sign
+    pp: SeriesRecipe      # the unreduced double-width series; bisection puts P(q^n) in its braces
+    t: SeriesRecipe       # the term block T_n of the reduced series, on pp's product side
     emit_id: str
 
 
@@ -204,14 +189,6 @@ def _int(text, where):
         return int(text)
     except ValueError as exc:
         raise CatalogError(f"{where}: bad integer {text!r}") from exc
-
-
-def _pref(body, key, where):
-    """The three integer t-exponent coefficients of a prefactor line."""
-    pref = tuple(_int(x, where) for x in _single(body, key, where).split())
-    if len(pref) != 3:
-        raise CatalogError(f"{where}: {key} needs three t-exponent coefficients")
-    return pref
 
 
 def _texp(x: Fraction, root: int, where):
@@ -345,9 +322,36 @@ def _parse_yatoms(toks, root, where):
     return tuple(out)
 
 
+@dataclass
+class _Block:
+    """One catalog block: the values of each key and the line of each value."""
+
+    kind: str                                   # record | case | root
+    name: str
+    lineno: int
+    body: dict = field(default_factory=dict)    # key -> [value, ...]
+    lines: dict = field(default_factory=dict)   # key -> [line number, ...]
+
+    def where(self, key=None, i=0):
+        """The block and the line of value i of key, or of the block itself."""
+        line = self.lines[key][i] if key in self.lines else self.lineno
+        return f"{self.kind} {self.name} (line {line})"
+
+    def value(self, key, default=None):
+        """(value, where) of a single key; a missing key takes the default at the block's line."""
+        if key in self.body:
+            return self.body[key][0], self.where(key)
+        if default is None:
+            raise CatalogError(f"{self.where()}: missing key {key!r}")
+        return default, self.where()
+
+    def values(self, key):
+        """(value, where) of every line of a repeatable key."""
+        return [(v, self.where(key, i)) for i, v in enumerate(self.body.get(key, []))]
+
+
 def _blocks(text):
-    """Yield (kind, name, body, lines, line_no): body maps each key to its
-    values and lines maps it to the line number of each value."""
+    """Yield each block of the catalog text as a _Block."""
     cur = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -356,9 +360,9 @@ def _blocks(text):
         head = line.split()
         if cur is None:
             if head[0] in ("record", "case") and len(head) == 2:
-                cur = (head[0], head[1], {}, {}, lineno)
+                cur = _Block(head[0], head[1], lineno)
             elif head[0] == "root" and len(head) == 2:
-                yield ("root", head[1], {}, {}, lineno)
+                yield _Block("root", head[1], lineno)
             else:
                 raise CatalogError(f"line {lineno}: expected 'record <id>' or 'case <id>', got {line!r}")
         elif line == "end":
@@ -366,11 +370,19 @@ def _blocks(text):
             cur = None
         else:
             key, _, rest = line.partition(" ")
-            cur[2].setdefault(key, []).append(rest.strip())
-            cur[3].setdefault(key, []).append(lineno)
+            cur.body.setdefault(key, []).append(rest.strip())
+            cur.lines.setdefault(key, []).append(lineno)
     if cur is not None:
-        raise CatalogError(f"unterminated block starting at line {cur[4]}")
+        raise CatalogError(f"unterminated block starting at line {cur.lineno}")
 
+
+# The keys of one series recipe, read by _parse_recipe.  Explicit and
+# bisected records read them all; a bisection case reads its unreduced
+# series under "pp-" and its term block T_n under "t-", which takes the
+# product side of "pp-".
+_PRODUCT_KEYS = ("lhs-num", "lhs-den")
+_TERM_KEYS = ("pref", "poch-num", "poch-den", "w-num", "w-den")
+_SERIES_KEYS = _PRODUCT_KEYS + _TERM_KEYS + ("sign-alt", "start", "leading-one", "brace", "qpoly")
 
 # The keys each block kind reads; any other key is an error.  `note` is a
 # comment key: allowed everywhere and read by nothing.
@@ -382,184 +394,179 @@ _RECORD_KEYS = {
 }
 _BLOCK_KEYS = {
     "theorem": _RECORD_KEYS | {"theorem", "a", "b", "c", "d"},
-    "explicit": _RECORD_KEYS | {
-        "lhs-num", "lhs-den", "pref", "sign-alt", "start", "leading-one", "poch-num", "poch-den",
-        "w-num", "w-den", "brace", "qpoly",
-    },
+    "explicit": _RECORD_KEYS | set(_SERIES_KEYS),
     "case": {
         "note", "theorem", "a", "b", "c", "d", "clear-num", "clear-den", "fe-a", "fe-shift", "fe-b",
-        "deg-q", "sign", "pp-lhs-num", "pp-lhs-den", "pp-pref", "pp-poch-num", "pp-poch-den",
-        "pp-w-num", "pp-w-den", "t-pref", "t-poch-num", "t-poch-den", "t-w-num", "t-w-den", "emit-id",
-    },
+        "deg-q", "sign", "emit-id",
+    } | {"pp-" + k for k in _PRODUCT_KEYS + _TERM_KEYS} | {"t-" + k for k in _TERM_KEYS},
 }
 _BLOCK_KEYS["bisected"] = _BLOCK_KEYS["explicit"] | {"case", "sign"}
 _REPEATABLE_KEYS = {"note", "brace", "qpoly", "classical-brace"}
 
 
-def _check_keys(lines, kind, label):
+def _check_keys(blk, kind):
     """Reject a key the block kind does not read, or a repeated one, at its own line."""
-    for key, at in lines.items():
+    for key, at in blk.lines.items():
         if key not in _BLOCK_KEYS[kind]:
-            raise CatalogError(f"{label} (line {at[0]}): unknown key {key!r} (kind {kind})")
+            raise CatalogError(f"{blk.where(key)}: unknown key {key!r} (kind {kind})")
         if len(at) > 1 and key not in _REPEATABLE_KEYS:
-            raise CatalogError(f"{label} (line {at[1]}): duplicate key {key!r}")
+            raise CatalogError(f"{blk.where(key, 1)}: duplicate key {key!r}")
 
 
-def _check_sign(body, lines, label):
-    """A bisected record's sign is '-' exactly when its terms alternate (sign-alt true)."""
-    if "sign" not in body:
-        return
-    sign, alt = body["sign"][0], _single(body, "sign-alt", label, "false")
-    where = f"{label} (line {lines['sign'][0]})"
+def _parse_sign(blk):
+    sign, at = blk.value("sign")
     if sign not in ("+", "-"):
-        raise CatalogError(f"{where}: sign must be '+' or '-', got {sign!r}")
-    if (sign == "-") != (alt == "true"):
-        raise CatalogError(f"{where}: sign {sign} contradicts sign-alt {alt}")
+        raise CatalogError(f"{at}: sign must be '+' or '-', got {sign!r}")
+    return sign
 
 
-def _single(body, key, where, default=None):
-    vals = body.get(key)
-    if not vals:
-        if default is not None:
-            return default
-        raise CatalogError(f"{where}: missing key {key!r}")
-    return vals[0]
+def _parse_theorem(blk, root):
+    """(name, params) of a theorem record or a bisection case."""
+    thm, at = blk.value("theorem")
+    if thm not in THEOREM_NAMES:
+        raise CatalogError(f"{at}: unknown theorem {thm!r}")
+    monos = []
+    for key in ("a", "b", "c", "d"):
+        text, at = blk.value(key)
+        monos.append(QMono(1, _texp(_frac(text, at), root, at)))
+    return thm, WPParams(*monos)
 
 
-def _parse_classical(body, where):
-    if "classical-value" not in body:
-        if any(k.startswith("classical-") for k in body):
-            raise CatalogError(f"{where}: classical keys without classical-value")
+def _parse_classical(blk):
+    if "classical-value" not in blk.body:
+        if any(k.startswith("classical-") for k in blk.body):
+            raise CatalogError(f"{blk.where()}: classical keys without classical-value")
         return None
-    value = _parse_value_expr(_single(body, "classical-value", where), where)
-    base = _frac(_single(body, "classical-base", where, "1"), where)
-    rate = _frac(_single(body, "classical-rate", where, str(base) if base != 1 else "1"), where)
-    if ("classical-rate" in body or base != 1) and not 0 < abs(rate) < 1:
+    value = _parse_value_expr(*blk.value("classical-value"))
+    base = _frac(*blk.value("classical-base", "1"))
+    rate = _frac(*blk.value("classical-rate", str(base) if base != 1 else "1"))
+    if ("classical-rate" in blk.body or base != 1) and not 0 < abs(rate) < 1:
         # the tail estimate |last term| * r/(1 - r) needs 0 < r < 1; rate 1 is
         # kept only as the default for a series with no geometric factor
-        raise CatalogError(f"{where}: classical rate {rate} needs 0 < |rate| < 1")
+        raise CatalogError(f"{blk.where()}: classical rate {rate} needs 0 < |rate| < 1")
     fnum = []
     fden = []
-    for r in _single(body, "classical-upper", where, "-").split():
-        if r != "-":
-            fnum.append(FactorialFactor(_frac(r, where), 1, 0, 1))
-    for r in _single(body, "classical-lower", where, "-").split():
-        if r != "-":
-            fden.append(FactorialFactor(_frac(r, where), 1, 0, 1))
-    for tok in body.get("classical-fnum", [""])[0].split():
-        fnum.append(_parse_ffactor(tok, where))
-    for tok in body.get("classical-fden", [""])[0].split():
-        fden.append(_parse_ffactor(tok, where))
-    poly = tuple(_frac(x, where) for x in _single(body, "classical-poly", where, "-").split() if x != "-")
-    polyden = tuple(_frac(x, where) for x in _single(body, "classical-polyden", where, "-").split() if x != "-")
-    braces = tuple(_parse_brace_line(t, where) for t in body.get("classical-brace", []))
-    fact = body.get("classical-factor", [None])[0]
+    for key, out in (("classical-upper", fnum), ("classical-lower", fden)):
+        text, at = blk.value(key, "-")
+        out.extend(FactorialFactor(_frac(r, at), 1, 0, 1) for r in text.split() if r != "-")
+    for key, out in (("classical-fnum", fnum), ("classical-fden", fden)):
+        text, at = blk.value(key, "")
+        out.extend(_parse_ffactor(tok, at) for tok in text.split())
+    text, at = blk.value("classical-poly", "-")
+    poly = tuple(_frac(x, at) for x in text.split() if x != "-")
+    text, at = blk.value("classical-polyden", "-")
+    polyden = tuple(_frac(x, at) for x in text.split() if x != "-")
+    braces = tuple(_parse_brace_line(t, at) for t, at in blk.values("classical-brace"))
+    fact, at = blk.value("classical-factor", "")
     fnum2, fden2 = (), ()
     if fact:
-        bl = _parse_brace_line(fact, where)
+        bl = _parse_brace_line(fact, at)
         if bl.coeff != 1 or bl.npow:
-            raise CatalogError(f"{where}: classical-factor takes only linear factors")
+            raise CatalogError(f"{at}: classical-factor takes only linear factors")
         fnum2, fden2 = bl.num, bl.den
     return ClassicalSeries(
         value_factors=value, base=base, rate=rate,
         fnum=tuple(fnum), fden=tuple(fden),
         poly=poly, polyden=polyden, braces=braces,
         factor_num=fnum2, factor_den=fden2,
-        start=_int(_single(body, "classical-start", where, "0"), where),
-        prefix=_frac(_single(body, "classical-prefix", where, "0"), where),
+        start=_int(*blk.value("classical-start", "0")),
+        prefix=_frac(*blk.value("classical-prefix", "0")),
     )
 
 
-def _parse_explicit_recipe(rid, body, root, where):
-    lhs_num = tuple(QMono(1, _texp(_frac(x, where), root, where))
-                    for x in _single(body, "lhs-num", where).split())
-    lhs_den = tuple(QMono(1, _texp(_frac(x, where), root, where))
-                    for x in _single(body, "lhs-den", where).split())
-    pref = _pref(body, "pref", where)
-    poch_num = tuple(_parse_poch(t, root, where) for t in _single(body, "poch-num", where, "-").split() if t != "-")
-    poch_den = tuple(_parse_poch(t, root, where) for t in _single(body, "poch-den", where, "-").split() if t != "-")
-    w_num = tuple(_parse_atom(t, root, where) for t in body.get("w-num", [""])[0].split())
-    w_den = tuple(_parse_atom(t, root, where) for t in body.get("w-den", [""])[0].split())
+def _parse_recipe(name, blk, root, prefix="", product=None):
+    """The series recipe stored under prefix + _SERIES_KEYS.
+
+    product, a (lhs_num, lhs_den) pair, stands in for the lhs keys.
+    """
+    def value(key, default=None):
+        return blk.value(prefix + key, default)
+
+    def monos(key):
+        text, at = value(key)
+        return tuple(QMono(1, _texp(_frac(x, at), root, at)) for x in text.split())
+
+    def pochs(key):
+        text, at = value(key, "-")
+        return tuple(_parse_poch(t, root, at) for t in text.split() if t != "-")
+
+    def atoms(key):
+        text, at = value(key, "")
+        return tuple(_parse_atom(t, root, at) for t in text.split())
+
+    lhs_num, lhs_den = product or (monos("lhs-num"), monos("lhs-den"))
+    text, at = value("pref")
+    pref = tuple(_int(x, at) for x in text.split())
+    if len(pref) != 3:
+        raise CatalogError(f"{at}: {prefix}pref needs three t-exponent coefficients")
     groups = []
     brace_terms = []
-    for line in body.get("brace", []):
+    for line, at in blk.values(prefix + "brace"):
         segs = [s.strip() for s in line.split("|")]
         if len(segs) != 3:
-            raise CatalogError(f"{where}: brace line needs 'coeff mono | num | den'")
+            raise CatalogError(f"{at}: brace line needs 'coeff mono | num | den'")
         head = segs[0].split()
-        coeff = _frac(head[0], where)
-        mono = _parse_atom(head[1], root, where) if len(head) > 1 else BExp(0, 0, 1)
-        num = tuple(_parse_atom(t, root, where) for t in segs[1].split())
-        den = tuple(_parse_atom(t, root, where) for t in segs[2].split())
+        coeff = _frac(head[0], at)
+        mono = _parse_atom(head[1], root, at) if len(head) > 1 else BExp(0, 0, 1)
+        num = tuple(_parse_atom(t, root, at) for t in segs[1].split())
+        den = tuple(_parse_atom(t, root, at) for t in segs[2].split())
         brace_terms.append(BraceTerm(BExp(mono.ncoef, mono.const, coeff), num, den))
     if brace_terms:
         groups.append(tuple(brace_terms))
     qpoly_terms = []
-    for line in body.get("qpoly", []):
+    for line, at in blk.values(prefix + "qpoly"):
         toks = line.split()
         if len(toks) != 3:
-            raise CatalogError(f"{where}: qpoly line needs 'ypow coeff qexp'")
-        ypow = _int(toks[0], where)
-        coeff = _frac(toks[1], where)
-        texp = _texp(_frac(toks[2], where), root, where)
+            raise CatalogError(f"{at}: qpoly line needs 'ypow coeff qexp'")
+        ypow = _int(toks[0], at)
+        coeff = _frac(toks[1], at)
+        texp = _texp(_frac(toks[2], at), root, at)
         if root % 2:
-            raise CatalogError(f"{where}: half-step Q-polynomial needs an even root")
+            raise CatalogError(f"{at}: half-step Q-polynomial needs an even root")
         qpoly_terms.append(BraceTerm(BExp(ypow * root // 2, texp, coeff), (), ()))
     if qpoly_terms:
         groups.append(tuple(qpoly_terms))
     if not groups:
         groups.append((BraceTerm(BExp(0, 0, 1), (), ()),))
     return SeriesRecipe(
-        name=rid, root=root,
+        name=name, root=root,
         lhs_num=lhs_num, lhs_den=lhs_den,
         pref_quad=pref[0], pref_lin=pref[1], pref_const=pref[2], pref_base=1,
-        poch_num=poch_num, poch_den=poch_den,
-        w_num=w_num, w_den=w_den,
+        poch_num=pochs("poch-num"), poch_den=pochs("poch-den"),
+        w_num=atoms("w-num"), w_den=atoms("w-den"),
         braces=tuple(groups),
-        leading_one=_single(body, "leading-one", where, "false") == "true",
-        n_start=_int(_single(body, "start", where, "0"), where),
-        sign_alt=_single(body, "sign-alt", where, "false") == "true",
+        leading_one=value("leading-one", "false")[0] == "true",
+        n_start=_int(*value("start", "0")),
+        sign_alt=value("sign-alt", "false")[0] == "true",
     )
 
 
-def _parse_case(cid, body, root, where):
-    exps = [_frac(_single(body, k, where), where) for k in ("a", "b", "c", "d")]
-    fe_shift = _single(body, "fe-shift", where).split()
+def _parse_case(blk, root):
+    thm, params = _parse_theorem(blk, root)
+
+    def yatoms(key):
+        text, at = blk.value(key)
+        return _parse_yatoms(text.split(), root, at)
+
+    text, at = blk.value("fe-shift")
+    fe_shift = text.split()
     if len(fe_shift) != 2:
-        raise CatalogError(f"{where}: fe-shift needs 'qexp ypow'")
-    fe_shift = (_texp(_frac(fe_shift[0], where), root, where), _int(fe_shift[1], where))
+        raise CatalogError(f"{at}: fe-shift needs 'qexp ypow'")
+    fe_shift = (_texp(_frac(fe_shift[0], at), root, at), _int(fe_shift[1], at))
     if min(fe_shift) < 0:
-        raise CatalogError(f"{where}: fe-shift needs a nonnegative q-exponent and y-power")
-    deg_q = _int(_single(body, "deg-q", where), where)
+        raise CatalogError(f"{at}: fe-shift needs a nonnegative q-exponent and y-power")
+    deg_q = _int(*blk.value("deg-q"))
     if deg_q < 0:
-        raise CatalogError(f"{where}: deg-q must be nonnegative, got {deg_q}")
+        raise CatalogError(f"{blk.where('deg-q')}: deg-q must be nonnegative, got {deg_q}")
+    pp = _parse_recipe(f"{blk.name}-pp", blk, root, "pp-")
+    emit_id = blk.value("emit-id")[0]
     return BisectionCase(
-        id=cid,
-        theorem=_single(body, "theorem", where),
-        params=params_from_exponents(*exps, root=root),
-        root=root,
-        clear_num=_parse_yatoms(_single(body, "clear-num", where).split(), root, where),
-        clear_den=_parse_yatoms(_single(body, "clear-den", where).split(), root, where),
-        fe_a=_parse_yatoms(_single(body, "fe-a", where).split(), root, where),
-        fe_shift=fe_shift,
-        fe_b=_parse_yatoms(_single(body, "fe-b", where).split(), root, where),
-        deg_q=deg_q,
-        sign=_single(body, "sign", where),
-        pp_lhs_num=tuple(_texp(_frac(x, where), root, where)
-                         for x in _single(body, "pp-lhs-num", where).split()),
-        pp_lhs_den=tuple(_texp(_frac(x, where), root, where)
-                         for x in _single(body, "pp-lhs-den", where).split()),
-        pp_pref=_pref(body, "pp-pref", where),
-        pp_poch_num=tuple(_parse_poch(t, root, where) for t in _single(body, "pp-poch-num", where).split()),
-        pp_poch_den=tuple(_parse_poch(t, root, where) for t in _single(body, "pp-poch-den", where).split()),
-        pp_w_num=tuple(_parse_atom(t, root, where) for t in body.get("pp-w-num", [""])[0].split()),
-        pp_w_den=tuple(_parse_atom(t, root, where) for t in body.get("pp-w-den", [""])[0].split()),
-        t_pref=_pref(body, "t-pref", where),
-        t_poch_num=tuple(_parse_poch(t, root, where) for t in _single(body, "t-poch-num", where).split()),
-        t_poch_den=tuple(_parse_poch(t, root, where) for t in _single(body, "t-poch-den", where).split()),
-        t_w_num=tuple(_parse_atom(t, root, where) for t in body.get("t-w-num", [""])[0].split()),
-        t_w_den=tuple(_parse_atom(t, root, where) for t in body.get("t-w-den", [""])[0].split()),
-        emit_id=_single(body, "emit-id", where),
+        id=blk.name, theorem=thm, params=params, root=root,
+        clear_num=yatoms("clear-num"), clear_den=yatoms("clear-den"),
+        fe_a=yatoms("fe-a"), fe_shift=fe_shift, fe_b=yatoms("fe-b"),
+        deg_q=deg_q, sign=_parse_sign(blk),
+        pp=pp, t=_parse_recipe(emit_id, blk, root, "t-", (pp.lhs_num, pp.lhs_den)),
+        emit_id=emit_id,
     )
 
 
@@ -574,50 +581,49 @@ def load_catalog(path=None) -> Catalog:
     records = []
     cases = {}
     seen = set()
-    for kind, name, body, lines, lineno in _blocks(text):
-        label = f"{kind} {name}"
-        where = f"{label} (line {lineno})"
-        if kind == "root":
-            root = _int(name, where)
+    bisected = []
+    for blk in _blocks(text):
+        if blk.kind == "root":
+            root = _int(blk.name, blk.where())
             if root <= 0:
-                raise CatalogError(f"{where}: root must be positive")
+                raise CatalogError(f"{blk.where()}: root must be positive")
             continue
-        if kind == "case":
-            _check_keys(lines, "case", label)
-            cases[name] = _parse_case(name, body, root, where)
+        if blk.kind == "case":
+            _check_keys(blk, "case")
+            cases[blk.name] = _parse_case(blk, root)
             continue
-        if name in seen:
-            raise CatalogError(f"{where}: duplicate record id")
-        seen.add(name)
-        rkind = _single(body, "kind", where, "theorem")
+        if blk.name in seen:
+            raise CatalogError(f"{blk.where()}: duplicate record id")
+        seen.add(blk.name)
+        rkind, at = blk.value("kind", "theorem")
         if rkind not in ("theorem", "explicit", "bisected"):
-            raise CatalogError(f"{where}: unknown kind {rkind!r}")
-        _check_keys(lines, rkind, label)
-        if rkind == "bisected":
-            _check_sign(body, lines, label)
-        section = _single(body, "section", where, "?")
-        classical = _parse_classical(body, where)
+            raise CatalogError(f"{at}: unknown kind {rkind!r}")
+        _check_keys(blk, rkind)
+        section = blk.value("section", "?")[0]
+        classical = _parse_classical(blk)
         if rkind == "theorem":
-            thm = _single(body, "theorem", where)
-            if thm not in THEOREM_NAMES:
-                raise CatalogError(f"{where}: unknown theorem {thm!r}")
-            exps = [_frac(_single(body, k, where), where) for k in ("a", "b", "c", "d")]
-            try:
-                params = params_from_exponents(*exps, root=root)
-                recipe = bind_theorem(thm, params, root)  # re-validates the side condition data
-            except (ValueError, ArithmeticError) as exc:
-                raise CatalogError(f"{where}: {exc}") from exc
-            records.append(IdentityRecord(name, rkind, section, thm, params, root,
-                                          recipe, None, None, classical))
-        else:
-            recipe = _parse_explicit_recipe(name, body, root, where)
-            records.append(IdentityRecord(
-                name, rkind, section, None, None, root, recipe,
-                body.get("case", [None])[0], body.get("sign", [None])[0], classical,
-            ))
-    for r in records:
-        if r.kind == "bisected" and r.case not in cases:
-            raise CatalogError(f"record {r.id}: unknown bisection case {r.case!r}")
+            thm, params = _parse_theorem(blk, root)
+            records.append(IdentityRecord(blk.name, rkind, section, thm, params, root,
+                                          bind_theorem(thm, params, root), None, None, classical))
+            continue
+        sign = None
+        if "sign" in blk.body:
+            sign = _parse_sign(blk)
+            alt = blk.value("sign-alt", "false")[0]
+            if (sign == "-") != (alt == "true"):
+                raise CatalogError(f"{blk.where('sign')}: sign {sign} contradicts sign-alt {alt}")
+        records.append(IdentityRecord(
+            blk.name, rkind, section, None, None, root, _parse_recipe(blk.name, blk, root),
+            blk.body.get("case", [None])[0], sign, classical,
+        ))
+        if rkind == "bisected":
+            bisected.append((records[-1], blk))
+    for rec, blk in bisected:
+        case = cases.get(rec.case)
+        if case is None:
+            raise CatalogError(f"{blk.where('case')}: unknown bisection case {rec.case!r}")
+        if rec.sign not in (None, case.sign):
+            raise CatalogError(f"{blk.where('sign')}: sign {rec.sign} contradicts case {case.id}'s sign {case.sign}")
     return Catalog(root, records, cases)
 
 
@@ -665,16 +671,12 @@ def reduced_sides(rec: IdentityRecord, order: int):
     """
     bt, g = reduce_root(rec.recipe)
     ring = SeriesRing(order=-(-order // g), root=bt.root)
-    if rec.kind == "theorem":
-        bsh = bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root)) if has_unit_factor(bt) else None
-        lhs, net, phi = theorem_lhs(ring, bt, shadow=bsh)
-        res = theorem_series(ring, bt, shadow=bsh, expected_net=net)
-        return lhs, res.series.scale(1 / Fraction(phi)) if phi != 1 else res.series, res.terms_used, g
-    lhs, net, phi = theorem_lhs(ring, bt)
-    if net:
-        raise SingularMismatch(f"{rec.id}: explicit record has a vanishing product factor")
-    res = theorem_series(ring, bt)
-    return lhs, res.series, res.terms_used, g
+    bsh = None
+    if rec.kind == "theorem" and has_unit_factor(bt):
+        bsh = bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
+    lhs, net, phi = theorem_lhs(ring, bt, shadow=bsh)
+    res = theorem_series(ring, bt, shadow=bsh, expected_net=net)
+    return lhs, res.series.scale(1 / Fraction(phi)) if phi != 1 else res.series, res.terms_used, g
 
 
 def record_sides(rec: IdentityRecord, order: int):
@@ -691,7 +693,7 @@ def verify_identity(rec: IdentityRecord, order: int = 200) -> VerificationReport
     t0 = time.perf_counter()
     try:
         lhs, rhs, terms, g = reduced_sides(rec, order)
-    except (VanishingDenominatorFactor, SingularMismatch, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         return VerificationReport(rec.id, "unverified", None, None, None, 0, order,
                                   (time.perf_counter() - t0) * 1000, cause=str(exc))
     diff = lhs.first_difference(rhs, -(-order // g))

@@ -342,7 +342,7 @@ def test_atom_that_does_not_divide_names_case(cat, extra, level):
 
 def test_pairing_check_rejects_flat_valuation(cat, sols):
     case = cat.cases["v3x1"]
-    flat = _with(case, pp_pref=(0,) + case.pp_pref[1:])
+    flat = _with(case, pp=dataclasses.replace(case.pp, pref_quad=0))
     with pytest.raises(NonmonotoneValuation):
         pairing_check(flat, sols["v3x1"], 120)
 
@@ -378,6 +378,15 @@ def test_emitted_matches_shipped_catalog_record(cat, sols):
             a = eval_term(ring, derived, n).series
             b = eval_term(ring, shipped, n).series
             assert a.first_difference(b, 100) is None
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_reduced_recipe_is_the_shipped_record_but_its_braces(cat, sols, cid):
+    # the case's term block with the solved Q is the emitted record, field for field
+    case = cat.cases[cid]
+    derived = reduced_recipe(case, sols[cid])
+    shipped = cat.get(case.emit_id).recipe
+    assert dataclasses.replace(derived, braces=shipped.braces) == shipped
 
 
 def test_pairwise_combination_matches_unreduced(cat, sols, monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,19 @@ def test_bisect_json_is_byte_identical_to_recorded(args):
     name = "_".join(("bisect",) + args).replace("--", "").replace("-", "_")
     assert proc.returncode == 0
     assert proc.stdout == (DATA / f"{name}.json").read_text()
+
+
+def test_bisect_contradicting_declared_sign_exits_1(tmp_path, capsys):
+    # the case alone, declaring '+' where the solver finds '-'
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    case = text[text.index("\ncase v1x3\n") + 1:]
+    case = case[:case.index("\nend\n") + 5]
+    p = tmp_path / "case.txt"
+    p.write_text(case.replace("\n  sign -\n", "\n  sign +\n"))
+    assert main(["--catalog", str(p), "--json", "bisect", "v1x3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == (DATA / "bisect_v1x3.json").read_text()
+    assert "case v1x3: solved sign - contradicts the declared sign +" in err
 
 
 def test_env_catalog_override(tmp_path, monkeypatch):

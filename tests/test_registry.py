@@ -82,7 +82,21 @@ def test_zero_denominator_is_a_located_catalog_error(tmp_path):
     p = _mutated(tmp_path, "classical-lower", lambda line: line + " 1/0")
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
-    assert str(exc.value) == "record g1x5pp (line 23): bad rational '1/0'"
+    assert str(exc.value) == "record g1x5pp (line 34): bad rational '1/0'"
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    # a value error names the line of its own key, also deep in a case's series
+    ("a", lambda line: "  a 1/x", "record g1x5pp (line 27): bad rational '1/x'"),
+    ("pp-poch-den", lambda line: line + " 1:1:m",
+     "case v1x3 (line 1066): bad count 'm'"),
+    ("t-w-den", lambda line: "  t-w-den 0:1/5", "case v1x3 (line 1071): exponent 1/5 is not a multiple of 1/12"),
+    ("qpoly", lambda line: line + "\n  qpoly 0 1", "record v1x3a (line 1006): qpoly line needs 'ypow coeff qexp'"),
+], ids=["record-parameter", "case-pp-poch", "case-t-w-den", "second-qpoly"])
+def test_value_error_names_its_key_line(tmp_path, key, edit, message):
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_mutated(tmp_path, key, edit))
+    assert str(exc.value) == message
 
 
 def test_negative_factorial_power_rejected(tmp_path):
@@ -179,9 +193,34 @@ def test_bisected_sign_must_agree_with_sign_alt(tmp_path, key, edit, message):
 
 def test_bisected_sign_plus_without_alternation_loads(tmp_path):
     p = _mutated(tmp_path, "sign", lambda line: "  sign +")
-    p.write_text(p.read_text().replace("  sign-alt true\n", "", 1))  # v1x3a's, the first
+    p.write_text(p.read_text().replace("  sign-alt true\n", "", 1)  # v1x3a's, the first
+                 .replace("deg-q 6\n  sign -", "deg-q 6\n  sign +", 1))  # and its case's
     rec = load_catalog(p).get("v1x3a")
     assert rec.sign == "+" and not rec.recipe.sign_alt
+
+
+def test_bisected_sign_must_equal_its_case_sign(tmp_path):
+    p = _mutated(tmp_path, "sign", lambda line: "  sign +")
+    p.write_text(p.read_text().replace("  sign-alt true\n", "", 1))
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value) == "record v1x3a (line 997): sign + contradicts case v1x3's sign -"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("  theorem 3U", "  theorem 9Z", "case v1x3 (line 1050): unknown theorem '9Z'"),
+    ("  a 4/3", "  a 4/5", "case v1x3 (line 1051): exponent 4/5 is not a multiple of 1/12"),
+    ("  sign -", "  sign x", "case v1x3 (line 1061): sign must be '+' or '-', got 'x'"),
+    ("  sign -", "  sign +", "record v1x3a (line 997): sign - contradicts case v1x3's sign +"),
+], ids=["unknown-theorem", "off-root-parameter", "not-a-sign", "record-contradicts-case"])
+def test_bad_case_header_is_a_located_catalog_error(tmp_path, old, new, message):
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    start = text.index(old + "\n", text.index("\ncase v1x3\n"))
+    p = tmp_path / "catalog.txt"
+    p.write_text(text[:start] + new + text[start + len(old):])
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value) == message
 
 
 def test_note_is_a_comment_key(cat, tmp_path):
@@ -325,3 +364,12 @@ def test_lhs_exponent_lists_are_balanced(cat):
         if any(e == 0 for e in num + den):
             continue
         assert sum(num) == sum(den), rec.id
+
+
+def test_case_poch_lines_follow_the_record_rules(cat, tmp_path):
+    # a case's *-poch-* line is optional, and '-' stands for no factor
+    p = _mutated(tmp_path, "t-poch-num", lambda line: "  t-poch-num -")
+    p.write_text(p.read_text().replace("  t-poch-den 4/3:1:n 4/3:1:n 3/2:1/2:3n\n", "", 1))
+    case = load_catalog(p).cases["v1x3"]
+    assert case.t.poch_num == case.t.poch_den == ()
+    assert case.pp == cat.cases["v1x3"].pp
