@@ -4,9 +4,12 @@ Terms are built by exact rational arithmetic (rising factorials, linear
 factors, rational payloads) and only converted to arbitrary-precision
 floats when accumulated, so Pochhammer quotients never lose cancellation.
 A run of terms comes from the spec compiled once into integer linear forms:
-each term's rising part is the previous one's times one integer quotient,
-and each term is a single Fraction, so a limit report takes a number of
-integer products linear in its terms.
+each term's rising part is the previous one's times one small integer
+quotient, and each term is a reduced (numerator, denominator) int pair made
+by big-by-small products, so a limit report takes a number of integer
+products linear in its terms and no gcd of two large ints.  The same pass
+keeps each term ratio t(n)/t(n-1) as a Fraction of small ints, which the
+rate fit reads instead of dividing two large terms.
 Closed forms are products of rationals, powers of pi, Gamma at rationals,
 and algebraic surds.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 from mpmath.libmp import from_int, fzero, mpf_abs, mpf_add, mpf_div
@@ -86,13 +89,13 @@ def eval_closed_form(spec: ClassicalSeries, ctx: BigFloatCtx):
     return acc
 
 
-def _rising(p: Fraction, m: int) -> Fraction:
-    """(p)_m (1 for m <= 0) as one Fraction: prod (a + j*b) / b^m for p = a/b."""
+def _rising(p: Fraction, m: int):
+    """(p)_m (1 for m <= 0) as integers (prod (a + j*b), b^m) for p = a/b."""
     a, b = p.numerator, p.denominator
     num = 1
     for j in range(m):
         num *= a + j * b
-    return Fraction(num, b ** max(m, 0))
+    return num, b ** max(m, 0)
 
 
 def _linear_product(factors, n) -> Fraction:
@@ -103,16 +106,21 @@ def _linear_product(factors, n) -> Fraction:
 
 
 def _rising_part(spec: ClassicalSeries, n: int) -> Fraction:
-    """base^n * prod fnum ((p)_{kn*n+kc})^power / prod fden (...) at n."""
-    acc = spec.base**n if spec.base != 1 else Fraction(1)
+    """base^n * prod fnum ((p)_{kn*n+kc})^power / prod fden (...) at n.
+
+    The numerator and denominator accumulate as integers; one Fraction
+    reduces them at the end.
+    """
+    num, den = spec.base.numerator**n, spec.base.denominator**n
     for f in spec.fnum:
-        acc *= _rising(f.p, f.kn * n + f.kc) ** f.power
+        rn, rd = _rising(f.p, f.kn * n + f.kc)
+        num, den = num * rn**f.power, den * rd**f.power
     for f in spec.fden:
-        d = _rising(f.p, f.kn * n + f.kc) ** f.power
-        if d == 0:
+        rn, rd = _rising(f.p, f.kn * n + f.kc)
+        if rn == 0 and f.power:
             raise DegenerateTerm(n, "(rising factorial)")
-        acc /= d
-    return acc
+        num, den = num * rd**f.power, den * rn**f.power
+    return Fraction(num, den)
 
 
 def _payload(spec: ClassicalSeries, n: int) -> Fraction:
@@ -147,7 +155,7 @@ def term_exact(spec: ClassicalSeries, n: int) -> Fraction:
     """Term n as an exact rational: the O(n) single-term reference.
 
     Every rising factorial is rebuilt from (p)_0 = 1, so one term costs O(n)
-    Fraction products per factor.  _exact_terms builds a run of terms at
+    integer products per factor.  _exact_terms builds a run of terms at
     O(1) integer products per term and is tested against this function.
     """
     return _rising_part(spec, n) * _payload(spec, n)
@@ -267,30 +275,52 @@ def _step_forms(spec: ClassicalSeries, n: int):
     return cn, upper, cd, lower
 
 
+def _times_small(num, den, sn, sd):
+    """The reduced pair num/den * sn/sd, for a reduced pair (den > 0) and small ints sd != 0.
+
+    As Fraction.__mul__: the small factor is reduced by its own gcd, then
+    cross-cancelled against the large pair, so no gcd of two large ints is
+    taken.  The result's denominator is positive.
+    """
+    g = gcd(sn, sd)
+    if sd < 0:
+        g = -g
+    sn, sd = sn // g, sd // g
+    g1, g2 = gcd(sn, den), gcd(sd, num)
+    return (num // g2) * (sn // g1), (den // g1) * (sd // g2)
+
+
 def _exact_terms(spec: ClassicalSeries, count: int):
-    """Terms start .. start+count-1 as exact rationals from compiled integer forms.
+    """Terms start .. start+count-1 as reduced int pairs, and their ratios.
+
+    Returns (terms, ratios).  terms[i] is term start+i as a reduced
+    (numerator, denominator) pair with a positive denominator; ratios[i] is
+    term start+i over term start+i-1 as a Fraction, or None for i = 0 and
+    wherever either term is 0.
 
     Each call compiles the spec into integer linear forms: the payload once
     (_compile_payload), and the rising-factorial step once it is fixed
     (_step_forms, taken anew at each step while a count is still clamped at
     0).  Term start takes _rising_part; each later rising part is the one
-    before times one integer quotient, and each term is one Fraction of
-    integers, so the list costs O(count) integer products
-    where term_exact at each n would cost O(count^2) Fraction products.  The
-    terms, and any DegenerateTerm with its n and message, are those of
-    term_exact.  A count that shrinks with n (kn < 0, which the catalog
-    grammar cannot write) would divide factors out again, so such a spec
-    takes term_exact at each n.
+    before times the step's small integer quotient, and each term is the
+    rising part times the payload pair, both as _times_small products, so
+    the list costs O(count) integer products where term_exact at each n
+    would cost O(count^2) integer products.  A ratio is the step times the
+    payload's ratio, all small ints.  The terms, and any DegenerateTerm with
+    its n and message, are those of term_exact.  A count that shrinks with n
+    (kn < 0, which the catalog grammar cannot write) raises ValueError.
     """
     if any(f.kn < 0 for f in (*spec.fnum, *spec.fden)):
-        return [term_exact(spec, n) for n in range(spec.start, spec.start + count)]
+        raise ValueError("a rising-factorial count must not shrink with n (kn < 0)")
     if count <= 0:
-        return []
+        return [], []
     # from this n on, every kn*(n-1)+kc >= 0 and the step's forms stay fixed
     ready = max((1 - f.kc // f.kn for f in (*spec.fnum, *spec.fden) if f.kn), default=0)
     payload = _compile_payload(spec)
-    out = []
     acc = _rising_part(spec, spec.start)
+    an, ad = acc.numerator, acc.denominator
+    terms, ratios = [], []
+    prev = None  # the payload pair of the term before, while that term is nonzero
     for n in range(spec.start, spec.start + count):
         if n > spec.start:
             if n == spec.start + 1 or n <= ready:
@@ -298,62 +328,68 @@ def _exact_terms(spec: ClassicalSeries, count: int):
             d = _at(lower, n)
             if d == 0:
                 raise DegenerateTerm(n, "(rising factorial)")
-            acc = Fraction(acc.numerator * cn * _at(upper, n), acc.denominator * cd * d)
+            sn, sd = cn * _at(upper, n), cd * d
+            an, ad = _times_small(an, ad, sn, sd)
         pn, pd = payload(n)
-        out.append(Fraction(acc.numerator * pn, acc.denominator * pd))
-    return out
+        tn, td = _times_small(an, ad, pn, pd)
+        terms.append((tn, td))
+        ratios.append(Fraction(sn * pn * prev[1], sd * pd * prev[0]) if tn and prev else None)
+        prev = (pn, pd) if tn else None
+    return terms, ratios
 
 
 def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=None):
     """Partial sum of the first `terms` terms plus a geometric tail estimate.
 
-    Returns (value, tail_estimate).  Terms are exact rationals floated one
-    at a time: each is rounded as ctx.mpf(term) rounds it and added as an
+    Returns (value, tail_estimate).  Terms are exact reduced (numerator,
+    denominator) int pairs floated one at a time: each is rounded as
+    ctx.mpf(Fraction(numerator, denominator)) rounds it and added as an
     mpf += adds it, but on raw mpmath values, with no mpf object per term.
-    The tail estimate is |last kept term| * r/(1-r) with r the declared
-    rate.  `exact` may hold the exact terms from spec.start on,
+    The denominator enters the division exactly, built directly as the
+    trailing-zero-free value from_int(denominator) returns, and a zero term
+    is skipped, since adding zero to the rounded total leaves it as it is.
+    The tail estimate is |last nonzero kept term| * r/(1-r) with r the
+    declared rate.  `exact` may hold the term pairs from spec.start on,
     already computed; only its first `terms` entries are used, and a shorter
     list raises ValueError.
     """
     if exact is None:
-        exact = _exact_terms(spec, terms)
+        exact = _exact_terms(spec, terms)[0]
     elif len(exact) < terms:
         raise ValueError(f"exact holds {len(exact)} terms, eval_series needs {terms}")
     c = ctx.ctx
     prec, rnd = c._prec_rounding
     total = (c.mpf(0) + ctx.mpf(spec.prefix))._mpf_
     last = fzero
-    for t in exact[:terms]:
-        ft = mpf_div(from_int(t.numerator, prec, rnd), from_int(t.denominator), prec, rnd)
-        total = mpf_add(total, ft, prec, rnd)
-        if t != 0:
-            last = mpf_abs(ft)
+    for num, den in exact[:terms]:
+        if num:
+            tz = (den & -den).bit_length() - 1
+            ft = mpf_div(from_int(num, prec, rnd), (0, den >> tz, tz, den.bit_length() - tz), prec, rnd)
+            total = mpf_add(total, ft, prec, rnd)
+            last = ft
     r = abs(ctx.mpf(spec.rate)) if spec.rate != 1 else c.mpf("0.5")
-    tail = c.make_mpf(last) * r / (1 - r)
+    tail = c.make_mpf(mpf_abs(last)) * r / (1 - r)
     return c.make_mpf(total), tail
 
 
-def measure_rate(spec: ClassicalSeries, upto: int = 30, *, exact=None):
+def measure_rate(spec: ClassicalSeries, upto: int = 30, *, ratios=None):
     """Successive term ratios and a Richardson-extrapolated limit.
 
     ratio_n = term(n+1)/term(n) tends to the convergence base like
     B*(1 + alpha/n + beta/n^2 + ...).  One Richardson step
     (n*r_n - (n-1)*r_{n-1}) cancels the 1/n correction; a second step on
     those values cancels 1/n^2, which some catalogued series need to reach
-    the declared base within 1% by n = 30.  `exact` may hold the exact terms
-    from spec.start on, already computed; only its first upto + 1 entries
-    are used, and a shorter list raises ValueError.
+    the declared base within 1% by n = 30.  The ratios are the small
+    Fractions _exact_terms keeps, one for each pair of consecutive nonzero
+    terms among the first upto + 1; no large term is divided.  `ratios` may
+    hold that list from spec.start on, already computed; only its first
+    upto + 1 entries are used, and a shorter list raises ValueError.
     """
-    if exact is None:
-        exact = _exact_terms(spec, upto + 1)
-    elif len(exact) < upto + 1:
-        raise ValueError(f"exact holds {len(exact)} terms, measure_rate needs {upto + 1}")
-    ratios = {}
-    prev = None
-    for n, t in enumerate(exact[:upto + 1], spec.start):
-        if prev not in (None, 0) and t != 0:
-            ratios[n - 1] = t / prev
-        prev = t
+    if ratios is None:
+        ratios = _exact_terms(spec, upto + 1)[1]
+    elif len(ratios) < upto + 1:
+        raise ValueError(f"ratios holds {len(ratios)} entries, measure_rate needs {upto + 1}")
+    ratios = {n: r for n, r in enumerate(ratios[1:upto + 1], spec.start) if r is not None}
     if not ratios:
         raise DegenerateTerm(spec.start, "(no consecutive nonzero terms)")
     ns = sorted(ratios)
@@ -374,15 +410,16 @@ def measure_rate(spec: ClassicalSeries, upto: int = 30, *, exact=None):
 def limit_report(rec_id: str, spec: ClassicalSeries, terms: int, ctx: BigFloatCtx):
     """The JSON-ready comparison of the partial sum against the closed form.
 
-    Each exact term is computed once and shared by the partial sum and the
-    rate fit.  Raises ValueError for terms < 2: the rate fit needs a ratio.
+    One _exact_terms pass gives the term pairs for the partial sum and the
+    ratios for the rate fit.  Raises ValueError for terms < 2: the rate fit
+    needs a ratio.
     """
     if terms < 2:
         raise ValueError(f"terms must be at least 2, got {terms}")
-    exact = _exact_terms(spec, terms)
+    exact, step_ratios = _exact_terms(spec, terms)
     value, tail = eval_series(spec, terms, ctx, exact=exact)
     target = eval_closed_form(spec, ctx)
-    ratios, fitted = measure_rate(spec, min(30, terms - 1), exact=exact)
+    ratios, fitted = measure_rate(spec, min(30, terms - 1), ratios=step_ratios)
     return {
         "id": rec_id,
         "series_value": mpmath.nstr(value, ctx.digits),

@@ -589,6 +589,8 @@ def load_catalog(path=None) -> Catalog:
                 raise CatalogError(f"{blk.where()}: root must be positive")
             continue
         if blk.kind == "case":
+            if blk.name in cases:
+                raise CatalogError(f"{blk.where()}: duplicate case id")
             _check_keys(blk, "case")
             cases[blk.name] = _parse_case(blk, root)
             continue

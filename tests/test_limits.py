@@ -299,7 +299,7 @@ _big_fraction = st.builds(F, st.integers(-(10**300), 10**300), st.integers(1, 10
 def test_eval_series_equals_mpf_object_loop(terms, prefix, rate, digits, guard):
     spec = dataclasses.replace(zero_series(), prefix=prefix, rate=rate)
     bf = BigFloatCtx(digits=digits, guard=guard)
-    got = eval_series(spec, len(terms), bf, exact=terms)
+    got = eval_series(spec, len(terms), bf, exact=pairs(terms))
     want = _eval_series_mpf(spec, terms, bf)
     assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
@@ -322,10 +322,41 @@ def reference_terms(spec, count):
     return [term_exact(spec, n) for n in range(spec.start, spec.start + count)]
 
 
+def pairs(fractions):
+    """(numerator, denominator) of each Fraction: reduced, with a positive denominator."""
+    return [(f.numerator, f.denominator) for f in fractions]
+
+
+def reference_ratios(terms):
+    """terms[i] / terms[i-1] where both are nonzero, else None (always None at i = 0)."""
+    return [None][:len(terms)] + [b / a if a and b else None for a, b in zip(terms, terms[1:])]
+
+
+def reference_exact(spec, count):
+    """_exact_terms from term_exact: the term pairs and their ratios."""
+    terms = reference_terms(spec, count)
+    return pairs(terms), reference_ratios(terms)
+
+
+def reference_rate_ratios(spec, terms):
+    """measure_rate's ratio dict by dividing term_exact values: n -> t(n+1)/t(n)."""
+    return {n: r for n, r in enumerate(reference_ratios(terms)[1:], spec.start) if r is not None}
+
+
 def test_exact_terms_match_term_exact_on_catalog(cat):
     for rec in cat.records:
         s = rec.classical
-        assert _exact_terms(s, 100) == reference_terms(s, 100), rec.id
+        assert _exact_terms(s, 100)[0] == pairs(reference_terms(s, 100)), rec.id
+
+
+def test_rate_ratios_match_term_exact_on_catalog(cat):
+    for rec in cat.records:
+        s = rec.classical
+        ref = reference_terms(s, 100)
+        for count in (40, 100):
+            want = reference_rate_ratios(s, ref[:count])
+            assert measure_rate(s, count - 1)[0] == want, (rec.id, count)
+            assert _exact_terms(s, count)[1] == reference_ratios(ref[:count]), (rec.id, count)
 
 
 def series(fnum=(), fden=(), base=F(1, 2), start=0, **payload):
@@ -350,7 +381,7 @@ SYNTHETIC = {
                       poly=(F(1), F(3)), polyden=(F(2), F(1))),
     "numerator zero": series((FF(F(-3), 1, 0, 1),), (FF(F(1, 2), 1, 0, 1),), poly=(F(1), F(1))),
     "numerator p = 0": series((FF(F(0), 2, 0, 1),), (), start=1),
-    "shrinking count": series((FF(F(1, 2), -1, 5, 1),), (FF(F(1), 1, 0, 1),)),
+    "denominator zero to power 0": series((FF(F(1, 2), 1, 0, 1),), (FF(F(-3), 1, 0, 0), FF(F(1), 1, 0, 1))),
     "payload": series(
         (FF(F(1, 2), 1, 0, 2),), (FF(F(1), 1, 0, 2),), factor_num=(LF(F(3), F(8)),),
         factor_den=(LF(F(1), F(3), 2),),
@@ -363,9 +394,39 @@ SYNTHETIC = {
 @pytest.mark.parametrize("name", SYNTHETIC)
 def test_exact_terms_match_term_exact_synthetic(name):
     s = SYNTHETIC[name]
-    assert _exact_terms(s, 40) == reference_terms(s, 40)
-    assert _exact_terms(s, 1) == reference_terms(s, 1)
-    assert _exact_terms(s, 0) == []
+    assert _exact_terms(s, 40) == reference_exact(s, 40)
+    assert _exact_terms(s, 1) == reference_exact(s, 1)
+    assert _exact_terms(s, 0) == ([], [])
+
+
+def test_exact_terms_rejects_shrinking_count():
+    # a count kn*n + kc with kn < 0 divides factors out again; the catalog
+    # grammar cannot write one, and only term_exact evaluates it
+    s = series((FF(F(1, 2), -1, 5, 1),), (FF(F(1), 1, 0, 1),))
+    assert term_exact(s, 3) == F(1, 8) * F(1, 2) * F(3, 2) / 6
+    with pytest.raises(ValueError, match="kn < 0"):
+        _exact_terms(s, 10)
+    with pytest.raises(ValueError, match="kn < 0"):
+        measure_rate(s, 5)
+
+
+ZERO_TERMS = {
+    # (-2)_n is 0 from n = 3 on: every later term is 0
+    "rising part reaches 0": (series((FF(F(-2), 1, 0, 1),), (FF(F(1, 2), 1, 0, 1),)), {0, 1}),
+    # the payload factor n - 3 is 0 at n = 3 only: no ratio across that term
+    "payload factor vanishes": (series((FF(F(1, 2), 1, 0, 1),), (FF(F(1), 1, 0, 1),),
+                                       factor_num=(LF(F(-3), F(1)),)), {0, 1, 4, 5, 6, 7, 8}),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_TERMS)
+def test_rate_ratios_skip_zero_terms(name):
+    s, keys = ZERO_TERMS[name]
+    ref = reference_terms(s, 10)
+    ratios, _ = measure_rate(s, 9)
+    assert set(ratios) == keys
+    assert ratios == reference_rate_ratios(s, ref)
+    assert _exact_terms(s, 10) == (pairs(ref), reference_ratios(ref))
 
 
 DEGENERATE = {
@@ -390,7 +451,7 @@ def test_exact_terms_degenerate_like_term_exact(name):
             break
     else:
         pytest.fail("term_exact never raised")
-    assert _exact_terms(s, expected.n - s.start) == reference_terms(s, expected.n - s.start)
+    assert _exact_terms(s, expected.n - s.start) == reference_exact(s, expected.n - s.start)
     with pytest.raises(DegenerateTerm) as got:
         _exact_terms(s, 20)
     assert (got.value.n, str(got.value)) == (expected.n, str(expected))
@@ -443,12 +504,31 @@ def test_exact_terms_match_term_exact_random(s):
             expected = exc
             break
     if expected is None:
-        assert _exact_terms(s, count) == reference_terms(s, count)
+        assert _exact_terms(s, count) == reference_exact(s, count)
         return
-    assert _exact_terms(s, expected.n - s.start) == reference_terms(s, expected.n - s.start)
+    assert _exact_terms(s, expected.n - s.start) == reference_exact(s, expected.n - s.start)
     with pytest.raises(DegenerateTerm) as got:
         _exact_terms(s, count)
     assert (got.value.n, str(got.value)) == (expected.n, str(expected))
+
+
+@given(random_series())
+@settings(max_examples=70, deadline=None)
+def test_rate_ratios_match_term_exact_random(s):
+    count = 8
+    try:
+        ref = reference_terms(s, count)
+    except DegenerateTerm as exc:
+        with pytest.raises(DegenerateTerm) as got:
+            measure_rate(s, count - 1)
+        assert (got.value.n, str(got.value)) == (exc.n, str(exc))
+        return
+    want = reference_rate_ratios(s, ref)
+    if not want:
+        with pytest.raises(DegenerateTerm, match="no consecutive nonzero terms"):
+            measure_rate(s, count - 1)
+        return
+    assert measure_rate(s, count - 1)[0] == want
 
 
 @pytest.mark.parametrize("terms,digits", [(40, 60), (100, 120)], ids=["40x60", "100x120"])
@@ -462,20 +542,20 @@ def test_limit_reports_match_recorded(cat, terms, digits):
 def test_limit_report_matches_term_exact_reports(cat, monkeypatch):
     ctx = BigFloatCtx(digits=60)
     fast = [json.dumps(limit_report(r.id, r.classical, 40, ctx)) for r in cat.records]
-    monkeypatch.setattr(limits, "_exact_terms", reference_terms)
+    monkeypatch.setattr(limits, "_exact_terms", reference_exact)
     slow = [json.dumps(limit_report(r.id, r.classical, 40, ctx)) for r in cat.records]
     assert fast == slow
 
 
 def test_short_exact_list_rejected(ctx, cat):
     s = cat.get("g1x5pp").classical
-    exact = _exact_terms(s, 10)
+    exact, ratios = _exact_terms(s, 10)
     with pytest.raises(ValueError):
         eval_series(s, 11, ctx, exact=exact)
     with pytest.raises(ValueError):
-        measure_rate(s, 10, exact=exact)
+        measure_rate(s, 10, ratios=ratios)
     assert eval_series(s, 10, ctx, exact=exact) == eval_series(s, 10, ctx)
-    assert measure_rate(s, 9, exact=exact) == measure_rate(s, 9)
+    assert measure_rate(s, 9, ratios=ratios) == measure_rate(s, 9)
 
 
 def test_bad_limit_parameters_rejected(ctx, cat):

@@ -244,6 +244,20 @@ def test_duplicate_id_rejected(tmp_path):
         load_catalog(p)
 
 
+def test_duplicate_case_id_is_a_located_catalog_error(tmp_path):
+    # a second case v1x3 must not replace the first
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    start = text.index("\ncase v1x3\n") + 1
+    block = text[start:text.index("\nend\n", start) + 5]
+    assert "  deg-q 6\n" in block
+    p = tmp_path / "catalog.txt"
+    p.write_text(text + "\n" + block.replace("  deg-q 6\n", "  deg-q 2\n"))
+    line = text.count("\n") + 2
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(p)
+    assert str(exc.value) == f"case v1x3 (line {line}): duplicate case id"
+
+
 def test_unterminated_block_rejected(tmp_path):
     p = tmp_path / "open.txt"
     p.write_text("root 12\nrecord x\n kind theorem\n")
