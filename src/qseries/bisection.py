@@ -233,15 +233,13 @@ def _fe_system(case: BisectionCase):
     )
 
 
-def solve_Q(case: BisectionCase, deg_q: int | None = None, forced_sign: str | None = None):
-    """Assemble and solve the functional-equation system for each sign.
+def solve_Q(case: BisectionCase, forced_sign: str | None = None):
+    """Assemble and solve the functional-equation system for each sign, at case.deg_q.
 
     Returns a BisectionSolution for the unique consistent sign.  Raises
     NoBisection when neither sign works and AmbiguousSign when both do.
     """
-    if deg_q is None:
-        deg_q = case.deg_q
-    return _solve_signs(case, _fe_system(case), deg_q, forced_sign)
+    return _solve_signs(case, _fe_system(case), case.deg_q, forced_sign)
 
 
 def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | None):

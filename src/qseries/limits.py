@@ -35,18 +35,23 @@ class DegenerateTerm(ArithmeticError):
         self.n = n
 
 
+GUARD_DIGITS = 10
+
+
 @dataclass(frozen=True)
 class BigFloatCtx:
-    """An isolated arbitrary-precision context (no global precision state)."""
+    """An isolated arbitrary-precision context (no global precision state).
+
+    It works at digits + GUARD_DIGITS decimal digits.
+    """
 
     digits: int = 60
-    guard: int = 10
 
     def __post_init__(self):
-        if self.digits < 1 or self.guard < 0:
-            raise ValueError(f"need digits >= 1 and guard >= 0, got digits={self.digits}, guard={self.guard}")
+        if self.digits < 1:
+            raise ValueError(f"need digits >= 1, got digits={self.digits}")
         ctx = mpmath.ctx_mp.MPContext()
-        ctx.dps = self.digits + self.guard
+        ctx.dps = self.digits + GUARD_DIGITS
         object.__setattr__(self, "_ctx", ctx)
 
     @property

@@ -204,6 +204,8 @@ def _parse_poch(tok, root, where):
         raise CatalogError(f"{where}: Pochhammer factor needs exp:step:count, got {tok!r}")
     arg = _texp(_frac(parts[0], where), root, where)
     step = _texp(_frac(parts[1], where), root, where)
+    if step <= 0:
+        raise CatalogError(f"{where}: Pochhammer step must be positive, got {parts[1]}")
     kn, kc = _parse_count(parts[2], where)
     return PochF(1, arg, kn, kc, step)
 
@@ -499,6 +501,8 @@ def _parse_recipe(name, blk, root, prefix="", product=None):
     pref = tuple(_int(x, at) for x in text.split())
     if len(pref) != 3:
         raise CatalogError(f"{at}: {prefix}pref needs three t-exponent coefficients")
+    if pref[0] <= 0:
+        raise CatalogError(f"{at}: {prefix}pref needs a positive quadratic coefficient, got {pref[0]}")
     groups = []
     brace_terms = []
     for line, at in blk.values(prefix + "brace"):

@@ -25,8 +25,10 @@ against its own bound (NonmonotoneValuation guards the stop rule).
 The finite Pochhammer block is carried across n (carried_terms): block n+1
 is block n times only the new factors of each (x; t^step)_{kn*n+kc}, kept
 at the precision the later terms still need, which shrinks as the quadratic
-prefactor grows.  eval_term, which builds a term from scratch, stays the
-per-term reference; a carried term that does not resolve falls back to it.
+prefactor grows.  It is the only right-side evaluator the engine runs; a
+term that falls short of the order or of its valuation bound raises
+NonmonotoneValuation.  eval_term builds one term from scratch in one pass; it
+is the per-term reference and the evaluator of the rational ring.
 
 Reduced root: every exponent of a recipe may share a factor g with its root
 (root_gcd).  Both sides are then series in s = t^g, and reduce_root rewrites
@@ -584,30 +586,6 @@ def eval_weight(ring, bt: SeriesRecipe, n: int, block, shadow: SeriesRecipe | No
     return acc, net, phi, False
 
 
-def eval_term(ring, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None = None) -> TermValue:
-    """Regularized term n: value, net dropped zero factors, and their weight."""
-    if ring.mode == "rational":
-        acc, net, phi, dead = _eval_term_core(ring, bt, n, shadow)
-        return TermValue(ring.zero(), None) if dead else TermValue(acc, net, phi)
-    margin = _margin(bt, n)
-    for _ in range(3):
-        work = SeriesRing(order=ring.order + margin, root=ring.root)
-        acc, net, phi, dead = _eval_term_core(work, bt, n, shadow)
-        if dead:
-            return TermValue(ring.zero(), None)
-        if acc.order is None or acc.order >= ring.order:
-            if not acc.is_zero and acc.val_floor() < term_valuation_bound(bt, n):
-                raise NonmonotoneValuation(
-                    f"term n={n} valuation {acc.val_floor() * bt.unit} below structural "
-                    f"bound {term_valuation_bound(bt, n) * bt.unit}"
-                )
-            return TermValue(acc.truncate(ring.order), net, phi)
-        margin = 2 * margin + ring.order
-    raise NonmonotoneValuation(
-        f"term n={n} resolved only to t^{acc.order * bt.unit} < requested t^{ring.order * bt.unit}"
-    )
-
-
 def _prefactor(bt: SeriesRecipe, n: int):
     """(coefficient, t-exponent) of the prefactor monomial of term n."""
     coeff = bt.pref_base**n if bt.pref_base != 1 else 1
@@ -616,34 +594,8 @@ def _prefactor(bt: SeriesRecipe, n: int):
     return coeff, bt.pref_quad * n * n + bt.pref_lin * n + bt.pref_const
 
 
-def _eval_term_core(work, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None):
-    acc = work.mono(*_prefactor(bt, n))
-    net = 0
-    phi = 1
-    for i, f in enumerate(bt.poch_num):
-        acc, dr, ph = _apply_poch(work, acc, f, n, False, shadow.poch_num[i] if shadow else None)
-        net -= dr
-        phi = phi * ph
-    for i, f in enumerate(bt.poch_den):
-        acc, dr, ph = _apply_poch(work, acc, f, n, True, shadow.poch_den[i] if shadow else None)
-        net += dr
-        phi = phi * ph
-    acc, wnet, wphi, dead = eval_weight(work, bt, n, acc, shadow)
-    if dead:
-        return None, None, 1, True
-    return acc, net + wnet, phi * wphi, False
-
-
-def _margin(bt: SeriesRecipe, n: int) -> int:
-    """Working-order headroom covering every negative-valuation factor."""
-    gross = max(0, -_prefactor(bt, n)[1]) + _weight_margin(bt, n)
-    for f in bt.poch_num:
-        gross += -_poch_val(f, n)
-    return gross
-
-
 def _weight_margin(bt: SeriesRecipe, n: int) -> int:
-    """The part of _margin that W_n's negative exponents need."""
+    """Working-order headroom for W_n's negative exponents at term n."""
     gross = 0
     for a in bt.w_num:
         gross += -_atom_val(a, n)
@@ -652,6 +604,47 @@ def _weight_margin(bt: SeriesRecipe, n: int) -> int:
             (max(0, -t.mono.texp(n)) + sum(-_atom_val(x, n) for x in t.num)) for t in group
         )
     return gross
+
+
+def _resolved(acc, order: int, bound: int, n: int, unit: int):
+    """acc cut to the order, once it is known to the order and clears the bound."""
+    if acc.order is not None and acc.order < order:
+        raise NonmonotoneValuation(
+            f"term n={n} resolved only to t^{acc.order * unit} < requested t^{order * unit}"
+        )
+    if not acc.is_zero and acc.val_floor() < bound:
+        raise NonmonotoneValuation(
+            f"term n={n} valuation {acc.val_floor() * unit} below structural bound {bound * unit}"
+        )
+    return acc.truncate(order)
+
+
+def eval_term(ring, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None = None) -> TermValue:
+    """Regularized term n from scratch: value, net dropped zero factors, and their weight.
+
+    One pass at ring.order + _weight_margin(bt, n) resolves the term: the
+    prefactor and the numerator Pochhammer factors act while the value is
+    still exact, and the first division cuts it at the working order, so
+    only W_n's negative exponents act below that cut.  A term that still
+    falls short, or below its valuation bound, raises NonmonotoneValuation.
+    """
+    series = ring.mode != "rational"
+    work = SeriesRing(order=ring.order + _weight_margin(bt, n), root=ring.root) if series else ring
+    acc = work.mono(*_prefactor(bt, n))
+    net = 0
+    phi = 1
+    for invert, facs, shs in ((False, bt.poch_num, shadow and shadow.poch_num),
+                              (True, bt.poch_den, shadow and shadow.poch_den)):
+        for i, f in enumerate(facs):
+            acc, dr, ph = _apply_poch(work, acc, f, n, invert, shs[i] if shs else None)
+            net += dr if invert else -dr
+            phi = phi * ph
+    acc, wnet, wphi, dead = eval_weight(work, bt, n, acc, shadow)
+    if dead:
+        return TermValue(ring.zero(), None)
+    if series:
+        acc = _resolved(acc, ring.order, term_valuation_bound(bt, n), n, bt.unit)
+    return TermValue(acc, net + wnet, phi * wphi)
 
 
 def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
@@ -669,17 +662,16 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
     negative exponent will shift it down.
 
     Every term equals eval_term(ring, bt, n, shadow), the per-term
-    reference, which also takes over any term that does not resolve and a
-    recipe whose counts shrink with n (kn < 0).  A vanishing factor raises
-    at the first term whose block holds it, as in eval_term.
+    reference, and raises what it raises: NonmonotoneValuation for a term
+    short of the order or below its bound, and for a vanishing factor the
+    error of the first term whose block holds it.  A count that shrinks with
+    n (kn < 0) cannot be carried and raises ValueError.
     """
+    if any(f.kn < 0 for f in (*bt.poch_num, *bt.poch_den)):
+        raise ValueError("a Pochhammer count must not shrink with n (kn < 0)")
     order, root = ring.order, ring.root
     terms = [(n, b) for n in range(bt.n_start, stop_index(bt, order) + 1)
              if (b := term_valuation_bound(bt, n)) < order]
-    if any(f.kn < 0 for f in (*bt.poch_num, *bt.poch_den)):
-        for n, _ in terms:
-            yield n, eval_term(ring, bt, n, shadow)
-        return
     margin = [_weight_margin(bt, n) for n, _ in terms]
     low = [-sum(_poch_val(f, n) for f in bt.poch_num) for n, _ in terms]   # downward shift of B(n)
     # reach[i]: the precision B(n_i) needs plus low[i], then the most of it any later term needs
@@ -705,10 +697,8 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
         acc, wnet, wphi, dead = eval_weight(work, bt, n, work.times_mono(block, coeff, texp), shadow)
         if dead:
             yield n, TermValue(ring.zero(), None)
-        elif acc.order < order or (not acc.is_zero and acc.val_floor() < bound):
-            yield n, eval_term(ring, bt, n, shadow)
         else:
-            yield n, TermValue(acc.truncate(order), net + wnet, phi * wphi)
+            yield n, TermValue(_resolved(acc, order, bound, n, bt.unit), net + wnet, phi * wphi)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON determinism, env-var catalog override."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -11,12 +12,15 @@ import pytest
 from qseries.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def run_cli(*args):
+    # the child finds the package from a source checkout too, as pytest does
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qseries.cli", *args],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 

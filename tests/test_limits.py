@@ -294,11 +294,10 @@ _big_fraction = st.builds(F, st.integers(-(10**300), 10**300), st.integers(1, 10
     prefix=_big_fraction,
     rate=st.just(F(1)) | st.fractions(min_value=F(-99, 100), max_value=F(99, 100)).filter(bool),
     digits=st.integers(1, 80),
-    guard=st.integers(0, 12),
 )
-def test_eval_series_equals_mpf_object_loop(terms, prefix, rate, digits, guard):
+def test_eval_series_equals_mpf_object_loop(terms, prefix, rate, digits):
     spec = dataclasses.replace(zero_series(), prefix=prefix, rate=rate)
-    bf = BigFloatCtx(digits=digits, guard=guard)
+    bf = BigFloatCtx(digits=digits)
     got = eval_series(spec, len(terms), bf, exact=pairs(terms))
     want = _eval_series_mpf(spec, terms, bf)
     assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
@@ -564,7 +563,7 @@ def test_bad_limit_parameters_rejected(ctx, cat):
         with pytest.raises(ValueError, match="terms"):
             limit_report("g1x5pp", s, terms, ctx)
     assert limit_report("g1x5pp", s, 2, ctx)["terms"] == 2
-    for kwargs in ({"digits": 0}, {"digits": -1}, {"guard": -1}):
+    for kwargs in ({"digits": 0}, {"digits": -1}):
         with pytest.raises(ValueError):
             BigFloatCtx(**kwargs)
-    assert BigFloatCtx(digits=1, guard=0).ctx.dps == 1
+    assert BigFloatCtx(digits=1).ctx.dps == 11     # 10 guard digits

@@ -101,7 +101,7 @@ def evaluated(bt, order):
 
 
 def assert_carried_match(bt, shadow, order, monkeypatch=None):
-    """carried_terms equals eval_term; with monkeypatch, no term fell back to it."""
+    """carried_terms equals eval_term; with monkeypatch, it also never called eval_term."""
     ring = SeriesRing(order=order, root=bt.root)
     assert evaluated(bt, order)
     fallbacks = []
@@ -230,7 +230,6 @@ SHAPES = {
     # a denominator block of negative valuation and a constant count
     "negative_denominator": dict(poch_den=(PochF(2, -30, 1, 0, 12), PochF(1, 6, 0, 4, 12))),
     "count_starts_negative": dict(poch_num=(PochF(1, 3, 2, -3, 12),), poch_den=(PochF(1, 5, 1, -2, 4),)),
-    "shrinking_count": dict(poch_num=(PochF(1, 3, -1, 6, 12),)),
     "n_start_and_sign": dict(n_start=2, sign_alt=True, pref_base=F(-2, 3), pref_lin=-30, poch_num=(PochF(1, 1, 1, 0, 12),)),
     "weight_below_zero": dict(w_num=(BExp(-5, -20),), poch_num=(PochF(1, 2, 1, 0, 12),)),
 }
@@ -253,16 +252,27 @@ def test_carried_vanishing_factor_raises_as_eval_term():
     assert [x[0] for x in carried] == [0, 1, 2, SingularMismatch]
 
 
-def test_carried_falls_back_when_a_term_does_not_resolve(monkeypatch):
-    """With no headroom for W_n the carried terms fall back to eval_term, exactly."""
+def test_carried_terms_reject_a_shrinking_count():
+    """A count kn*n + kc with kn < 0 cannot be carried; eval_term still evaluates it."""
+    shrinking = PochF(1, 3, -1, 6, 12)
+    bt = replace(CATALOG.get("u2-05").recipe, poch_num=(shrinking,), poch_den=())
+    ring = SeriesRing(order=120, root=12)
+    with pytest.raises(ValueError, match="kn < 0"):
+        next(carried_terms(ring, bt))
+    for n in evaluated(bt, 120):
+        # at each n the block is (t^3; t^12)_{6-n}, the same as a constant count
+        fixed = replace(bt, poch_num=(replace(shrinking, kn=0, kc=max(0, shrinking.count(n))),))
+        assert values(n, eval_term(ring, bt, n)) == values(n, eval_term(ring, fixed, n))
+
+
+def test_term_short_of_the_order_raises_on_both_paths(monkeypatch):
+    """With no headroom for W_n, term 0 of u2-12 falls short of the order on either path."""
     bt = CATALOG.get("u2-12").recipe
     ring = SeriesRing(order=120, root=12)
-    expected = reference_outcomes(ring, bt, None)
-    fallbacks = []
     monkeypatch.setattr(theorems, "_weight_margin", lambda bt, n: 0)
-    monkeypatch.setattr(theorems, "eval_term", lambda *args: fallbacks.append(args[2]) or eval_term(*args))
-    assert carried_outcomes(ring, bt, None) == expected
-    assert fallbacks
+    short = (NonmonotoneValuation, "term n=0 resolved only to t^110 < requested t^120")
+    assert carried_outcomes(ring, bt, None) == [short]
+    assert reference_outcomes(ring, bt, None) == [short]
 
 
 def test_carried_raises_as_eval_term_below_the_valuation_bound(monkeypatch):

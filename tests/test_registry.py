@@ -207,6 +207,15 @@ def test_bisected_sign_must_equal_its_case_sign(tmp_path):
     assert str(exc.value) == "record v1x3a (line 997): sign + contradicts case v1x3's sign -"
 
 
+def _edited_in_block(tmp_path, header, old, new):
+    """The shipped catalog with the first line old after header replaced by new."""
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    start = text.index("\n" + old + "\n", text.index(f"\n{header}\n")) + 1
+    p = tmp_path / "catalog.txt"
+    p.write_text(text[:start] + new + text[start + len(old):])
+    return p
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("  theorem 3U", "  theorem 9Z", "case v1x3 (line 1050): unknown theorem '9Z'"),
     ("  a 4/3", "  a 4/5", "case v1x3 (line 1051): exponent 4/5 is not a multiple of 1/12"),
@@ -214,13 +223,36 @@ def test_bisected_sign_must_equal_its_case_sign(tmp_path):
     ("  sign -", "  sign +", "record v1x3a (line 997): sign - contradicts case v1x3's sign +"),
 ], ids=["unknown-theorem", "off-root-parameter", "not-a-sign", "record-contradicts-case"])
 def test_bad_case_header_is_a_located_catalog_error(tmp_path, old, new, message):
-    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
-    start = text.index(old + "\n", text.index("\ncase v1x3\n"))
-    p = tmp_path / "catalog.txt"
-    p.write_text(text[:start] + new + text[start + len(old):])
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_edited_in_block(tmp_path, "case v1x3", old, new))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+@pytest.mark.parametrize("header, old, factor, where", [
+    ("record u2-06", "  poch-num 1/6:1:n 5/6:1:n 7/6:1:n -7/6:1:n 13/6:1:n 19/6:1:n 11/6:1:2n",
+     "-7/6:1:n", "record u2-06 (line 110)"),
+    ("case v1x3", "  pp-poch-den 4/3:1:2n+1 4/3:1:2n+1 3/2:1/2:6n+3", "3/2:1/2:6n+3", "case v1x3 (line 1066)"),
+], ids=["record-poch-num", "case-pp-poch-den"])
+def test_poch_step_must_be_positive(tmp_path, header, old, factor, where, step):
+    exp, _, count = factor.split(":")
+    p = _edited_in_block(tmp_path, header, old, old.replace(factor, f"{exp}:{step}:{count}"))
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{where}: Pochhammer step must be positive, got {step}"
+
+
+@pytest.mark.parametrize("header, old, new, where", [
+    ("record u2-06", "  pref 12 8 0", "  pref 0 8 0", "record u2-06 (line 109): pref"),
+    ("record u2-06", "  pref 12 8 0", "  pref -12 8 0", "record u2-06 (line 109): pref"),
+    ("case v1x3", "  pp-pref 36 14 0", "  pp-pref 0 14 0", "case v1x3 (line 1064): pp-pref"),
+    ("case v1x3", "  t-pref 9 7 0", "  t-pref -9 7 0", "case v1x3 (line 1068): t-pref"),
+], ids=["record-zero", "record-negative", "case-pp-zero", "case-t-negative"])
+def test_pref_needs_a_positive_quadratic_coefficient(tmp_path, header, old, new, where):
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_edited_in_block(tmp_path, header, old, new))
+    quad = new.split()[1]
+    assert str(exc.value) == f"{where} needs a positive quadratic coefficient, got {quad}"
 
 
 def test_note_is_a_comment_key(cat, tmp_path):

@@ -11,6 +11,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qseries import kernel
 from qseries.inversion import NonmonotoneValuation, VanishingDenominatorFactor, params_from_exponents
@@ -25,7 +27,9 @@ from qseries.theorems import (
     SeriesRecipe,
     TermValue,
     _apply_poch,
-    _margin,
+    _poch_val,
+    _prefactor,
+    _weight_margin,
     bind_theorem,
     eval_term,
     eval_weight,
@@ -68,12 +72,23 @@ def undistributed_core(work, bt, n, shadow):
     return acc * w, net + wnet, phi * wphi, False
 
 
+def gross_margin(bt, n):
+    """Headroom for every negative-valuation factor: prefactor, numerator block and W_n."""
+    return (max(0, -_prefactor(bt, n)[1]) + _weight_margin(bt, n)
+            - sum(_poch_val(f, n) for f in bt.poch_num))
+
+
 def undistributed_term(ring, bt, n, shadow):
-    """eval_term's working-ring and retry rule around undistributed_core."""
+    """Term n by undistributed_core, at a gross margin widened up to twice.
+
+    The product acc * W_n loses the precision of both factors, so this
+    reference needs headroom for the block's negative exponents as well as
+    W_n's, and a retry when that is not enough.
+    """
     if ring.mode == "rational":
         acc, net, phi, dead = undistributed_core(ring, bt, n, shadow)
         return TermValue(ring.zero(), None) if dead else TermValue(acc, net, phi)
-    margin = _margin(bt, n)
+    margin = gross_margin(bt, n)
     for _ in range(3):
         work = SeriesRing(order=ring.order + margin, root=ring.root)
         acc, net, phi, dead = undistributed_core(work, bt, n, shadow)
@@ -204,3 +219,41 @@ def test_stop_index_ignores_raising_parts(tmp_path):
     assert stop_index(bt, 24) <= 5
     rep = verify_identity(rec, 24)
     assert rep.status == "verified" and rep.terms_used == 2
+
+
+# Random recipes with every part that lowers the valuation: a negative
+# prefactor, numerator Pochhammer factors of negative exponent, and negative
+# w_num atoms, brace monomials and brace numerator atoms, with and without
+# denominators.  Coefficients are never 1, so no factor vanishes.
+_coeff = st.sampled_from([2, -1, F(1, 2), F(-3, 2), F(2, 3)])
+_atom = st.builds(BExp, st.integers(-4, 3), st.integers(-24, 10), _coeff)
+_poch = st.builds(PochF, _coeff, st.integers(-24, 10), st.integers(0, 2), st.integers(-1, 3), st.integers(1, 12))
+_brace_term = st.builds(BraceTerm, _atom, st.tuples() | st.tuples(_atom) | st.tuples(_atom, _atom),
+                        st.tuples() | st.tuples(_atom))
+_brace_group = st.lists(_brace_term, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def one_pass_recipes(draw):
+    dens = draw(st.booleans())
+    return SeriesRecipe(
+        "random", 12, (), (),
+        pref_quad=draw(st.integers(6, 24)), pref_lin=draw(st.integers(-24, 10)),
+        pref_const=draw(st.integers(-40, 10)), pref_base=draw(st.sampled_from([1, -2, F(1, 3)])),
+        sign_alt=draw(st.booleans()), n_start=draw(st.integers(0, 2)),
+        poch_num=tuple(draw(st.lists(_poch, max_size=3))),
+        poch_den=tuple(draw(st.lists(_poch, min_size=1, max_size=2))) if dens else (),
+        w_num=tuple(draw(st.lists(_atom, max_size=2))),
+        w_den=tuple(draw(st.lists(_atom, max_size=2))) if dens else (),
+        braces=tuple(draw(st.lists(_brace_group, min_size=1, max_size=2))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(bt=one_pass_recipes(), order=st.integers(12, 120))
+def test_one_pass_term_matches_undistributed_reference(bt, order):
+    """eval_term's single pass at order + _weight_margin resolves every term."""
+    ring = SeriesRing(order=order, root=12)
+    for n in range(bt.n_start, stop_index(bt, order) + 1):
+        if term_valuation_bound(bt, n) < order:
+            assert outcome(eval_term, ring, bt, n, None) == outcome(undistributed_term, ring, bt, n, None), n
