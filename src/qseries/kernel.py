@@ -11,7 +11,9 @@ ints by itself, so only an output that holds a Fraction is rewritten.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import sub
 
 IMPLEMENTATION = "python"
 
@@ -45,11 +47,29 @@ def mul_dense(a, b, nmax):
     return _canonical(out)
 
 
-def mul_binom(a, e, c, nmax):
-    """Multiply a by (1 - c*t**e) with e > 0, truncated to nmax coefficients."""
+def _padded(a, n):
+    """a cut or padded with zeros to n coefficients, as a new list."""
     la = len(a)
-    n = min(nmax, la + e)
-    out = list(a[:n]) + [0] * (n - min(la, n))
+    if la >= n:
+        return list(a[:n])
+    out = list(a)
+    out += [0] * (n - la)
+    return out
+
+
+def mul_binom(a, e, c, nmax):
+    """Multiply a by (1 - c*t**e) with e > 0, truncated to nmax coefficients.
+
+    c == 1, every step of the catalog, is one subtraction of the shifted
+    window.
+    """
+    n = len(a) + e
+    if nmax < n:
+        n = nmax
+    out = _padded(a, n)
+    if c == 1:
+        out[e:] = map(sub, out[e:], a)   # n - e <= len(a), so map stops with out[e:]
+        return _canonical(out)
     for i, ai in enumerate(a[: max(0, n - e)], e):
         if ai:
             out[i] -= c * ai
@@ -57,9 +77,18 @@ def mul_binom(a, e, c, nmax):
 
 
 def div_binom(a, e, c, nmax):
-    """Divide a by (1 - c*t**e) with e > 0, extended to nmax coefficients."""
-    la = len(a)
-    out = list(a[:nmax]) + [0] * (nmax - min(la, nmax))
+    """Divide a by (1 - c*t**e) with e > 0, extended to nmax coefficients.
+
+    c == 1 is a running sum with stride e: accumulate for e == 1, else a
+    branch-free loop (strided slices are short at the catalog's orders).
+    """
+    out = _padded(a, nmax)
+    if c == 1:
+        if e == 1:
+            return _canonical(list(accumulate(out)))
+        for i in range(e, nmax):
+            out[i] += out[i - e]
+        return _canonical(out)
     for i in range(e, nmax):
         prev = out[i - e]
         if prev:

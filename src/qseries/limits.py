@@ -295,13 +295,14 @@ def _times_small(num, den, sn, sd):
     return (num // g2) * (sn // g1), (den // g1) * (sd // g2)
 
 
-def _exact_terms(spec: ClassicalSeries, count: int):
+def _exact_terms(spec: ClassicalSeries, count: int, rated: int | None = None):
     """Terms start .. start+count-1 as reduced int pairs, and their ratios.
 
     Returns (terms, ratios).  terms[i] is term start+i as a reduced
     (numerator, denominator) pair with a positive denominator; ratios[i] is
     term start+i over term start+i-1 as a Fraction, or None for i = 0 and
-    wherever either term is 0.
+    wherever either term is 0.  Only the first `rated` ratios are formed
+    (all count of them by default): measure_rate reads no more than 31.
 
     Each call compiles the spec into integer linear forms: the payload once
     (_compile_payload), and the rising-factorial step once it is fixed
@@ -319,6 +320,7 @@ def _exact_terms(spec: ClassicalSeries, count: int):
         raise ValueError("a rising-factorial count must not shrink with n (kn < 0)")
     if count <= 0:
         return [], []
+    rated = count if rated is None else min(rated, count)
     # from this n on, every kn*(n-1)+kc >= 0 and the step's forms stay fixed
     ready = max((1 - f.kc // f.kn for f in (*spec.fnum, *spec.fden) if f.kn), default=0)
     payload = _compile_payload(spec)
@@ -338,7 +340,8 @@ def _exact_terms(spec: ClassicalSeries, count: int):
         pn, pd = payload(n)
         tn, td = _times_small(an, ad, pn, pd)
         terms.append((tn, td))
-        ratios.append(Fraction(sn * pn * prev[1], sd * pd * prev[0]) if tn and prev else None)
+        if len(ratios) < rated:
+            ratios.append(Fraction(sn * pn * prev[1], sd * pd * prev[0]) if tn and prev else None)
         prev = (pn, pd) if tn else None
     return terms, ratios
 
@@ -416,15 +419,16 @@ def limit_report(rec_id: str, spec: ClassicalSeries, terms: int, ctx: BigFloatCt
     """The JSON-ready comparison of the partial sum against the closed form.
 
     One _exact_terms pass gives the term pairs for the partial sum and the
-    ratios for the rate fit.  Raises ValueError for terms < 2: the rate fit
-    needs a ratio.
+    ratios for the rate fit, which reads the first min(30, terms - 1) + 1.
+    Raises ValueError for terms < 2: the rate fit needs a ratio.
     """
     if terms < 2:
         raise ValueError(f"terms must be at least 2, got {terms}")
-    exact, step_ratios = _exact_terms(spec, terms)
+    upto = min(30, terms - 1)
+    exact, step_ratios = _exact_terms(spec, terms, rated=upto + 1)
     value, tail = eval_series(spec, terms, ctx, exact=exact)
     target = eval_closed_form(spec, ctx)
-    ratios, fitted = measure_rate(spec, min(30, terms - 1), ratios=step_ratios)
+    ratios, fitted = measure_rate(spec, upto, ratios=step_ratios)
     return {
         "id": rec_id,
         "series_value": mpmath.nstr(value, ctx.digits),

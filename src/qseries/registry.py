@@ -681,8 +681,8 @@ def reduced_sides(rec: IdentityRecord, order: int):
     if rec.kind == "theorem" and has_unit_factor(bt):
         bsh = bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
     lhs, net, phi = theorem_lhs(ring, bt, shadow=bsh)
-    res = theorem_series(ring, bt, shadow=bsh, expected_net=net)
-    return lhs, res.series.scale(1 / Fraction(phi)) if phi != 1 else res.series, res.terms_used, g
+    res = theorem_series(ring, bt, shadow=bsh, expected_net=net, divisor=phi)
+    return lhs, res.series, res.terms_used, g
 
 
 def record_sides(rec: IdentityRecord, order: int):

@@ -120,18 +120,8 @@ class LaurentSeries:
             other = LaurentSeries.monomial(other, 0)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        order = _min_order(self.order, other.order)
-        if not self.coeffs:
-            return LaurentSeries(other.minexp, other.coeffs, order, _canonical=True)
-        if not other.coeffs:
-            return LaurentSeries(self.minexp, self.coeffs, order, _canonical=True)
-        lo = min(self.minexp, other.minexp)
-        hi = max(self.minexp + len(self.coeffs), other.minexp + len(other.coeffs))
-        if order is not None:
-            hi = min(hi, order)
-        base = [0] * (self.minexp - lo) + list(self.coeffs)
-        out = kernel.add_shifted(base, other.coeffs, other.minexp - lo, hi - lo)
-        return LaurentSeries(lo, out, order, _canonical=True)
+        win = window_add(self.minexp, self.coeffs, self.order, other.minexp, other.coeffs, other.order)
+        return LaurentSeries(*win, _canonical=True)
 
     __radd__ = __add__
 
@@ -167,12 +157,7 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _norm(c)
-        if not c:
-            return LaurentSeries.zero()
-        if c == 1:
-            return self
-        return LaurentSeries(self.minexp, kernel.scale(self.coeffs, c), self.order, _canonical=True)
+        return LaurentSeries(*window_scale(self.minexp, self.coeffs, self.order, c), _canonical=True)
 
     def shift(self, e):
         """Multiply by t**e."""
@@ -194,22 +179,8 @@ class LaurentSeries:
 
         Any integer e is accepted; e == 0 collapses to the scalar (1 - c).
         """
-        c = _norm(c)
-        if not c:
-            return self
-        if e == 0:
-            return self.scale(1 - c)
-        if not self.coeffs:
-            return LaurentSeries.zero(_add_order(self.order, min(0, e)))
-        if e < 0:
-            # (1 - c*t^e) = -c*t^e * (1 - (1/c)*t^-e)
-            return self.shift(e).scale(-c).times_binom(_inv_scalar(c), -e)
-        order = self.order
-        nmax = len(self.coeffs) + e
-        if order is not None:
-            nmax = min(nmax, order - self.minexp)
-        out = kernel.mul_binom(self.coeffs, e, c, nmax)
-        return LaurentSeries(self.minexp, out, order, _canonical=True)
+        win = window_times_binom(self.minexp, self.coeffs, self.order, _norm(c), e)
+        return LaurentSeries(*win, _canonical=True)
 
     def over_binom(self, c, e, order=None):
         """Divide by the exact binomial (1 - c*t**e).
@@ -217,25 +188,8 @@ class LaurentSeries:
         The result of a division is truncated; when self is exact the caller
         must supply the target order.
         """
-        c = _norm(c)
-        if not c:
-            return self if order is None else self.truncate(order)
-        if e == 0:
-            if c == 1:
-                raise ZeroDivisionError("division by the zero binomial (1 - 1)")
-            return self.scale(_inv_scalar(1 - c))
-        if e < 0:
-            return self.shift(-e).scale(-_inv_scalar(c)).over_binom(_inv_scalar(c), -e, order)
-        eff = _min_order(self.order, order)
-        if eff is None:
-            raise ValueError("dividing an exact series requires an explicit order")
-        if not self.coeffs:
-            return LaurentSeries.zero(eff)
-        nmax = eff - self.minexp
-        if nmax <= 0:
-            return LaurentSeries.zero(eff)
-        out = kernel.div_binom(self.coeffs, e, c, nmax)
-        return LaurentSeries(self.minexp, out, eff, _canonical=True)
+        win = window_over_binom(self.minexp, self.coeffs, self.order, _norm(c), e, order)
+        return LaurentSeries(*win, _canonical=True)
 
     def inverse(self, order=None):
         """Multiplicative inverse; requires a nonzero leading coefficient."""
@@ -282,7 +236,9 @@ class LaurentSeries:
         """Lowest exponent where the two series differ, or None if they agree.
 
         Comparison runs over the window where both are known (bounded above by
-        upto when given).  Returns (exponent, self_coeff, other_coeff).
+        upto when given).  Returns (exponent, self_coeff, other_coeff).  Two
+        windows that start together and hold equal coefficient tuples agree
+        without an exponent-by-exponent scan.
         """
         hi = _min_order(self.order, other.order)
         hi = _min_order(hi, upto)
@@ -295,6 +251,8 @@ class LaurentSeries:
                 (s.minexp + len(s.coeffs) for s in (self, other) if s.coeffs),
                 default=lo,
             )
+        if self.minexp == other.minexp and self.coeffs[: hi - lo] == other.coeffs[: hi - lo]:
+            return None
         for e in range(lo, hi):
             cs = self.coeff(e)
             co = other.coeff(e)
@@ -322,6 +280,97 @@ class LaurentSeries:
             body = " + ".join(parts)
         tail = "" if self.order is None else f" + O(t^{self.order})"
         return f"<{body}{tail}>"
+
+
+# ------------------------------------------------------------ raw windows
+#
+# The rules of the binomial steps, on bare (minexp, coeffs, order) windows.
+# A window holds canonical coefficients, at most order - minexp of them when
+# order is set; unlike a LaurentSeries it may keep zeros at either end, and
+# an empty window is zero whatever its minexp.  The LaurentSeries methods
+# above wrap these functions, and the right side's term loop
+# (theorems.carried_terms) runs on them directly, building a LaurentSeries
+# only for each finished term.
+
+
+def window_truncate(minexp, coeffs, order, cut):
+    """The window known only below cut (None: no cut)."""
+    order = _min_order(order, cut)
+    if order is not None and len(coeffs) > order - minexp:
+        coeffs = coeffs[: max(0, order - minexp)]
+    return minexp, coeffs, order
+
+
+def window_scale(minexp, coeffs, order, c):
+    """The window times the scalar c; c == 0 gives the exact zero."""
+    c = _norm(c)
+    if not c:
+        return 0, (), None
+    if c == 1:
+        return minexp, coeffs, order
+    return minexp, kernel.scale(coeffs, c), order
+
+
+def window_add(m1, a1, o1, m2, a2, o2):
+    """The sum of two windows, known where both are."""
+    order = _min_order(o1, o2)
+    if not a1:
+        return window_truncate(m2, a2, o2, order)
+    if not a2:
+        return window_truncate(m1, a1, o1, order)
+    lo = min(m1, m2)
+    hi = max(m1 + len(a1), m2 + len(a2))
+    if order is not None:
+        hi = min(hi, order)
+    base = [0] * (m1 - lo) + list(a1)
+    return lo, kernel.add_shifted(base, a2, m2 - lo, hi - lo), order
+
+
+def window_times_binom(minexp, coeffs, order, c, e):
+    """The window times the exact binomial (1 - c*t**e), for canonical c and any integer e.
+
+    e == 0 collapses to the scalar (1 - c).
+    """
+    if not c:
+        return minexp, coeffs, order
+    if e == 0:
+        return window_scale(minexp, coeffs, order, 1 - c)
+    if not coeffs:
+        return minexp, coeffs, _add_order(order, min(0, e))
+    if e < 0:
+        # (1 - c*t^e) = -c*t^e * (1 - (1/c)*t^-e)
+        minexp, coeffs, order = window_scale(minexp + e, coeffs, _add_order(order, e), -c)
+        c, e = _inv_scalar(c), -e
+    nmax = len(coeffs) + e
+    if order is not None and order - minexp < nmax:
+        nmax = order - minexp
+    return minexp, kernel.mul_binom(coeffs, e, c, nmax), order
+
+
+def window_over_binom(minexp, coeffs, order, c, e, target=None):
+    """The window divided by the exact binomial (1 - c*t**e), for canonical c and any integer e.
+
+    The quotient is known below the smaller of the window's order and
+    target; an exact window needs a target.
+    """
+    if not c:
+        return window_truncate(minexp, coeffs, order, target)
+    if e == 0:
+        if c == 1:
+            raise ZeroDivisionError("division by the zero binomial (1 - 1)")
+        return window_scale(minexp, coeffs, order, _inv_scalar(1 - c))
+    if e < 0:
+        # 1/(1 - c*t^e) = -(1/c)*t^-e / (1 - (1/c)*t^-e)
+        c = _inv_scalar(c)
+        minexp, coeffs, order = window_scale(minexp - e, coeffs, _add_order(order, -e), -c)
+        e = -e
+    eff = _min_order(order, target)
+    if eff is None:
+        raise ValueError("dividing an exact series requires an explicit order")
+    nmax = eff - minexp
+    if not coeffs or nmax <= 0:
+        return 0, (), eff
+    return minexp, kernel.div_binom(coeffs, e, c, nmax), eff
 
 
 def _inv_scalar(c):

@@ -27,8 +27,15 @@ is block n times only the new factors of each (x; t^step)_{kn*n+kc}, kept
 at the precision the later terms still need, which shrinks as the quadratic
 prefactor grows.  It is the only right-side evaluator the engine runs; a
 term that falls short of the order or of its valuation bound raises
-NonmonotoneValuation.  eval_term builds one term from scratch in one pass; it
-is the per-term reference and the evaluator of the rational ring.
+NonmonotoneValuation.  carried_terms compiles the recipe once per call
+(Pochhammer factors to integer progressions, brace and weight atoms to int
+tuples, each term's valuation bound and weight margin evaluated once) and
+steps raw (minexp, coefficients, order) windows with the binomial rules of
+qseries.series, building a LaurentSeries only for each finished term.
+theorem_series sums the regularized terms on one integer window, scaled by
+the lcm of their weights' denominators, and divides once.  eval_term builds
+one term from scratch in one pass on LaurentSeries; it is the per-term
+reference and the evaluator of the rational ring.
 
 Reduced root: every exponent of a recipe may share a factor g with its root
 (root_gcd).  Both sides are then series in s = t^g, and reduce_root rewrites
@@ -47,8 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
+from qseries import kernel
 from qseries.inversion import (
     NonmonotoneValuation,
     SingularMismatch,
@@ -63,7 +71,15 @@ from qseries.qcore import (
     SeriesRing,
     poch_quotient,
 )
-from qseries.series import LaurentSeries
+from qseries.series import (
+    LaurentSeries,
+    _norm,
+    window_add,
+    window_over_binom,
+    window_scale,
+    window_times_binom,
+    window_truncate,
+)
 
 
 @dataclass(frozen=True)
@@ -392,7 +408,7 @@ def reduce_root(bt: SeriesRecipe) -> tuple[SeriesRecipe, int]:
 
 def _poch_val(f: PochF, n: int) -> int:
     """Exact valuation of ((x;s)_{count}) for x = coeff*t^texp."""
-    cnt = f.count(n)
+    cnt = f.kn * n + f.kc
     if cnt <= 0 or f.texp >= 0:
         return 0
     # factors (1 - coeff*t^(texp + j*step)) have negative valuation while the exponent is < 0
@@ -400,33 +416,49 @@ def _poch_val(f: PochF, n: int) -> int:
     return jneg * f.texp + f.step * jneg * (jneg - 1) // 2
 
 
-def _atom_val(atom: BExp, n: int) -> int:
-    return min(0, atom.texp(n))
-
-
 def term_valuation_bound(bt: SeriesRecipe, n: int) -> int:
-    """Exact lower bound for the valuation of term n (cancellation only raises it)."""
+    """Exact lower bound for the valuation of term n (cancellation only raises it).
+
+    The prefactor's exponent, the Pochhammer blocks' valuations, the negative
+    exponents of the w_num (less those of the w_den) atoms, and for each
+    brace group its lowest term: the monomial's exponent plus the negative
+    exponents of the term's numerator atoms less those of its denominator.
+    """
     lb = bt.pref_quad * n * n + bt.pref_lin * n + bt.pref_const
     for f in bt.poch_num:
-        lb += _poch_val(f, n)
+        if f.texp < 0:
+            lb += _poch_val(f, n)
     for f in bt.poch_den:
-        lb -= _poch_val(f, n)
-    for a in bt.w_num:
-        lb += _atom_val(a, n)
-    for a in bt.w_den:
-        lb -= _atom_val(a, n)
+        if f.texp < 0:
+            lb -= _poch_val(f, n)
+    for x in bt.w_num:
+        e = x.ncoef * n + x.const
+        if e < 0:
+            lb += e
+    for x in bt.w_den:
+        e = x.ncoef * n + x.const
+        if e < 0:
+            lb -= e
     for group in bt.braces:
-        lb += min(
-            (t.mono.texp(n)
-             + sum(_atom_val(x, n) for x in t.num)
-             - sum(_atom_val(x, n) for x in t.den))
-            for t in group
-        )
+        low = None
+        for t in group:
+            v = t.mono.ncoef * n + t.mono.const
+            for x in t.num:
+                e = x.ncoef * n + x.const
+                if e < 0:
+                    v += e
+            for x in t.den:
+                e = x.ncoef * n + x.const
+                if e < 0:
+                    v -= e
+            if low is None or v < low:
+                low = v
+        lb += low
     return lb
 
 
-def stop_index(bt: SeriesRecipe, order: int) -> int:
-    """Smallest N such that term_valuation_bound(n) >= order for all n >= N.
+def _stop_estimate(bt: SeriesRecipe, order: int) -> int:
+    """An N with term_valuation_bound(n) >= order for all n >= N, from a quadratic.
 
     term_valuation_bound(n) >= alpha*n^2 - k1*n - k0 for n >= 0, where k1
     and k0 collect only the parts that can lower the valuation: the
@@ -434,8 +466,7 @@ def stop_index(bt: SeriesRecipe, order: int) -> int:
     w_num atoms and of each brace term's monomial and numerator atoms
     (the worst term of a group), and the negative-valuation factors of the
     numerator Pochhammer blocks.  Denominator factors only raise it.  Past
-    the larger root of that quadratic every term clears the order; below
-    it the exact bound is checked n by n, down to the last n that does not.
+    the larger root of that quadratic every term clears the order.
     """
     alpha = bt.pref_quad
     if alpha <= 0:
@@ -458,7 +489,16 @@ def stop_index(bt: SeriesRecipe, order: int) -> int:
         k0 += max(neg(t.mono.const) + sum(neg(x.const) for x in t.num) for t in group)
     # alpha*n^2 - k1*n - k0 >= order for n >= (k1 + sqrt(disc)) / (2*alpha)
     disc = k1 * k1 + 4 * alpha * (k0 + max(order, 0))
-    n = -(-(k1 + isqrt(disc) + 1) // (2 * alpha))
+    return -(-(k1 + isqrt(disc) + 1) // (2 * alpha))
+
+
+def stop_index(bt: SeriesRecipe, order: int) -> int:
+    """Smallest N such that term_valuation_bound(n) >= order for all n >= N.
+
+    Below _stop_estimate the exact bound is checked n by n, down to the last
+    n that does not clear the order.
+    """
+    n = _stop_estimate(bt, order)
     while n > 0 and term_valuation_bound(bt, n - 1) >= order:
         n -= 1
     return n
@@ -504,18 +544,17 @@ def has_unit_factor(bt: SeriesRecipe) -> bool:
     return any(x.is_unit() for x in (*bt.w_num, *bt.w_den))
 
 
-def _apply_poch(ring, acc, f: PochF, n: int, invert: bool, fsh: PochF | None, first: int = 0):
+def _apply_poch(ring, acc, f: PochF, n: int, invert: bool, fsh: PochF | None):
     """Multiply or divide by the finite Pochhammer, dropping (1-1) factors.
 
-    Only factors first .. count(n)-1 are applied (all of them by default).
     Dropped factors multiply phi by their shadow exponent (the perturbation
     form), keeping the regularization orientation-exact.
     """
     drops = 0
     phi = 1
-    c, e = f.coeff, f.texp + first * f.step
-    esh = fsh.texp + first * fsh.step if fsh is not None else None
-    for _ in range(first, f.count(n)):
+    c, e = f.coeff, f.texp
+    esh = fsh.texp if fsh is not None else None
+    for _ in range(f.count(n)):
         if c == 1 and e == 0:
             if fsh is None:
                 raise SingularMismatch("vanishing Pochhammer factor in an explicit record")
@@ -595,28 +634,48 @@ def _prefactor(bt: SeriesRecipe, n: int):
 
 
 def _weight_margin(bt: SeriesRecipe, n: int) -> int:
-    """Working-order headroom for W_n's negative exponents at term n."""
+    """Working-order headroom for W_n's negative exponents at term n.
+
+    The negative exponents of the w_num atoms, and for each brace group the
+    most any of its terms lowers the value: its monomial's negative exponent
+    plus those of its numerator atoms.
+    """
     gross = 0
-    for a in bt.w_num:
-        gross += -_atom_val(a, n)
+    for x in bt.w_num:
+        e = x.ncoef * n + x.const
+        if e < 0:
+            gross -= e
     for group in bt.braces:
-        gross += max(
-            (max(0, -t.mono.texp(n)) + sum(-_atom_val(x, n) for x in t.num)) for t in group
-        )
+        most = 0
+        for t in group:
+            v = t.mono.ncoef * n + t.mono.const
+            v = -v if v < 0 else 0
+            for x in t.num:
+                e = x.ncoef * n + x.const
+                if e < 0:
+                    v -= e
+            if v > most:
+                most = v
+        gross += most
     return gross
 
 
-def _resolved(acc, order: int, bound: int, n: int, unit: int):
-    """acc cut to the order, once it is known to the order and clears the bound."""
-    if acc.order is not None and acc.order < order:
+def _resolved(minexp, coeffs, known, order: int, bound: int, n: int, unit: int):
+    """The window (minexp, coeffs, known) as a series cut to the order.
+
+    The window must be known to the order (known is its order, None when
+    exact) and clear the valuation bound.
+    """
+    if known is not None and known < order:
         raise NonmonotoneValuation(
-            f"term n={n} resolved only to t^{acc.order * unit} < requested t^{order * unit}"
+            f"term n={n} resolved only to t^{known * unit} < requested t^{order * unit}"
         )
-    if not acc.is_zero and acc.val_floor() < bound:
+    acc = LaurentSeries(minexp, coeffs, order, _canonical=True)
+    if not acc.is_zero and acc.minexp < bound:
         raise NonmonotoneValuation(
-            f"term n={n} valuation {acc.val_floor() * unit} below structural bound {bound * unit}"
+            f"term n={n} valuation {acc.minexp * unit} below structural bound {bound * unit}"
         )
-    return acc.truncate(order)
+    return acc
 
 
 def eval_term(ring, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None = None) -> TermValue:
@@ -643,8 +702,96 @@ def eval_term(ring, bt: SeriesRecipe, n: int, shadow: SeriesRecipe | None = None
     if dead:
         return TermValue(ring.zero(), None)
     if series:
-        acc = _resolved(acc, ring.order, term_valuation_bound(bt, n), n, bt.unit)
+        acc = _resolved(acc.minexp, acc.coeffs, acc.order, ring.order, term_valuation_bound(bt, n), n, bt.unit)
     return TermValue(acc, net + wnet, phi * wphi)
+
+
+def _compiled_poch(bt: SeriesRecipe, shadow: SeriesRecipe | None):
+    """Each Pochhammer factor as the integer progression (c, texp, step, kn, kc, invert, sh).
+
+    sh is the shadow factor's (texp, step), or None without a shadow recipe.
+    """
+    out = []
+    for invert, facs, shs in ((False, bt.poch_num, shadow and shadow.poch_num),
+                              (True, bt.poch_den, shadow and shadow.poch_den)):
+        for i, f in enumerate(facs):
+            sh = (shs[i].texp, shs[i].step) if shs else None
+            out.append((_norm(f.coeff), f.texp, f.step, f.kn, f.kc, invert, sh))
+    return out
+
+
+def _compiled_atom(x: BExp):
+    return x.ncoef, x.const, _norm(x.coeff)
+
+
+def _compiled_weight(bt: SeriesRecipe, shadow: SeriesRecipe | None):
+    """The brace groups and the w_num/w_den atoms as (ncoef, const, coeff) int tuples.
+
+    A brace term is (mono, num, den); a w_num/w_den atom also carries
+    whether it is the unit monomial and its shadow atom's (ncoef, const), or
+    None without a shadow.
+    """
+    braces = tuple(
+        tuple((_compiled_atom(t.mono), tuple(map(_compiled_atom, t.num)), tuple(map(_compiled_atom, t.den)))
+              for t in group)
+        for group in bt.braces
+    )
+
+    def outer(atoms, shs):
+        return tuple((*_compiled_atom(x), x.is_unit(), (shs[i].ncoef, shs[i].const) if shs else None)
+                     for i, x in enumerate(atoms))
+
+    return braces, outer(bt.w_num, shadow and shadow.w_num), outer(bt.w_den, shadow and shadow.w_den)
+
+
+def _weight_window(win, n: int, work: int, weight, unit: int):
+    """The window times W_n, as eval_weight takes it, on raw windows.
+
+    Returns (window, net drops, phi), or None when an n-dependent numerator
+    zero kills the term.  Divisions are known below the working order.
+    """
+    braces, w_num, w_den = weight
+    for group in braces:
+        total = (0, (), work)
+        m, a, o = win
+        for (mn, mc, mcoef), num, den in group:
+            if any(c == 1 and kn * n + kc == 0 for kn, kc, c in num):
+                continue
+            s = mn * n + mc
+            part = window_scale(m + s, a, None if o is None else o + s, mcoef)
+            for kn, kc, c in num:
+                part = window_times_binom(*part, c, kn * n + kc)
+            for kn, kc, c in den:
+                e = kn * n + kc
+                if c == 1 and e == 0:
+                    raise VanishingDenominatorFactor(n, BExp(kn, kc, c).describe(unit))
+                part = window_over_binom(*part, c, e, work)
+            total = window_add(*total, *part)
+        win = total
+    net, phi = 0, 1
+    for kn, kc, c, unit_atom, sh in w_num:
+        e = kn * n + kc
+        if unit_atom:
+            if sh is None:
+                raise SingularMismatch("vanishing weight factor in an explicit record")
+            net -= 1
+            phi = phi * (sh[0] * n + sh[1])
+        elif c == 1 and e == 0:
+            return None
+        else:
+            win = window_times_binom(*win, c, e)
+    for kn, kc, c, unit_atom, sh in w_den:
+        e = kn * n + kc
+        if unit_atom:
+            if sh is None:
+                raise SingularMismatch("vanishing weight factor in an explicit record")
+            net += 1
+            phi = phi / Fraction(sh[0] * n + sh[1])
+        elif c == 1 and e == 0:
+            raise VanishingDenominatorFactor(n, BExp(kn, kc, c).describe(unit))
+        else:
+            win = window_over_binom(*win, c, e, work)
+    return win, net, phi
 
 
 def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
@@ -661,6 +808,15 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
     later term still needs, plus how far the new numerator factors of
     negative exponent will shift it down.
 
+    The recipe is compiled once per call: each Pochhammer factor to an
+    integer progression, each brace and weight atom to an int tuple
+    (_compiled_poch, _compiled_weight), and each term's valuation bound and
+    weight margin are evaluated once.  The block, the brace groups and the
+    w_num/w_den atoms then run on raw (minexp, coefficients, order) windows
+    (series.window_times_binom and its siblings, the rules LaurentSeries
+    itself steps by), and a LaurentSeries is built only for each finished
+    term, in _resolved.  Nothing compiled outlives the call.
+
     Every term equals eval_term(ring, bt, n, shadow), the per-term
     reference, and raises what it raises: NonmonotoneValuation for a term
     short of the order or below its bound, and for a vanishing factor the
@@ -669,36 +825,59 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
     """
     if any(f.kn < 0 for f in (*bt.poch_num, *bt.poch_den)):
         raise ValueError("a Pochhammer count must not shrink with n (kn < 0)")
-    order, root = ring.order, ring.root
-    terms = [(n, b) for n in range(bt.n_start, stop_index(bt, order) + 1)
+    order, unit = ring.order, bt.unit
+    # past _stop_estimate every bound clears the order, so these are stop_index's terms
+    terms = [(n, b) for n in range(bt.n_start, _stop_estimate(bt, order) + 1)
              if (b := term_valuation_bound(bt, n)) < order]
+    poch = _compiled_poch(bt, shadow)
+    weight = _compiled_weight(bt, shadow)
+    pref = [_prefactor(bt, n) for n, _ in terms]
     margin = [_weight_margin(bt, n) for n, _ in terms]
     low = [-sum(_poch_val(f, n) for f in bt.poch_num) for n, _ in terms]   # downward shift of B(n)
     # reach[i]: the precision B(n_i) needs plus low[i], then the most of it any later term needs
-    reach = [order + m - _prefactor(bt, n)[1] + lo for (n, _), m, lo in zip(terms, margin, low)]
+    reach = [order + m - texp + lo for (_, texp), m, lo in zip(pref, margin, low)]
     for i in range(len(reach) - 2, -1, -1):
         reach[i] = max(reach[i], reach[i + 1])
-    facs = [(f, False, shadow.poch_num[i] if shadow else None) for i, f in enumerate(bt.poch_num)]
-    facs += [(f, True, shadow.poch_den[i] if shadow else None) for i, f in enumerate(bt.poch_den)]
-    done = [0] * len(facs)
-    block, net, phi, shifted = ring.one(), 0, 1, 0
+    done = [0] * len(poch)
+    block, net, phi, shifted = (0, (1,), None), 0, 1, 0
     for i, (n, bound) in enumerate(terms):
         keep = reach[i] - shifted
-        block = block.truncate(keep)
-        step = SeriesRing(order=max(keep, 1), root=root)   # a ring order is positive; the block's may not be
-        for k, (f, invert, fsh) in enumerate(facs):
-            block, dr, ph = _apply_poch(step, block, f, n, invert, fsh, done[k])
-            net += dr if invert else -dr
-            phi = phi * ph
-            done[k] = max(done[k], f.count(n))
+        block = window_truncate(*block, keep)
+        target = max(keep, 1)      # the working order of the block's divisions, positive as a ring's
+        for k, (c, texp, step, kn, kc, invert, sh) in enumerate(poch):
+            first, count = done[k], kn * n + kc
+            if count <= first:
+                continue
+            done[k] = count
+            e = texp + first * step
+            esh = sh[0] + first * sh[1] if sh else None
+            for _ in range(first, count):
+                if c == 1 and e == 0:
+                    if sh is None:
+                        raise SingularMismatch("vanishing Pochhammer factor in an explicit record")
+                    if invert:
+                        net += 1
+                        phi = phi / Fraction(esh)
+                    else:
+                        net -= 1
+                        phi = phi * esh
+                elif invert:
+                    block = window_over_binom(*block, c, e, target)
+                else:
+                    block = window_times_binom(*block, c, e)
+                e += step
+                if sh:
+                    esh += sh[1]
         shifted = low[i]
-        coeff, texp = _prefactor(bt, n)
-        work = SeriesRing(order=order + margin[i], root=root)
-        acc, wnet, wphi, dead = eval_weight(work, bt, n, work.times_mono(block, coeff, texp), shadow)
-        if dead:
+        coeff, texp = pref[i]
+        m, a, o = block
+        term = _weight_window(window_scale(m + texp, a, None if o is None else o + texp, coeff),
+                              n, order + margin[i], weight, unit)
+        if term is None:
             yield n, TermValue(ring.zero(), None)
         else:
-            yield n, TermValue(_resolved(acc, order, bound, n, bt.unit), net + wnet, phi * wphi)
+            win, wnet, wphi = term
+            yield n, TermValue(_resolved(*win, order, bound, n, unit), net + wnet, phi * wphi)
 
 
 @dataclass
@@ -710,14 +889,19 @@ class SeriesResult:
 
 def theorem_series(ring, name_or_bt, p: WPParams | None = None,
                    shadow: SeriesRecipe | None = None,
-                   expected_net: int | None = None) -> SeriesResult:
-    """Right side of a catalogued identity, summed exactly to the ring order.
+                   expected_net: int | None = None, divisor=1) -> SeriesResult:
+    """Right side of a catalogued identity, summed exactly to the ring order, over divisor.
 
     Identically-vanishing binomial factors are dropped; each drop weighs the
     term by its shadow form, so terms enter as naive_value * phi.  Terms less
     singular than expected_net (notably the V-form leading 1 when the
     identity is regularized) are annihilated; a more singular term is a
-    genuine mismatch.
+    genuine mismatch.  divisor (the left side's shadow weight, for a
+    regularized record) divides the whole sum.
+
+    The sum is taken on one integer window: each weight phi/divisor is
+    brought to the lcm L of their denominators, each term enters times its
+    integer multiple of 1/L, and the window is divided by L once.
     """
     bt = name_or_bt if isinstance(name_or_bt, SeriesRecipe) else bind_theorem(name_or_bt, p, ring.root)
     order = ring.order
@@ -727,18 +911,29 @@ def theorem_series(ring, name_or_bt, p: WPParams | None = None,
     terms = [(n, tv) for n, tv in terms if tv.net_drops is not None]
     if expected_net is None:
         expected_net = max((tv.net_drops for _, tv in terms), default=0)
-    total = ring.zero()
+    parts = []
     for n, tv in terms:
         if tv.net_drops > expected_net:
             raise SingularMismatch(
                 f"{bt.name}: term n={n} is more singular ({tv.net_drops} drops) "
                 f"than the identity ({expected_net})"
             )
-        if tv.net_drops == expected_net:
-            total = total + tv.series.scale(tv.phi)
+        if tv.net_drops == expected_net and tv.series.coeffs:
+            parts.append((tv.series.minexp, tv.series.coeffs, Fraction(tv.phi) / divisor))
     if bt.leading_one and expected_net == 0:
-        total = total + ring.one()
-    return SeriesResult(total.truncate(order), expected_net, terms_used)
+        parts.append((0, (1,), 1 / Fraction(divisor)))
+    if not parts:
+        return SeriesResult(ring.zero(), expected_net, terms_used)
+    lcm_den = lcm(*(w.denominator for _, _, w in parts))
+    lo = min(m for m, _, _ in parts)
+    total = [0] * (order - lo)
+    for m, coeffs, w in parts:
+        k = w.numerator * (lcm_den // w.denominator)
+        for i, c in enumerate(coeffs, m - lo):
+            if c:
+                total[i] += k * c
+    total = kernel.scale(total, Fraction(1, lcm_den) if lcm_den != 1 else 1)
+    return SeriesResult(LaurentSeries(lo, total, order, _canonical=True), expected_net, terms_used)
 
 
 def theorem_weight(ring, name: str, p: WPParams, n: int):

@@ -7,7 +7,7 @@ the same values with every integral value an int.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qseries import kernel
@@ -21,6 +21,8 @@ scalar_st = st.one_of(
 )
 coeffs_st = st.lists(scalar_st, min_size=1, max_size=24)
 nonzero_st = scalar_st.filter(bool)
+# c = 1, every binomial step of the catalog, runs its own loop in both kernels
+binom_c_st = st.one_of(st.just(1), nonzero_st)
 
 
 def ref_mul_dense(a, b, nmax):
@@ -77,14 +79,16 @@ def test_mul_dense_canonical(a, b, nmax):
     assert_canonical_equal(kernel.mul_dense(a, b, nmax), ref_mul_dense(a, b, nmax))
 
 
-@given(coeffs_st, st.integers(1, 9), nonzero_st, st.integers(1, 40))
+@given(coeffs_st, st.integers(1, 9), binom_c_st, st.integers(1, 40))
 @settings(max_examples=100)
+@example([Fraction(1, 2), Fraction(1, 2), 3], 1, 1, 4)
 def test_mul_binom_canonical(a, e, c, nmax):
     assert_canonical_equal(kernel.mul_binom(a, e, c, nmax), ref_mul_binom(a, e, c, nmax))
 
 
-@given(coeffs_st, st.integers(1, 9), nonzero_st, st.integers(1, 40))
+@given(coeffs_st, st.integers(1, 9), binom_c_st, st.integers(1, 40))
 @settings(max_examples=100)
+@example([Fraction(1, 2), Fraction(1, 2), 3], 1, 1, 4)
 def test_div_binom_canonical(a, e, c, nmax):
     assert_canonical_equal(kernel.div_binom(a, e, c, nmax), ref_div_binom(a, e, c, nmax))
 
@@ -128,3 +132,18 @@ def test_short_window_past_shift_is_unchanged():
     # nmax below the shift: nothing of the shifted operand lands in the window
     assert kernel.mul_binom([1, 2, 3], 5, 7, 2) == [1, 2]
     assert kernel.add_shifted([1, 2, 3], [4, 5], 5, 3) == [1, 2, 3]
+
+
+def test_unit_binomial_edges():
+    """c = 1 at e = 1 (the accumulate path) and at e >= nmax (nothing shifts into the window)."""
+    for a in ([3, -1, 4, 0, 2], [Fraction(1, 2), Fraction(1, 2), 5], [7]):
+        for nmax in (1, 2, 3, 6, 9):
+            for e in (1, 2, nmax - 1, nmax, nmax + 3):
+                if e < 1:
+                    continue
+                assert_canonical_equal(kernel.mul_binom(a, e, 1, nmax), ref_mul_binom(a, e, 1, nmax))
+                assert_canonical_equal(kernel.div_binom(a, e, 1, nmax), ref_div_binom(a, e, 1, nmax))
+    assert kernel.div_binom([1], 1, 1, 4) == [1, 1, 1, 1]          # 1/(1 - t)
+    assert kernel.mul_binom([1, 1, 1, 1], 1, 1, 5) == [1, 0, 0, 0, -1]
+    assert kernel.div_binom([1, 2], 5, 1, 3) == [1, 2, 0]          # e >= nmax: a copy, padded
+    assert kernel.mul_binom([1, 2], 5, 1, 3) == [1, 2, 0]

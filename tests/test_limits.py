@@ -331,10 +331,10 @@ def reference_ratios(terms):
     return [None][:len(terms)] + [b / a if a and b else None for a, b in zip(terms, terms[1:])]
 
 
-def reference_exact(spec, count):
-    """_exact_terms from term_exact: the term pairs and their ratios."""
+def reference_exact(spec, count, rated=None):
+    """_exact_terms from term_exact: the term pairs and their first `rated` ratios (all by default)."""
     terms = reference_terms(spec, count)
-    return pairs(terms), reference_ratios(terms)
+    return pairs(terms), reference_ratios(terms)[:rated]
 
 
 def reference_rate_ratios(spec, terms):

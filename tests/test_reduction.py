@@ -12,6 +12,8 @@ from importlib import resources
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qseries import theorems
 from qseries.inversion import NonmonotoneValuation, SingularMismatch, params_from_exponents
@@ -21,7 +23,9 @@ from qseries.series import LaurentSeries
 from qseries.theorems import (
     THEOREM_NAMES,
     BExp,
+    BraceTerm,
     PochF,
+    SeriesRecipe,
     bind_theorem,
     carried_terms,
     eval_term,
@@ -243,6 +247,18 @@ def test_carried_terms_on_synthetic_shapes(parts):
         assert_carried_match(bt, None, order)
 
 
+def test_carried_zero_terms_match_eval_term():
+    """n-dependent (1 - 1) numerators: a brace term skipped at n = 1, the whole term dead at n = 2."""
+    brace = (BraceTerm(BExp(0, 0, 1)), BraceTerm(BExp(0, 0, 2), num=(BExp(1, -1),)))
+    bt = replace(CATALOG.get("u2-05").recipe, poch_num=(PochF(F(1, 2), 2, 1, 0, 12),),
+                 w_num=(BExp(1, -2),), braces=(brace,))
+    ring = SeriesRing(order=120, root=12)
+    carried = carried_outcomes(ring, bt, None)
+    assert carried == reference_outcomes(ring, bt, None)
+    assert [x[0] for x in carried] == [0, 1, 2] and carried[2][3] is None
+    assert carried[1][1] == eval_term(ring, replace(bt, braces=(brace[:1],)), 1).series
+
+
 def test_carried_vanishing_factor_raises_as_eval_term():
     """An explicit record with a (1 - 1) block factor from n = 3 on."""
     bt = replace(CATALOG.get("u2-05").recipe, poch_num=(PochF(1, -24, 1, 0, 12),))
@@ -287,6 +303,67 @@ def test_carried_raises_as_eval_term_below_the_valuation_bound(monkeypatch):
     bs, g = reduce_root(bt)
     ring = SeriesRing(order=60, root=bs.root)
     assert carried_outcomes(ring, bs, None) == [(NonmonotoneValuation, "term n=0 valuation 0 below structural bound 118")]
+
+
+# Random recipes for the compiled path: binomial coefficients c of -1, 2,
+# 1/2 and 1/3, which the catalog never has at these orders, besides 1;
+# Fraction prefactor bases; negative brace, W and Pochhammer exponents; and
+# Pochhammer factors and w_num/w_den atoms that are identically (1 - 1),
+# dropped and weighed by a shadow recipe, or raising without one.  A
+# coefficient of 1 on a brace or weight atom also gives n-dependent zeros:
+# a skipped brace term and a vanishing denominator (a dead term is rare
+# here, so test_carried_zero_terms_match_eval_term pins one).
+_c = st.sampled_from([1, -1, 2, F(1, 2), F(1, 3)])
+_atom = st.builds(BExp, st.integers(-3, 3), st.integers(-20, 12) | st.integers(-3, 0), _c)
+_weight = st.lists(_atom | _atom | st.just(BExp(0, 0, 1)), max_size=2).map(tuple)
+_brace_term = st.builds(BraceTerm, _atom, st.lists(_atom, max_size=2).map(tuple),
+                        st.lists(_atom, max_size=2).map(tuple))
+
+
+@st.composite
+def _poch(draw):
+    step = draw(st.integers(1, 12))
+    if draw(st.integers(0, 2)) == 0:       # reaches t^0 at factor j: dropped
+        return PochF(1, -step * draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(-1, 3)), step)
+    return PochF(draw(_c), draw(st.integers(-24, 10)), draw(st.integers(0, 2)), draw(st.integers(-1, 3)), step)
+
+
+@st.composite
+def compiled_cases(draw):
+    """(recipe, shadow or None): a shadow moves every exponent off zero by a small form."""
+    bt = SeriesRecipe(
+        "random", 12, (), (),
+        pref_quad=draw(st.integers(2, 12)), pref_lin=draw(st.integers(-24, 10)),
+        pref_const=draw(st.integers(-30, 10)),
+        pref_base=draw(st.sampled_from([1, -2, F(1, 3), F(-3, 2)])),
+        sign_alt=draw(st.booleans()), n_start=draw(st.integers(0, 2)),
+        poch_num=tuple(draw(st.lists(_poch(), max_size=3))),
+        poch_den=tuple(draw(st.lists(_poch(), max_size=2))),
+        w_num=draw(_weight), w_den=draw(_weight),
+        braces=tuple(draw(st.lists(st.lists(_brace_term, min_size=1, max_size=3).map(tuple),
+                                   min_size=1, max_size=2))),
+    )
+    if draw(st.integers(0, 2)) == 0:
+        return bt, None
+    u, v = draw(st.integers(1, 5)), draw(st.integers(6, 9))
+
+    def poch(f):
+        return replace(f, texp=64 * f.texp + u, step=64 * f.step + v)
+
+    def atom(x):
+        return replace(x, ncoef=64 * x.ncoef + u, const=64 * x.const + v)
+
+    return bt, replace(bt, poch_num=tuple(map(poch, bt.poch_num)), poch_den=tuple(map(poch, bt.poch_den)),
+                       w_num=tuple(map(atom, bt.w_num)), w_den=tuple(map(atom, bt.w_den)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=compiled_cases(), order=st.integers(24, 160))
+def test_compiled_carried_terms_match_eval_term(case, order):
+    """Term by term, the compiled carried path equals eval_term, or raises its type and message."""
+    bt, shadow = case
+    ring = SeriesRing(order=order, root=12)
+    assert carried_outcomes(ring, bt, shadow) == reference_outcomes(ring, bt, shadow)
 
 
 # ------------------------------------------------------------ shadow recipes

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qseries.series import LaurentSeries, ZeroLeadingCoefficient
+from qseries.series import (
+    LaurentSeries,
+    ZeroLeadingCoefficient,
+    window_add,
+    window_over_binom,
+    window_times_binom,
+)
 
 L = LaurentSeries
 
@@ -151,3 +157,36 @@ def test_operations_return_canonical_coefficients(a, b, e, c):
     if not sa.is_zero:
         results.append(sa.inverse())
     assert all(is_canonical(r) for r in results)
+
+
+def padded(s, lo, hi):
+    """s as a raw window with lo leading and up to hi trailing zeros (never past its order)."""
+    if s.order is not None:
+        hi = max(0, min(hi, s.order - s.minexp - len(s.coeffs)))
+    return s.minexp - lo, [0] * lo + list(s.coeffs) + [0] * hi, s.order
+
+
+@given(fracs_st, st.integers(-6, 6), st.one_of(st.none(), st.integers(0, 12)), st.integers(0, 3),
+       st.integers(0, 3), st.integers(-4, 4), st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]),
+       st.integers(-3, 14))
+@settings(max_examples=100)
+def test_windows_with_zero_ends_step_like_series(a, minexp, width, lo, hi, e, c, target):
+    """Raw windows may keep zeros at either end; each step gives the series its LaurentSeries method gives."""
+    s = L(minexp, a, None if width is None else minexp + len(a) + width)
+    t = L(minexp + 2, a[::-1], minexp + 9)
+    win = padded(s, lo, hi)
+    prod = s.times_binom(c, e)
+    assert prod == s * (L.one() - L.monomial(c, e))     # the binomial as a dense Laurent polynomial
+    assert L(*window_times_binom(*win, c, e), _canonical=True) == prod
+    assert L(*window_add(*win, *padded(t, hi, lo)), _canonical=True) == s + t
+    quot = outcome(lambda: s.over_binom(c, e, target))
+    assert outcome(lambda: L(*window_over_binom(*win, c, e, target), _canonical=True)) == quot
+    if isinstance(quot, L):
+        assert quot.times_binom(c, e).first_difference(s) is None
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
