@@ -13,8 +13,10 @@ T_n carries an unknown polynomial Q evaluated at q^(n/2), and matching
     P(y) = Q(y)*A(y) +- shift * Q(q^(1/2)y) * B(y)
 
 coefficientwise yields an overdetermined linear system over the polynomial
-ring in t, solved fraction-free.  At most one sign admits a solution; the
-solved Q turns the double-width sum into sum(+-1)^n T_n.
+ring in t.  Its first deg Q + 1 rows (powers of y) are lower triangular, so
+Q is solved by forward substitution and the rows above check it.  At most
+one sign admits a solution; the solved Q turns the double-width sum into
+sum(+-1)^n T_n.
 
 Case data ships in the catalog: the clearing factor, the functional-equation
 factors, and two series recipes, the unreduced double-width series (pp)
@@ -30,7 +32,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from qseries.linsolve import poly_solve_overdetermined
 from qseries.polyring import Poly, RatFunc
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, IdentityRecord
@@ -49,6 +50,10 @@ class ExactDivisionFailed(ArithmeticError):
 
 class NoBisection(ArithmeticError):
     """Neither sign admits a polynomial Q up to the degree bound."""
+
+
+class VanishingDiagonal(ArithmeticError):
+    """A diagonal entry of the triangular y-rows is zero (fe-shift 0 0, sign -, A[0] = B[0])."""
 
 
 class AmbiguousSign(ArithmeticError):
@@ -237,15 +242,14 @@ def solve_Q(case: BisectionCase, forced_sign: str | None = None):
     """Assemble and solve the functional-equation system for each sign, at case.deg_q.
 
     Returns a BisectionSolution for the unique consistent sign.  Raises
-    NoBisection when neither sign works and AmbiguousSign when both do.
+    NoBisection when neither sign works, AmbiguousSign when both do, and
+    VanishingDiagonal when a sign's system has a zero diagonal entry.
     """
     return _solve_signs(case, _fe_system(case), case.deg_q, forced_sign)
 
 
 def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | None):
     P, A, B = system
-    shift_texp, shift_ypow = case.fe_shift
-    half = case.root // 2
     rows = len(P)
     if rows - 1 < deg_q:
         raise NoBisection(f"deg P = {rows - 1} cannot balance deg Q = {deg_q}")
@@ -254,31 +258,15 @@ def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | Non
     for sign_label, sign in (("+", 1), ("-", -1)):
         if forced_sign is not None and sign_label != forced_sign:
             continue
-        M = []
-        for k in range(rows):
-            row = []
-            for i in range(deg_q + 1):
-                entry = A[k - i] if 0 <= k - i < len(A) else Poly()
-                jb = k - shift_ypow - i
-                if 0 <= jb < len(B) and not B[jb].is_zero:
-                    # sign * t^(shift_texp + half*i) * B[jb], as a shift of B[jb]'s coefficients
-                    shifted = (0,) * (shift_texp + half * i) + tuple(sign * c for c in B[jb].coeffs)
-                    entry = entry + Poly(shifted)
-                row.append(entry)
-            M.append(row)
-        sol, ok = poly_solve_overdetermined(M, P)
-        if ok:
-            a0 = sol[0]
-            if a0.is_zero:
-                ok = False
-            else:
-                sol = [s / a0 for s in sol]
-        if ok:
-            terms = [_poly_terms(s) for s in sol]
-            results[sign_label] = BisectionSolution(
-                case.id, sign_label, deg_q, sol,
-                terms if all(t is not None for t in terms) else None, True,
-            )
+        num = _forward_solve(case, system, deg_q, sign)
+        if num is None or num[0].is_zero:
+            continue
+        sol = [RatFunc(n, num[0]) for n in num]  # a_0 normalized to 1
+        terms = [_poly_terms(s) for s in sol]
+        results[sign_label] = BisectionSolution(
+            case.id, sign_label, deg_q, sol,
+            terms if all(t is not None for t in terms) else None, True,
+        )
     if not results:
         if forced_sign is not None:
             return BisectionSolution(case.id, forced_sign, deg_q, [], None, False)
@@ -288,8 +276,66 @@ def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | Non
     return next(iter(results.values()))
 
 
+def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
+    """Numerators of Q over one common denominator, or None when no Q fits P.
+
+    Row k of the system reads P_k = sum_i M[k][i] * Q_i with
+    M[k][i] = A[k-i] + sign * t^(shift_texp + half*i) * B[k - shift_ypow - i],
+    which is zero for i > k (shift_ypow >= 0), so rows 0..deg_q are lower
+    triangular: Q_k = (P_k - sum_(i<k) M[k][i] * Q_i) / M[k][k], one row at a
+    time, each entry built when its row needs it.  Every Q_i is kept as
+    num[i] / den, all in QQ[t]: den stays 1 while each division by M[k][k]
+    is exact, and a division that leaves a remainder multiplies den and the
+    num[i] before it by M[k][k] instead, so no rational function (and no
+    gcd) is formed here.  The rows above deg_q must then leave zero.
+    """
+    P, A, B = system
+    shift_texp, shift_ypow = case.fe_shift
+    half = case.root // 2
+
+    def entry(k, i):
+        out = A[k - i] if k - i < len(A) else Poly()
+        jb = k - shift_ypow - i
+        if 0 <= jb < len(B) and not B[jb].is_zero:
+            # sign * t^(shift_texp + half*i) * B[jb], as a shift of B[jb]'s coefficients
+            out = out + Poly((0,) * (shift_texp + half * i) + tuple(sign * c for c in B[jb].coeffs))
+        return out
+
+    num = []
+    den = Poly.const(1)
+    for k, acc in enumerate(P):
+        if den.coeffs != (1,):
+            acc = acc * den
+        for i, n in enumerate(num):
+            if not n.is_zero:
+                m = entry(k, i)
+                if not m.is_zero:
+                    acc = acc - m * n
+        if k > deg_q:
+            if not acc.is_zero:
+                return None
+            continue
+        d = entry(k, k)
+        if d.is_zero:
+            label = "+" if sign > 0 else "-"
+            raise VanishingDiagonal(f"case {case.id}: sign {label}, y-row {k}: the diagonal "
+                                    f"entry vanishes, so forward substitution has no pivot")
+        if d.coeffs != (1,):
+            quo, rem = acc.divmod(d)
+            if rem.is_zero:
+                acc = quo
+            else:
+                den = den * d
+                num = [n * d for n in num]
+        num.append(acc)
+    return num
+
+
 def degree_search(case: BisectionCase, max_deg: int):
-    """Smallest Q-degree admitting a consistent sign, with its solution."""
+    """Smallest Q-degree admitting a consistent sign, with its solution.
+
+    A VanishingDiagonal is not a missing solution and ends the search.
+    """
     system = _fe_system(case)
     for deg in range(max_deg + 1):
         try:

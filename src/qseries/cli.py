@@ -119,6 +119,7 @@ def cmd_bisect(args):
     from qseries.bisection import (
         AmbiguousSign,
         NoBisection,
+        VanishingDiagonal,
         degree_search,
         functional_equation_residual,
         solve_Q,
@@ -135,10 +136,7 @@ def cmd_bisect(args):
             deg, sol = degree_search(case, args.max_deg)
         else:
             sol = solve_Q(case)
-    except NoBisection as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except AmbiguousSign as exc:
+    except (NoBisection, AmbiguousSign, VanishingDiagonal) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import mpmath
-from mpmath.libmp import from_int, fzero, mpf_abs, mpf_add, mpf_div
+from mpmath.libmp import MPZ, fzero, mpf_abs, mpf_add, mpf_div, normalize
 
 from qseries.qcore import PoleError, q_guard_digits, q_pochhammer_numeric
 from qseries.registry import ClassicalSeries
@@ -346,6 +346,12 @@ def _exact_terms(spec: ClassicalSeries, count: int, rated: int | None = None):
     return terms, ratios
 
 
+def _int_mpf(n: int, prec: int, rnd):
+    """The raw mpf from_int(n, prec, rnd) returns, with the bit count from int.bit_length."""
+    man = MPZ(abs(n))
+    return normalize(int(n < 0), man, 0, man.bit_length(), prec, rnd)
+
+
 def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=None):
     """Partial sum of the first `terms` terms plus a geometric tail estimate.
 
@@ -353,7 +359,8 @@ def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=No
     denominator) int pairs floated one at a time: each is rounded as
     ctx.mpf(Fraction(numerator, denominator)) rounds it and added as an
     mpf += adds it, but on raw mpmath values, with no mpf object per term.
-    The denominator enters the division exactly, built directly as the
+    The numerator is rounded as from_int rounds it (_int_mpf), and the
+    denominator enters the division exactly, built directly as the
     trailing-zero-free value from_int(denominator) returns, and a zero term
     is skipped, since adding zero to the rounded total leaves it as it is.
     The tail estimate is |last nonzero kept term| * r/(1-r) with r the
@@ -372,7 +379,7 @@ def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=No
     for num, den in exact[:terms]:
         if num:
             tz = (den & -den).bit_length() - 1
-            ft = mpf_div(from_int(num, prec, rnd), (0, den >> tz, tz, den.bit_length() - tz), prec, rnd)
+            ft = mpf_div(_int_mpf(num, prec, rnd), (0, den >> tz, tz, den.bit_length() - tz), prec, rnd)
             total = mpf_add(total, ft, prec, rnd)
             last = ft
     r = abs(ctx.mpf(spec.rate)) if spec.rate != 1 else c.mpf("0.5")

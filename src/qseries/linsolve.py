@@ -1,9 +1,15 @@
-"""Fraction-free linear solving over the polynomial ring.
+"""Fraction-free linear solving over the polynomial ring: the reference oracle.
 
 Bareiss elimination keeps every intermediate entry polynomial (each 2x2
 minor divides exactly by the previous pivot), which controls coefficient
 blowup compared to naive elimination in the fraction field.  Back
 substitution happens in the fraction field and yields RatFunc entries.
+
+No engine path calls it: qseries.bisection solves its triangular
+functional-equation system by forward substitution.  It stays in the package
+as the independent general solver that the tests check that solve against,
+on random systems and on the catalog cases, and because the benchmark tracer
+(perfbench/spans.py) names poly_solve_overdetermined as a layer.
 """
 
 from __future__ import annotations

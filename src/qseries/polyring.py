@@ -1,8 +1,8 @@
 """Dense univariate polynomials and rational functions over the rationals.
 
-Poly is the coefficient domain for the fraction-free linear solver and for
-the bisection functional equation (polynomials in t, and in y with Poly
-coefficients built on top of these in qseries.bisection).
+Poly is the coefficient domain of the bisection functional equation
+(polynomials in t, and in y with Poly coefficients built on top of these in
+qseries.bisection) and of the reference Bareiss solver in qseries.linsolve.
 """
 
 from __future__ import annotations

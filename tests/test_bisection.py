@@ -4,13 +4,21 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qseries import bisection, theorems
+from qseries import bisection, linsolve, theorems
 from qseries.bisection import (
+    AmbiguousSign,
+    BisectionSolution,
     ExactDivisionFailed,
     NoBisection,
+    VanishingDiagonal,
     _atom_to_y,
     _case_atoms,
+    _fe_system,
+    _poly_terms,
+    _solve_signs,
     _ydiv_atom,
     _ytimes,
     build_P,
@@ -24,7 +32,8 @@ from qseries.bisection import (
     weight_y_fraction,
 )
 from qseries.inversion import NonmonotoneValuation
-from qseries.polyring import Poly
+from qseries.linsolve import poly_solve_overdetermined
+from qseries.polyring import Poly, RatFunc
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, load_catalog, record_sides
 from qseries.theorems import bind_theorem, eval_term, theorem_lhs, theorem_series
@@ -415,3 +424,159 @@ def test_pairing_check_rejects_perturbed_Q_coefficient(cat, sols, cid, entry):
 def test_pairing_check_rejects_flipped_sign(cat, sols, cid):
     flipped = dataclasses.replace(sols[cid], sign="+" if sols[cid].sign == "-" else "-")
     assert not pairing_check(cat.cases[cid], flipped, 120)
+
+
+# --------------------- the functional-equation solve against the Bareiss oracle
+
+
+def _bareiss_signs(case, system, deg_q, forced_sign):
+    """_solve_signs by Bareiss elimination of the full R x C system (the reference)."""
+    P, A, B = system
+    shift_texp, shift_ypow = case.fe_shift
+    half = case.root // 2
+    if len(P) - 1 < deg_q:
+        raise NoBisection("deg P too small")
+    results = {}
+    for sign_label, sign in (("+", 1), ("-", -1)):
+        if forced_sign is not None and sign_label != forced_sign:
+            continue
+        M = []
+        for k in range(len(P)):
+            row = []
+            for i in range(deg_q + 1):
+                entry = A[k - i] if 0 <= k - i < len(A) else Poly()
+                jb = k - shift_ypow - i
+                if 0 <= jb < len(B):
+                    entry = entry + Poly.monomial(sign, shift_texp + half * i) * B[jb]
+                row.append(entry)
+            M.append(row)
+        sol, ok = poly_solve_overdetermined(M, P)
+        if ok and not sol[0].is_zero:
+            sol = [s / sol[0] for s in sol]
+            terms = [_poly_terms(s) for s in sol]
+            results[sign_label] = BisectionSolution(
+                case.id, sign_label, deg_q, sol, None if None in terms else terms, True)
+    if not results:
+        if forced_sign is not None:
+            return BisectionSolution(case.id, forced_sign, deg_q, [], None, False)
+        raise NoBisection("no consistent sign")
+    if len(results) == 2:
+        raise AmbiguousSign(results)
+    return next(iter(results.values()))
+
+
+def _outcome(solve, case, system, deg_q, forced_sign):
+    def fields(sol):
+        return sol.sign, sol.degree, sol.coeffs, sol.terms, sol.consistent
+
+    try:
+        return fields(solve(case, system, deg_q, forced_sign))
+    except NoBisection:
+        return "NoBisection"
+    except AmbiguousSign as exc:
+        return {sign: fields(sol) for sign, sol in exc.results.items()}
+
+
+def _fe_image(case, Q, sign):
+    """Q*A + sign*shift*Q(q^(1/2)y)*B for Poly entries Q, multiplied out densely."""
+    A = _yatoms_poly(_case_atoms(case.fe_a))
+    B = _yatoms_poly(_case_atoms(case.fe_b))
+    half = case.root // 2
+    Qshift = [c * Poly.monomial(1, half * i) for i, c in enumerate(Q)]
+    shifted = _ymul(_ymul(Qshift, B), _ymono(case.fe_shift[0], case.fe_shift[1], sign))
+    return _yadd(_ymul(Q, A), shifted)
+
+
+def _dense_system(case, P):
+    return P, _yatoms_poly(_case_atoms(case.fe_a)), _yatoms_poly(_case_atoms(case.fe_b))
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_catalog_solve_matches_bareiss_at_every_degree(cat, cid):
+    case = cat.cases[cid]
+    system = _fe_system(case)
+    for deg in range(9):
+        for forced in (None, "+", "-"):
+            got = _outcome(_solve_signs, case, system, deg, forced)
+            assert got == _outcome(_bareiss_signs, case, system, deg, forced), (deg, forced)
+            assert (got == "NoBisection") == (forced is None and deg < 6)
+
+
+_y_atoms = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(1, 2)).filter(lambda a: a[0] or a[1]),
+    max_size=3,
+)
+_t_poly = st.lists(st.integers(-2, 2), max_size=3).map(Poly)
+
+
+CASE = load_catalog().cases["v3x1"]
+
+
+@st.composite
+def _fe_cases(draw):
+    """A synthetic case, its system P, A, B and a degree: P is the image of a random Q,
+    then, by mode, left alone, perturbed in one coefficient, or divided by a y^0
+    atom D put into both A and B (so the solution is Q/D, not polynomial)."""
+    deg_q = draw(st.integers(0, 4))
+    fe_a, fe_b = draw(_y_atoms), draw(_y_atoms)
+    shift = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    root = draw(st.sampled_from([2, 4]))  # small t-shifts keep the Bareiss reference fast
+    case = _with(CASE, fe_a=tuple(fe_a), fe_b=tuple(fe_b), fe_shift=shift, root=root)
+    Q = draw(st.lists(_t_poly, min_size=deg_q + 1, max_size=deg_q + 1))
+    P = _fe_image(case, Q, draw(st.sampled_from([1, -1])))
+    mode = draw(st.sampled_from(["consistent", "perturbed", "rational"]))
+    if mode == "perturbed":
+        k = draw(st.integers(0, len(P)))
+        P = _yadd(P, _ymono(draw(st.integers(0, 3)), k, draw(st.sampled_from([1, -1]))))
+    elif mode == "rational":
+        D = (draw(st.integers(1, 3)), 0, 1)
+        case = _with(case, fe_a=case.fe_a + (D,), fe_b=case.fe_b + (D,))
+    return case, _dense_system(case, P), deg_q
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_fe_cases(), forced=st.sampled_from([None, "+", "-"]))
+def test_forward_solve_matches_bareiss(drawn, forced):
+    case, system, deg_q = drawn
+    P, A, B = system
+    if len(P) > deg_q and case.fe_shift == (0, 0) and A[0] == B[0] and forced != "+":
+        with pytest.raises(VanishingDiagonal):
+            _solve_signs(case, system, deg_q, forced)
+        return
+    assert _outcome(_solve_signs, case, system, deg_q, forced) == _outcome(
+        _bareiss_signs, case, system, deg_q, forced)
+
+
+def test_rational_solution_entry(cat):
+    # A and B carry the y^0 atom D = 1 - t^2 and P does not, so the solution
+    # is N / D, and a_0 = 1 normalizes it to N / N_0 = [1, 1/t]
+    case = _with(cat.cases["v3x1"], fe_a=((2, 0, 1), (1, 1, 1)), fe_b=((2, 0, 1),), fe_shift=(1, 1))
+    plain = _with(case, fe_a=((1, 1, 1),), fe_b=())
+    P = _fe_image(plain, [Poly((0, 1)), Poly((1,))], -1)
+    sol = _solve_signs(case, _dense_system(case, P), 1, "-")
+    assert sol.consistent and sol.terms is None
+    assert sol.coeffs == [RatFunc(1), RatFunc(Poly((1,)), Poly((0, 1)))]
+
+
+def test_vanishing_diagonal_is_a_located_error(cat):
+    # fe-shift 0 0 and equal y^0 parts of A and B: under '-' the y^0 diagonal is A[0] - B[0] = 0
+    case = _with(cat.cases["v1x3"], fe_shift=(0, 0), fe_b=cat.cases["v1x3"].fe_a)
+    for run in (lambda: solve_Q(case), lambda: solve_Q(case, "-"), lambda: degree_search(case, 8)):
+        with pytest.raises(VanishingDiagonal) as exc:
+            run()
+        assert not isinstance(exc.value, NoBisection)
+        assert "case v1x3: sign -, y-row 0" in str(exc.value)
+    assert not solve_Q(case, "+").consistent  # the '+' diagonal is A[0] + B[0] = 2
+
+
+def test_solve_does_not_call_the_reference_solver(cat, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("bisection called linsolve.poly_solve_overdetermined")
+
+    monkeypatch.setattr(linsolve, "poly_solve_overdetermined", no_reference)
+    monkeypatch.setattr(bisection, "poly_solve_overdetermined", no_reference, raising=False)
+    for cid in ("v1x3", "v3x1"):
+        case = cat.cases[cid]
+        assert solve_Q(case).consistent
+        deg, sol = degree_search(case, 8)
+        assert deg == 6 and sol.consistent

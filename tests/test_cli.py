@@ -160,6 +160,22 @@ def test_bisect_contradicting_declared_sign_exits_1(tmp_path, capsys):
     assert "case v1x3: solved sign - contradicts the declared sign +" in err
 
 
+def test_bisect_vanishing_diagonal_exits_1(tmp_path, capsys):
+    # fe-shift 0 0 with fe-b equal to fe-a: under '-' the y^0 diagonal A[0] - B[0] is zero
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    case = text[text.index("\ncase v1x3\n") + 1:]
+    case = case[:case.index("\nend\n") + 5]
+    fe_a = case[case.index("  fe-a ") + 7:].split("\n")[0]
+    fe_b = case[case.index("  fe-b "):].split("\n")[0]
+    p = tmp_path / "case.txt"
+    p.write_text(case.replace("  fe-shift 4/3 3", "  fe-shift 0 0").replace(fe_b, "  fe-b " + fe_a))
+    for extra in ((), ("--max-deg", "8")):
+        assert main(["--catalog", str(p), "--json", "bisect", "v1x3", *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "case v1x3: sign -, y-row 0: the diagonal entry vanishes" in err
+
+
 def test_env_catalog_override(tmp_path, monkeypatch):
     p = tmp_path / "mini.txt"
     p.write_text(

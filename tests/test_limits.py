@@ -8,7 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qseries import limits
@@ -17,6 +17,7 @@ from qseries.limits import (
     DegenerateTerm,
     PoleError,
     _exact_terms,
+    _int_mpf,
     balanced_product_limit,
     eval_closed_form,
     eval_series,
@@ -301,6 +302,24 @@ def test_eval_series_equals_mpf_object_loop(terms, prefix, rate, digits):
     got = eval_series(spec, len(terms), bf, exact=pairs(terms))
     want = _eval_series_mpf(spec, terms, bf)
     assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+_mpf_ints = (
+    st.integers(-1023, 1023)                                   # the small-mantissa table range
+    | st.integers(0, 1400).map(lambda k: 1 << k)               # powers of two
+    | st.integers(1, 1400).map(lambda k: (1 << k) - 1)         # all ones: rounding up carries
+    | st.integers(-(1 << 1400), 1 << 1400)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=_mpf_ints, negate=st.booleans(), prec=st.integers(10, 400), rnd=st.sampled_from("nfcdu"))
+@example(n=(1 << 64) - 1, negate=False, prec=10, rnd="n")
+@example(n=(1 << 11) + 1, negate=True, prec=10, rnd="u")
+@example(n=0, negate=False, prec=10, rnd="n")
+def test_int_mpf_equals_from_int(n, negate, prec, rnd):
+    n = -n if negate else n
+    assert _int_mpf(n, prec, rnd) == mpmath.libmp.from_int(n, prec, rnd)
 
 
 def test_q_product_numeric_rejects_q_outside_unit_interval(ctx):
