@@ -14,7 +14,8 @@ T_n carries an unknown polynomial Q evaluated at q^(n/2), and matching
 
 coefficientwise yields an overdetermined linear system over the polynomial
 ring in t.  Its first deg Q + 1 rows (powers of y) are lower triangular, so
-Q is solved by forward substitution and the rows above check it.  At most
+Q is solved by forward substitution and every row above, up to the top of
+the system, checks it.  At most
 one sign admits a solution; the solved Q turns the double-width sum into
 sum(+-1)^n T_n.
 
@@ -32,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from qseries import kernel
 from qseries.polyring import Poly, RatFunc
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, IdentityRecord
@@ -112,22 +114,17 @@ def _case_atoms(triples):
 
 
 def _tdiv_atom(row, c, texp: int, what: str):
-    """row / (1 - c * t^texp) in QQ[t], by the ascending recurrence q_i = p_i + c * q_(i-texp)."""
+    """row / (1 - c * t^texp) in QQ[t]: the series quotient, exact when its last texp places are zero."""
     if texp == 0:
         if c == 1:
             raise ExactDivisionFailed(f"{what}: atom (1 - 1) is identically zero")
         inv = 1 / (1 - Fraction(c))
         return [x * inv for x in row]
-    size = len(row) - texp
-    q = []
-    for i, x in enumerate(row):
-        if i >= texp:
-            x = x + c * q[i - texp]
-        if i < size:
-            q.append(x)
-        elif x:
-            raise ExactDivisionFailed(f"{what}: (1 - {c}*t^{texp}) leaves a remainder in t")
-    return q
+    size = max(len(row) - texp, 0)
+    q = kernel.div_binom(row, texp, c, len(row))
+    if any(q[size:]):
+        raise ExactDivisionFailed(f"{what}: (1 - {c}*t^{texp}) leaves a remainder in t")
+    return q[:size]
 
 
 def _ydiv_atom(rows, atom, what: str):
@@ -287,11 +284,14 @@ def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
     num[i] / den, all in QQ[t]: den stays 1 while each division by M[k][k]
     is exact, and a division that leaves a remainder multiplies den and the
     num[i] before it by M[k][k] instead, so no rational function (and no
-    gcd) is formed here.  The rows above deg_q must then leave zero.
+    gcd) is formed here.  Every row above deg_q must then leave zero, up to
+    the top of the system, deg_q + max(deg A, shift_ypow + deg B), or of P
+    if that is higher; P has no rows past its degree.
     """
     P, A, B = system
     shift_texp, shift_ypow = case.fe_shift
     half = case.root // 2
+    top = deg_q + max(len(A) - 1, shift_ypow + len(B) - 1)
 
     def entry(k, i):
         out = A[k - i] if k - i < len(A) else Poly()
@@ -303,7 +303,8 @@ def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
 
     num = []
     den = Poly.const(1)
-    for k, acc in enumerate(P):
+    for k in range(max(len(P), top + 1)):
+        acc = P[k] if k < len(P) else Poly()
         if den.coeffs != (1,):
             acc = acc * den
         for i, n in enumerate(num):

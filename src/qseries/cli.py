@@ -209,6 +209,15 @@ def _int_at_least(low):
     return parse
 
 
+def _rational(text):
+    """An argparse type: a rational such as 2/3 or -1, kept as its text, else a usage error."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    return text
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="qseries",
@@ -247,12 +256,12 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exact-rational oracle checks")
     p.add_argument("kind", choices=["jackson"])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--r", default="2/3", help="t = q^(1/12) as a rational, e.g. 2/3")
-    p.add_argument("--a", default="3/2")
-    p.add_argument("--b", default="1")
-    p.add_argument("--c", default="1")
-    p.add_argument("--d", default="1")
+    p.add_argument("--n", type=_int_at_least(0), default=3)
+    p.add_argument("--r", type=_rational, default="2/3", help="t = q^(1/12) as a rational, e.g. 2/3")
+    p.add_argument("--a", type=_rational, default="3/2")
+    p.add_argument("--b", type=_rational, default="1")
+    p.add_argument("--c", type=_rational, default="1")
+    p.add_argument("--d", type=_rational, default="1")
     p.set_defaults(fn=cmd_oracle)
     return ap
 

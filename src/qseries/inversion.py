@@ -1,24 +1,17 @@
-"""Jackson's well-poised sum, inverse series relations, and the dual theorems.
+"""Jackson's well-poised sum, inverse series relations, and the finite dual identity.
 
-The layer has three tiers:
+The layer has two tiers:
 
 1. jackson_lhs / jackson_rhs: the terminating very-well-poised sum and its
    closed product form, the root oracle for everything else.
 2. The inversion pairs (classical, q-analogue, extended, reformulated) with
    an exact round-trip driver, plus the finite dual identity (lemma_H) and
    its nonterminating limit assembled from Theta/phi/H building blocks.
-3. Five specialized nonterminating theorems (duplicate 2U/2V, triplicate
-   3U/3V, and the split-triplicate p23U), each given by an eight-factor
-   infinite product on the left and a weighted Pochhammer series on the
-   right.  Both sides are evaluated independently; theorem_series also
-   cross-checks against the general dual machinery in the test suite.
 
-Parameter specializations may make a fixed binomial factor (1 - q^0) vanish
-identically on both sides of an identity (for instance a = d).  Evaluation
-then drops the factor from both sides and counts it, so the regularized
-identity is checked instead; the drop counts must match, which verify code
-asserts.  n-dependent vanishing denominators are never dropped: they raise
-VanishingDenominatorFactor.
+None of it runs when the catalog is verified: the five specialized theorems
+and their evaluator are in qseries.theorems, which the test suite checks
+against the general dual machinery here.  The command line loads this
+module only for its oracle command.
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from qseries.qcore import (
     poch_finite,
     theta_monomial,
 )
+from qseries.theorems import WPParams
 
 
 class ParameterError(ValueError):
@@ -43,37 +37,6 @@ class ParameterError(ValueError):
 
 class DegenerateSpec(ValueError):
     """phi-polynomial vanishes at an evaluation point of an inversion pair."""
-
-
-class VanishingDenominatorFactor(ArithmeticError):
-    """A weight-function denominator factor (1 - q^...) vanished at some n."""
-
-    def __init__(self, n, description):
-        super().__init__(f"denominator factor {description} vanishes at n={n}")
-        self.n = n
-        self.description = description
-
-
-class NonmonotoneValuation(ArithmeticError):
-    """A series term fell below its structural valuation bound."""
-
-
-class SingularMismatch(ArithmeticError):
-    """The two sides of an identity do not share the same vanishing factors."""
-
-
-@dataclass(frozen=True)
-class WPParams:
-    """The four free parameters; the fifth is pinned by the side condition."""
-
-    a: QMono
-    b: QMono
-    c: QMono
-    d: QMono
-
-    def e_terminating(self, n, root):
-        q = QMono(1, root)
-        return q ** (n + 1) * self.a**2 / (self.b * self.c * self.d)
 
 
 def params_from_exponents(ea, eb, ec, ed, root=12):
@@ -110,7 +73,7 @@ def jackson_lhs(ring, p: WPParams, n: int):
         raise ValueError("n must be nonnegative")
     root = ring.root
     q = QMono(1, root)
-    e = p.e_terminating(n, root)
+    e = q ** (n + 1) * p.a**2 / (p.b * p.c * p.d)
     if p.a.is_one:
         raise ParameterError("a = 1 makes the well-poised prefactor singular")
     num = (p.a, p.b, p.c, p.d, e, q**-n)

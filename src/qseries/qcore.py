@@ -30,10 +30,6 @@ class RootMismatch(ValueError):
     """A q-exponent is not an integer multiple of 1/root."""
 
 
-class DivergentProduct(ArithmeticError):
-    """Infinite Pochhammer product whose factors never approach 1."""
-
-
 class PoleError(ArithmeticError):
     """Gamma-type evaluation at a nonpositive integer."""
 
@@ -225,40 +221,31 @@ TRIPLICATE = PartitionPattern(3, (0, 1, 2, 0), (1, 1, 1, 0))
 TRIPLICATE_SPLIT = PartitionPattern(3, (1, 0, 1, 0), (1, 0, 2, 0))
 
 
-def partition_indices(pattern: PartitionPattern, n: int):
-    return pattern.indices(n)
-
-
 # ------------------------------------------------------------------ products
 
 
-def poch_finite(ring, x: QMono, n: int, step: QMono | None = None):
-    """(x; s)_n = prod_{k<n} (1 - x*s^k), with step s defaulting to q."""
+def poch_finite(ring, x: QMono, n: int):
+    """(x; q)_n = prod_{k<n} (1 - x*q^k)."""
     if n < 0:
         raise ValueError("finite Pochhammer needs n >= 0")
-    s = step if step is not None else QMono(1, ring.root)
     acc = ring.one()
     c, e = x.coeff, x.texp
     for _ in range(n):
         acc = ring.times_binom(acc, c, e)
-        c *= s.coeff
-        e += s.texp
+        e += ring.root
     return acc
 
 
-def poch_infinite(ring: SeriesRing, x: QMono, step: QMono | None = None, on_zero="zero"):
-    """(x; s)_inf as a truncated series, exact to the ring order.
+def poch_infinite(ring: SeriesRing, x: QMono, on_zero="zero"):
+    """(x; q)_inf as a truncated series, exact to the ring order.
 
-    Factors are multiplied until (1 - x*s^k) deviates from 1 only at or
+    Factors are multiplied until (1 - x*q^k) deviates from 1 only at or
     beyond the truncation order.  Leading factors with nonpositive valuation
     are carried exactly.  A factor equal to (1 - 1) either annihilates the
     product (on_zero="zero") or is dropped and counted (on_zero="drop").
     """
     if ring.mode != "series":
         raise TypeError("infinite products require the series ring")
-    s = step if step is not None else QMono(1, ring.root)
-    if s.texp <= 0:
-        raise DivergentProduct("step must have positive valuation")
     acc = ring.one()
     drops = 0
     c, e = x.coeff, x.texp
@@ -272,8 +259,7 @@ def poch_infinite(ring: SeriesRing, x: QMono, step: QMono | None = None, on_zero
             drops += 1
         else:
             acc = ring.times_binom(acc, c, e)
-        c *= s.coeff
-        e += s.texp
+        e += ring.root
     acc = acc.truncate(ring.order)
     if on_zero == "drop":
         return acc, drops

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from qseries.inversion import WPParams
 from qseries.qcore import QMono, SeriesRing
 from qseries.theorems import (
     BExp,
@@ -35,6 +34,7 @@ from qseries.theorems import (
     PochF,
     SeriesRecipe,
     THEOREM_NAMES,
+    WPParams,
     bind_theorem,
     has_unit_factor,
     reduce_root,
@@ -146,12 +146,6 @@ class Catalog:
     root: int
     records: list[IdentityRecord]
     cases: dict[str, BisectionCase]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
 
     def get(self, rid):
         for r in self.records:

@@ -260,9 +260,6 @@ class LaurentSeries:
                 return e, cs, co
         return None
 
-    def agrees_with(self, other, upto=None):
-        return self.first_difference(other, upto) is None
-
     # ------------------------------------------------------------------ misc
 
     def __repr__(self):

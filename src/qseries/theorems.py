@@ -48,6 +48,14 @@ remaining product of binomials is expanded by Euler's recurrence on its
 log-derivative, F_m = (1/m) * sum_{k<=m} G_k F_{m-k}, where a divisor sieve
 over the factor exponents gives G = t*(log F)'.  It is exact to the ring
 order and over the integers when every factor coefficient is an integer.
+
+Parameter specializations may make a fixed binomial factor (1 - q^0) vanish
+identically on both sides of an identity (for instance a = d).  Evaluation
+then drops the factor from both sides and counts it, so the regularized
+identity is checked instead; the drop counts must match, which
+theorem_series checks against the left side's count.  n-dependent
+vanishing denominators are never dropped: they raise
+VanishingDenominatorFactor.
 """
 
 from __future__ import annotations
@@ -57,20 +65,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from qseries import kernel
-from qseries.inversion import (
-    NonmonotoneValuation,
-    SingularMismatch,
-    VanishingDenominatorFactor,
-    WPParams,
-)
-from qseries.qcore import (
-    DUPLICATE,
-    TRIPLICATE,
-    TRIPLICATE_SPLIT,
-    QMono,
-    SeriesRing,
-    poch_quotient,
-)
+from qseries.qcore import QMono, SeriesRing, poch_quotient
 from qseries.series import (
     LaurentSeries,
     _norm,
@@ -80,6 +75,33 @@ from qseries.series import (
     window_times_binom,
     window_truncate,
 )
+
+
+class VanishingDenominatorFactor(ArithmeticError):
+    """A weight-function denominator factor (1 - q^...) vanished at some n."""
+
+    def __init__(self, n, description):
+        super().__init__(f"denominator factor {description} vanishes at n={n}")
+        self.n = n
+        self.description = description
+
+
+class NonmonotoneValuation(ArithmeticError):
+    """A series term fell below its structural valuation bound."""
+
+
+class SingularMismatch(ArithmeticError):
+    """The two sides of an identity do not share the same vanishing factors."""
+
+
+@dataclass(frozen=True)
+class WPParams:
+    """The four free parameters; the fifth is pinned by the side condition."""
+
+    a: QMono
+    b: QMono
+    c: QMono
+    d: QMono
 
 
 @dataclass(frozen=True)
@@ -143,16 +165,8 @@ class SeriesRecipe:
     n_start: int = 0
     sign_alt: bool = False     # multiply term n by (-1)^n
     pref_const: int = 0
-    # populated for theorem-derived recipes only
-    pattern: object = None
-    delta: int = 0
-    variant: str = "U"
     # exponents count powers of t^unit (reduce_root's g); messages report t
     unit: int = 1
-
-
-def _mono_pochf(m: QMono, kn, kc=0, step=12):
-    return PochF(m.coeff, m.texp, kn, kc, step)
 
 
 def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
@@ -167,7 +181,7 @@ def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
     M = B  # same payload, monomial interpretation
 
     def P(m, kn, kc=0):
-        return _mono_pochf(m, kn, kc, root)
+        return PochF(m.coeff, m.texp, kn, kc, root)
 
     if name == "2U":
         pref_m = a * a / (b * d)
@@ -196,7 +210,6 @@ def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
                 ),
             ),),
             leading_one=False, n_start=0,
-            pattern=DUPLICATE, delta=0, variant="U",
         )
 
     if name == "2V":
@@ -226,7 +239,6 @@ def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
                 ),
             ),),
             leading_one=True, n_start=1,
-            pattern=DUPLICATE, delta=1, variant="V",
         )
 
     if name == "3U":
@@ -261,7 +273,6 @@ def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
                 ),
             ),),
             leading_one=False, n_start=0,
-            pattern=TRIPLICATE, delta=0, variant="U",
         )
 
     if name == "3V":
@@ -296,7 +307,6 @@ def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
                 ),
             ),),
             leading_one=True, n_start=1,
-            pattern=TRIPLICATE, delta=1, variant="V",
         )
 
     if name == "p23U":
@@ -331,7 +341,6 @@ def bind_theorem(name: str, p: WPParams, root: int = 12) -> SeriesRecipe:
                 ),
             ),),
             leading_one=False, n_start=0,
-            pattern=TRIPLICATE_SPLIT, delta=0, variant="U",
         )
 
     raise ValueError(f"unknown theorem {name!r}")
@@ -887,30 +896,27 @@ class SeriesResult:
     terms_used: int
 
 
-def theorem_series(ring, name_or_bt, p: WPParams | None = None,
-                   shadow: SeriesRecipe | None = None,
-                   expected_net: int | None = None, divisor=1) -> SeriesResult:
+def theorem_series(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None,
+                   expected_net: int = 0, divisor=1) -> SeriesResult:
     """Right side of a catalogued identity, summed exactly to the ring order, over divisor.
 
     Identically-vanishing binomial factors are dropped; each drop weighs the
     term by its shadow form, so terms enter as naive_value * phi.  Terms less
     singular than expected_net (notably the V-form leading 1 when the
     identity is regularized) are annihilated; a more singular term is a
-    genuine mismatch.  divisor (the left side's shadow weight, for a
+    genuine mismatch.  expected_net is the left side's drop count, 0 for a
+    recipe without a shadow.  divisor (the left side's shadow weight, for a
     regularized record) divides the whole sum.
 
     The sum is taken on one integer window: each weight phi/divisor is
     brought to the lcm L of their denominators, each term enters times its
     integer multiple of 1/L, and the window is divided by L once.
     """
-    bt = name_or_bt if isinstance(name_or_bt, SeriesRecipe) else bind_theorem(name_or_bt, p, ring.root)
     order = ring.order
     terms = list(carried_terms(ring, bt, shadow))
     terms_used = len(terms)
     # a term with net_drops None vanished through an n-dependent numerator zero
     terms = [(n, tv) for n, tv in terms if tv.net_drops is not None]
-    if expected_net is None:
-        expected_net = max((tv.net_drops for _, tv in terms), default=0)
     parts = []
     for n, tv in terms:
         if tv.net_drops > expected_net:
@@ -949,8 +955,7 @@ def theorem_weight(ring, name: str, p: WPParams, n: int):
     return ring.zero() if dead else w
 
 
-def theorem_lhs(ring, name_or_bt, p: WPParams | None = None,
-                shadow: SeriesRecipe | None = None):
+def theorem_lhs(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
     """Left side: the infinite-product quotient, with drop accounting.
 
     The quotient comes from one exact recurrence (qcore.poch_quotient):
@@ -963,7 +968,6 @@ def theorem_lhs(ring, name_or_bt, p: WPParams | None = None,
     their shadow forms (numerator drops over denominator drops).  The
     regularized identity is then series * phi == theorem_series(...).
     """
-    bt = name_or_bt if isinstance(name_or_bt, SeriesRecipe) else bind_theorem(name_or_bt, p, ring.root)
     series, dropped = poch_quotient(ring, bt.lhs_num, bt.lhs_den)
     net = 0
     phi = 1

@@ -31,12 +31,11 @@ from qseries.bisection import (
     solve_Q,
     weight_y_fraction,
 )
-from qseries.inversion import NonmonotoneValuation
 from qseries.linsolve import poly_solve_overdetermined
 from qseries.polyring import Poly, RatFunc
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, load_catalog, record_sides
-from qseries.theorems import bind_theorem, eval_term, theorem_lhs, theorem_series
+from qseries.theorems import NonmonotoneValuation, bind_theorem, eval_term, theorem_lhs, theorem_series
 
 F = Fraction
 
@@ -430,18 +429,24 @@ def test_pairing_check_rejects_flipped_sign(cat, sols, cid):
 
 
 def _bareiss_signs(case, system, deg_q, forced_sign):
-    """_solve_signs by Bareiss elimination of the full R x C system (the reference)."""
+    """_solve_signs by Bareiss elimination of the full R x C system (the reference).
+
+    The rows run to the top of Q*A and of the shifted Q*B, or of P if that is
+    higher, with P's rows past its degree zero.
+    """
     P, A, B = system
     shift_texp, shift_ypow = case.fe_shift
     half = case.root // 2
     if len(P) - 1 < deg_q:
         raise NoBisection("deg P too small")
+    height = max(len(P), deg_q + len(A), deg_q + shift_ypow + len(B))
+    rhs = list(P) + [Poly()] * (height - len(P))
     results = {}
     for sign_label, sign in (("+", 1), ("-", -1)):
         if forced_sign is not None and sign_label != forced_sign:
             continue
         M = []
-        for k in range(len(P)):
+        for k in range(height):
             row = []
             for i in range(deg_q + 1):
                 entry = A[k - i] if 0 <= k - i < len(A) else Poly()
@@ -450,7 +455,7 @@ def _bareiss_signs(case, system, deg_q, forced_sign):
                     entry = entry + Poly.monomial(sign, shift_texp + half * i) * B[jb]
                 row.append(entry)
             M.append(row)
-        sol, ok = poly_solve_overdetermined(M, P)
+        sol, ok = poly_solve_overdetermined(M, rhs)
         if ok and not sol[0].is_zero:
             sol = [s / sol[0] for s in sol]
             terms = [_poly_terms(s) for s in sol]
@@ -500,6 +505,23 @@ def test_catalog_solve_matches_bareiss_at_every_degree(cat, cid):
             got = _outcome(_solve_signs, case, system, deg, forced)
             assert got == _outcome(_bareiss_signs, case, system, deg, forced), (deg, forced)
             assert (got == "NoBisection") == (forced is None and deg < 6)
+
+
+def test_rows_above_deg_P_are_checked(cat):
+    # v3x1 with its fe-shift t-exponent raised by one has no solution, but at
+    # degree 19 no row up to deg P is left to show it: only the rows of Q*A and
+    # of the shifted Q*B above deg P do
+    case = cat.cases["v3x1"]
+    bad = _with(case, fe_shift=(case.fe_shift[0] + 1, case.fe_shift[1]))
+    system = _fe_system(bad)
+    assert len(system[0]) - 1 == 19
+    with pytest.raises(NoBisection):
+        _solve_signs(bad, system, 19, None)
+    with pytest.raises(NoBisection):
+        degree_search(bad, 19)
+    assert _outcome(_bareiss_signs, bad, system, 19, None) == "NoBisection"
+    for sign in ("+", "-"):
+        assert not _solve_signs(bad, system, 19, sign).consistent
 
 
 _y_atoms = st.lists(

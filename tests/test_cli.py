@@ -88,6 +88,15 @@ def test_oracle_jackson_trivial():
     assert payload["lhs"] == "1"
 
 
+def test_oracle_rejects_bad_n_and_rationals():
+    for flags in (("--n", "-1"), ("--r", "x"), ("--r", "1/0"), ("--a", "3/2q"), ("--b", ""),
+                  ("--c", "one"), ("--d", "1/0")):
+        proc = run_cli("--json", "oracle", "jackson", *flags)
+        assert proc.returncode == 2, flags
+        assert flags[0] in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_limit_json_fields():
     proc = run_cli("--json", "limit", "v3x1", "--terms", "20", "--digits", "30")
     assert proc.returncode == 0

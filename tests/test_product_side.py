@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from qseries.inversion import SingularMismatch, params_from_exponents
+from qseries.inversion import params_from_exponents
 from qseries.qcore import QMono, SeriesRing, poch_infinite
 from qseries.registry import load_catalog, record_sides, verify_identity
-from qseries.theorems import bind_theorem, shadow_params, theorem_lhs
+from qseries.theorems import SingularMismatch, bind_theorem, shadow_params, theorem_lhs
 
 F = Fraction
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qseries import theorems
-from qseries.inversion import NonmonotoneValuation, SingularMismatch, params_from_exponents
+from qseries.inversion import params_from_exponents
 from qseries.qcore import QMono, SeriesRing
 from qseries.registry import load_catalog, reduced_sides, record_sides, verify_identity
 from qseries.series import LaurentSeries
@@ -24,8 +24,10 @@ from qseries.theorems import (
     THEOREM_NAMES,
     BExp,
     BraceTerm,
+    NonmonotoneValuation,
     PochF,
     SeriesRecipe,
+    SingularMismatch,
     bind_theorem,
     carried_terms,
     eval_term,
@@ -69,7 +71,7 @@ def unreduced_sides(rec, order):
     ring = SeriesRing(order=order, root=rec.root)
     shadow = shadow_of(rec)
     lhs, net, phi = theorem_lhs(ring, rec.recipe, shadow=shadow)
-    res = theorem_series(ring, rec.recipe, shadow=shadow, expected_net=net if shadow else None)
+    res = theorem_series(ring, rec.recipe, shadow=shadow, expected_net=net if shadow else 0)
     return lhs, res.series.scale(1 / F(phi)), res.terms_used
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qseries import kernel
-from qseries.inversion import NonmonotoneValuation, VanishingDenominatorFactor, params_from_exponents
+from qseries.inversion import params_from_exponents
 from qseries.qcore import RationalRing, SeriesRing
 from qseries.registry import load_catalog, verify_identity
 from qseries.series import LaurentSeries
@@ -23,9 +23,11 @@ from qseries.theorems import (
     THEOREM_NAMES,
     BExp,
     BraceTerm,
+    NonmonotoneValuation,
     PochF,
     SeriesRecipe,
     TermValue,
+    VanishingDenominatorFactor,
     _apply_poch,
     _poch_val,
     _prefactor,

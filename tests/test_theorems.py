@@ -7,14 +7,14 @@ import pytest
 
 from qseries.inversion import (
     PatternSystem,
-    VanishingDenominatorFactor,
     general_dual_group,
     general_dual_prefix,
     params_from_exponents,
 )
-from qseries.qcore import RationalRing, SeriesRing
+from qseries.qcore import DUPLICATE, TRIPLICATE, TRIPLICATE_SPLIT, RationalRing, SeriesRing
 from qseries.theorems import (
     THEOREM_NAMES,
+    VanishingDenominatorFactor,
     bind_theorem,
     eval_term,
     shadow_params,
@@ -35,6 +35,15 @@ GENERIC = {
     "p23U": (F(3, 2), 1, 1, F(5, 6)),
 }
 
+# each theorem's window in the general dual machinery: (pattern, delta, variant)
+WINDOWS = {
+    "2U": (DUPLICATE, 0, "U"),
+    "2V": (DUPLICATE, 1, "V"),
+    "3U": (TRIPLICATE, 0, "U"),
+    "3V": (TRIPLICATE, 1, "V"),
+    "p23U": (TRIPLICATE_SPLIT, 0, "U"),
+}
+
 
 @pytest.mark.parametrize("name", THEOREM_NAMES)
 def test_specialized_matches_general_dual(name):
@@ -46,7 +55,8 @@ def test_specialized_matches_general_dual(name):
     ring = RationalRing(F(2, 3))
     p = params_from_exponents(*GENERIC[name])
     bt = bind_theorem(name, p, 12)
-    sysm = PatternSystem(p, bt.pattern, 12)
+    pattern, delta, variant = WINDOWS[name]
+    sysm = PatternSystem(p, pattern, 12)
     qv = ring.of_qmono
     if name == "3U":
         kappa = (1 - qv(p.c)) * (1 - qv(p.d))
@@ -54,19 +64,19 @@ def test_specialized_matches_general_dual(name):
         kappa = (1 - qv(p.d)) * (1 - qv(p.a / p.d))
     for n in range(bt.n_start, bt.n_start + 4):
         spec = eval_term(ring, bt, n)
-        gen = general_dual_group(ring, sysm, bt.delta, bt.variant, n)
+        gen = general_dual_group(ring, sysm, delta, variant, n)
         assert gen == kappa * spec.series
     if bt.leading_one:
-        assert general_dual_prefix(ring, sysm, bt.delta) == kappa
+        assert general_dual_prefix(ring, sysm, delta) == kappa
 
 
 @pytest.mark.parametrize("name", THEOREM_NAMES)
 def test_lhs_equals_series_generic(name):
     ring = SeriesRing(order=150)
-    p = params_from_exponents(*GENERIC[name])
-    lhs, net, phi = theorem_lhs(ring, name, p)
+    bt = bind_theorem(name, params_from_exponents(*GENERIC[name]), 12)
+    lhs, net, phi = theorem_lhs(ring, bt)
     assert net == 0 and phi == 1
-    res = theorem_series(ring, name, p)
+    res = theorem_series(ring, bt)
     assert res.net_drops == 0
     assert lhs.first_difference(res.series, ring.order) is None
 
@@ -157,9 +167,9 @@ def test_vanishing_denominator_reported():
 
 def test_series_below_first_valuation_is_zero():
     ring = SeriesRing(order=10)  # below every nonconstant exponent
-    p = params_from_exponents(*GENERIC["2U"])
-    res = theorem_series(ring, "2U", p)
-    lhs, _, _ = theorem_lhs(ring, "2U", p)
+    bt = bind_theorem("2U", params_from_exponents(*GENERIC["2U"]), 12)
+    res = theorem_series(ring, bt)
+    lhs, _, _ = theorem_lhs(ring, bt)
     assert lhs.first_difference(res.series, 10) is None
 
 

@@ -1,7 +1,8 @@
 """The benchmark tracer (perfbench/spans.py) still finds every name it wraps.
 
 `spans.install` looks each TRACED name up with getattr, so deleting one of
-them from the package breaks `perfbench/run.py --trace 1`.
+them from the package breaks `perfbench/run.py --trace 1`.  The engine's
+import path is also checked to leave the inversion oracles out.
 """
 
 import importlib
@@ -47,6 +48,19 @@ def test_engine_imports_load_every_traced_module():
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     loaded = set(json.loads(proc.stdout))
     assert {module for module, _ in spans.TRACED.values()} <= loaded
+
+
+def test_engine_imports_leave_inversion_unloaded():
+    # the inversion oracles are not on the engine's import path; only the
+    # oracle command loads them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import json, sys; import qseries.cli; from qseries import bisection, limits, registry; "
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert {"qseries.cli", "qseries.registry", "qseries.theorems"} <= loaded
+    assert "qseries.inversion" not in loaded
 
 
 def test_install_wraps_and_restores():
