@@ -218,6 +218,13 @@ def _rational(text):
     return text
 
 
+def _unit_rational(text):
+    """An argparse type: a rational r with 0 < |r| < 1, kept as its text, else a usage error."""
+    if not 0 < abs(Fraction(_rational(text))) < 1:
+        raise argparse.ArgumentTypeError(f"need 0 < |r| < 1 for convergent q-products, got {text}")
+    return text
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="qseries",
@@ -257,7 +264,8 @@ def build_parser():
     p = sub.add_parser("oracle", help="exact-rational oracle checks")
     p.add_argument("kind", choices=["jackson"])
     p.add_argument("--n", type=_int_at_least(0), default=3)
-    p.add_argument("--r", type=_rational, default="2/3", help="t = q^(1/12) as a rational, e.g. 2/3")
+    p.add_argument("--r", type=_unit_rational, default="2/3",
+                   help="t = q^(1/12) as a rational with 0 < |r| < 1, e.g. 2/3")
     p.add_argument("--a", type=_rational, default="3/2")
     p.add_argument("--b", type=_rational, default="1")
     p.add_argument("--c", type=_rational, default="1")

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from operator import mul
+from math import exp, expm1, factorial, inf, lcm, log, log1p, log2, pi
 
 from qseries.series import LaurentSeries, _inv_scalar, _norm
 
@@ -272,8 +271,10 @@ def poch_quotient(ring: SeriesRing, num, den):
     Factors with nonpositive valuation are taken out exactly: (1 - c*t^e)
     with e < 0 is -c*t^e * (1 - t^-e/c), and (1 - c) with c != 1 is a
     scalar.  What remains is a product of binomials (1 - c*t^m)^(+-1) with
-    m > 0, expanded by euler_product to exactly order - valuation
-    coefficients.  An identically-zero factor (1 - q^0) is dropped.
+    m > 0: the peeled ones and the tails (c*t^e; q)_inf with e > 0, which
+    packed_product expands as one Kronecker-packed integer to exactly
+    order - valuation coefficients.  An identically-zero factor (1 - q^0)
+    is dropped.
 
     Returns (series, dropped): dropped lists (from_num, i) for each product
     that lost a zero factor, numerator products first, in index order.
@@ -301,50 +302,122 @@ def poch_quotient(ring: SeriesRing, num, den):
                     dropped.append((sign > 0, i))
                 e += ring.root
             tails.append((c, e, sign))
-    n = ring.order - val
-    factors = single + [(c, m, sign) for c, e, sign in tails for m in range(e, n, ring.root)]
     lead = _norm(lead)
-    coeffs = euler_product(factors, n)
+    coeffs = packed_product(single, tails, ring.root, ring.order - val)
     if lead != 1:
         coeffs = [_norm(lead * f) for f in coeffs]
     return LaurentSeries(val, coeffs, ring.order, _canonical=True), dropped
 
 
-def euler_product(factors, n: int):
-    """Coefficients 0..n-1 of prod (1 - c*t^m)^sign over (c, m, sign), m > 0.
+def packed_product(single, tails, root: int, n: int):
+    """Coefficients 0..n-1 of prod (1 - c*t^m)^sign over single and the tails.
 
-    A divisor sieve builds G = t*(log F)': each factor adds -sign*m*c^j to
-    G_{mj}.  Euler's recurrence m*F_m = sum_{k=1..m} G_k*F_{m-k} (Knuth,
-    TAOCP vol. 2, 4.7) then gives F one coefficient at a time, skipping the
-    zero G_k.  With integer c every F_m is an integer, and each division is
-    checked to be exact.
+    single holds binomials (c, m, sign) with m > 0; a tail (c, e, sign)
+    with e > 0 is (c*t^e; t^root)_inf^sign, of which the factors with
+    m < n matter.  Each c is an int or a Fraction.
+
+    With L the lcm of the denominators of every c, put t = L*u: each factor
+    becomes (1 - c*L^m * u^m) with an integer coefficient, and the product
+    G(u) = F(L*u) has integer coefficients g_j = f_j * L^j.  Evaluating at
+    u = 2^B is a ring homomorphism Z[u]/(u^n) -> Z/2^(nB), and every factor
+    (1 - c'*u^m) is a unit on both sides (its image is odd).  So the
+    integer X = G(2^B) mod 2^(nB) is built exactly, however large the
+    coefficients of the partial products get:
+
+    * a numerator factor maps X to X - c'*(X << mB), mod 2^(nB);
+    * a denominator factor uses 1/(1 - y) = prod_{j<J} (1 + y^(2^j)) mod u^n,
+      with y = c'*u^m and m*2^J >= n, one shift-add per j.
+
+    When every |g_j| < 2^(B-1), X holds the g_j as its balanced base-2^B
+    digits, and that representation is unique, so one pass over X's bytes
+    reads them back.  digit_width proves such a B.  A factor with c' = 1
+    costs no multiplication.
     """
     if n <= 0:
         return []
-    integral = all(type(c) is int for c, _, _ in factors)
-    g = [0] * n
-    for c, m, sign in factors:
-        w = -sign * m
-        cj = 1
-        for k in range(m, n, m):
-            cj *= c
-            g[k] += w * cj
-    ks = [k for k in range(1, n) if g[k]]
-    gs = [_norm(g[k]) for k in ks]
-    f = [1] + [0] * (n - 1)
-    used = 0
-    for m in range(1, n):
-        while used < len(ks) and ks[used] <= m:
-            used += 1
-        back = f[m::-1]  # back[k] == f[m - k]
-        s = sum(map(mul, gs[:used], map(back.__getitem__, ks[:used])))
-        if integral:
-            f[m], r = divmod(s, m)
-            if r:
-                raise ArithmeticError(f"Euler recurrence: coefficient {m} of an integral product is {s}/{m}")
+    scale = lcm(*(c.denominator for c, _, _ in single + tails))
+    width = digit_width(single, tails, root, n, scale)
+    mask = (1 << n * width) - 1
+    x = 1
+    for c, m, sign in single + [(c, m, sign) for c, e, sign in tails for m in range(e, n, root)]:
+        if scale != 1:
+            c = c.numerator * (scale**m // c.denominator)
+        if sign > 0:
+            y = x << m * width
+            x = (x - (y if c == 1 else c * y)) & mask
         else:
-            f[m] = _norm(Fraction(s, m))
-    return f
+            while m < n:
+                y = x << m * width
+                x = (x + (y if c == 1 else c * y)) & mask
+                m, c = 2 * m, c * c
+    w = width // 8
+    raw = x.to_bytes(n * w, "little")
+    digits = [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
+    coeffs = [d + (p < 0) for d, p in zip(digits, [0] + digits)]  # a negative digit borrowed one
+    if scale != 1:
+        out, power = [], 1
+        for g in coeffs:
+            out.append(_norm(Fraction(g, power)))
+            power *= scale
+        coeffs = out
+    return coeffs
+
+
+_GUARD_BITS = 1.0       # for the float rounding of the bound
+_LN2 = log(2)
+_ZETA2 = pi * pi / 6    # Li_2(1)
+
+
+def digit_width(single, tails, root: int, n: int, scale: int) -> int:
+    """A width B, in whole bytes, with |g_j| < 2^(B-1) for every j < n (see packed_product).
+
+    Cauchy's bound on a majorant (Flajolet and Sedgewick, Analytic
+    Combinatorics, VIII.2): with every (1 - c*t^m) replaced by
+    (1 + |c|*t^m) and every 1/(1 - c*t^m) by 1/(1 - |c|*t^m), the product
+    H has nonnegative coefficients that dominate |f_j|, so for 0 < r < 1
+    inside H's radius |f_j| <= H(r)/r^j, and |g_j| = L^j*|f_j| <=
+    H(r)*(L/r)^(n-1).  log H(r) sums, with a = |c|*r^m:
+
+    * log(1 + a) for a peeled numerator, -log(1 - a) for a denominator;
+    * for a numerator tail, with a = |c|*r^e and q = r^root:
+      sum_k log(1 + a*q^k) <= sum_k a*q^k = a/(1 - q);
+    * for a denominator tail, as -log(1 - a*q^x) falls with x,
+      sum_k -log(1 - a*q^k) <= -log(1 - a) + integral_0^inf -log(1 - a*q^x) dx
+      = -log(1 - a) + Li_2(a)/lambda <= -log(1 - a) + (pi^2/6)*a/lambda,
+      lambda = -ln q (Li_2(a) <= a*Li_2(1) for 0 <= a <= 1).
+
+    The exponent is convex in log r, so the scan over the grid
+    r = R*(1 - 2^(-k/2)), k = 1, 2, ..., stops at its first rise; the grid
+    ends near 1 - 1/n, where -(n-1)*log r is about 1.  R is 1 or the
+    smallest radius |c|^(-1/m) of any factor, so every a stays below 1
+    (the tails need r < 1, and a denominator (1 - 2t) puts R at 1/2).
+    _GUARD_BITS more bits cover the rounding of the floats.
+    """
+    single = [(_log_abs(c), m, sign) for c, m, sign in single]
+    tails = [(_log_abs(c), e, sign) for c, e, sign in tails]
+    log_radius = min([0.0] + [-lc / m for lc, m, _ in single + tails])
+    best = inf
+    for k in range(1, 2 * n.bit_length() + 3):
+        s = log_radius + log1p(-2 ** (-k / 2))
+        lam = -root * s
+        one_minus_q = -expm1(-lam)
+        total = -(n - 1) * s
+        for lc, m, sign in single:
+            a = exp(lc + m * s)
+            total += log1p(a) if sign > 0 else -log1p(-a)
+        for lc, e, sign in tails:
+            a = exp(lc + e * s)
+            total += a / one_minus_q if sign > 0 else a * _ZETA2 / lam - log1p(-a)
+        if total >= best:
+            break
+        best = total
+    bits = best / _LN2 + (n - 1) * log2(scale) + _GUARD_BITS
+    return (int(bits) + 9) // 8 * 8   # B - 1 > bits
+
+
+def _log_abs(c):
+    """ln |c| for an int or Fraction c != 0, also past the float range."""
+    return log(abs(c.numerator)) - log(c.denominator)
 
 
 def gauss_binom(ring, m: int, n: int):

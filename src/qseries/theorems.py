@@ -44,10 +44,12 @@ shorter.  The verification driver (registry) runs there and reports in t.
 
 The left side takes a separate path (qcore.poch_quotient): the factors of
 nonpositive valuation are taken out of the eight products exactly, and the
-remaining product of binomials is expanded by Euler's recurrence on its
-log-derivative, F_m = (1/m) * sum_{k<=m} G_k F_{m-k}, where a divisor sieve
-over the factor exponents gives G = t*(log F)'.  It is exact to the ring
-order and over the integers when every factor coefficient is an integer.
+remaining product of binomials is expanded as one Kronecker-packed integer
+(qcore.packed_product): F evaluated at t = 2^B modulo 2^(nB), one big-int
+shift-add per factor, read back once as n balanced base-2^B digits.  The
+digit width B comes from Cauchy's bound on a majorant of F
+(qcore.digit_width), so the expansion is exact to the ring order; the
+right side stays on the coefficient-list kernels, independent of it.
 
 Parameter specializations may make a fixed binomial factor (1 - q^0) vanish
 identically on both sides of an identity (for instance a = d).  Evaluation
@@ -958,10 +960,10 @@ def theorem_weight(ring, name: str, p: WPParams, n: int):
 def theorem_lhs(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
     """Left side: the infinite-product quotient, with drop accounting.
 
-    The quotient comes from one exact recurrence (qcore.poch_quotient):
+    The quotient comes from one exact expansion (qcore.poch_quotient):
     leading factors of nonpositive valuation are taken out exactly, and the
-    rest is expanded through Euler's recurrence on its log-derivative, to
-    exactly the ring order.
+    rest is expanded as one Kronecker-packed integer whose digit width is
+    proven by Cauchy's bound on a majorant, to exactly the ring order.
 
     Returns (series, net_drops, phi): net_drops counts identically-zero
     (1 - q^0) factors removed from the products, phi is the product of

@@ -97,6 +97,22 @@ def test_oracle_rejects_bad_n_and_rationals():
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("r", ["0", "1", "2", "-1", "-3/2", "0/5"])
+def test_oracle_rejects_r_outside_unit_interval(r):
+    # RationalRing needs 0 < |r| < 1; out of that bound is a usage error, not an evaluation failure
+    proc = run_cli("--json", "oracle", "jackson", f"--r={r}")
+    assert proc.returncode == 2, r
+    assert "--r" in proc.stderr and "0 < |r| < 1" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_oracle_accepts_negative_r_inside_unit_interval():
+    proc = run_cli("--json", "oracle", "jackson", "--n", "2", "--r=-1/2")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["r"] == "-1/2" and payload["equal"] is True
+
+
 def test_limit_json_fields():
     proc = run_cli("--json", "limit", "v3x1", "--terms", "20", "--digits", "30")
     assert proc.returncode == 0

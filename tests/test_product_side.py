@@ -1,4 +1,9 @@
-"""The left (product) side: Euler's recurrence against the dense product path.
+"""The left (product) side against the dense product path.
+
+The left side is expanded as one Kronecker-packed integer
+(qcore.packed_product) with a digit width from Cauchy's bound on a
+majorant (qcore.digit_width); tests/test_packed_product.py checks that
+expansion against Euler's recurrence.
 
 The reference is the quotient built factor by factor from poch_infinite,
 series products and series inverses, with the same drop accounting.
