@@ -15,22 +15,23 @@ T_n carries an unknown polynomial Q evaluated at q^(n/2), and matching
 coefficientwise yields an overdetermined linear system over the polynomial
 ring in t.  Its first deg Q + 1 rows (powers of y) are lower triangular, so
 Q is solved by forward substitution and every row above, up to the top of
-the system, checks it.  At most
-one sign admits a solution; the solved Q turns the double-width sum into
-sum(+-1)^n T_n.
+the system, checks it.  At most one sign admits a solution; the solved Q
+turns the double-width sum into sum(+-1)^n T_n.
 
 Case data ships in the catalog: the clearing factor, the functional-equation
 factors, and two series recipes, the unreduced double-width series (pp)
 and the term block T_n of the reduced series (t).  pp_recipe puts P(q^n)
 into pp's braces and reduced_recipe puts the solved Q into t's.  The
 weight polynomial itself is rebuilt from the theorem recipe, never
-transcribed.
+transcribed.  P is built once per solve (solve_Q, degree_search) and the
+solution carries it: functional_equation_residual and pairing_check read
+BisectionSolution.P and reject a solution of another case.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from qseries import kernel
@@ -214,6 +215,14 @@ class BisectionSolution:
     coeffs: list            # RatFunc entries, a_0 normalized to 1
     terms: list | None      # per entry: [(coeff, t-exp), ...] when polynomial
     consistent: bool
+    P: list = field(compare=False, repr=False)   # build_P(case), the P it was solved against
+
+
+def _solved_P(case: BisectionCase, sol: BisectionSolution):
+    """The P that sol was solved against; sol must belong to case."""
+    if sol.case != case.id:
+        raise ValueError(f"solution of case {sol.case} given for case {case.id}")
+    return sol.P
 
 
 def _poly_terms(r: RatFunc):
@@ -238,7 +247,8 @@ def _fe_system(case: BisectionCase):
 def solve_Q(case: BisectionCase, forced_sign: str | None = None):
     """Assemble and solve the functional-equation system for each sign, at case.deg_q.
 
-    Returns a BisectionSolution for the unique consistent sign.  Raises
+    Returns a BisectionSolution for the unique consistent sign, carrying
+    the P it was solved against.  Raises
     NoBisection when neither sign works, AmbiguousSign when both do, and
     VanishingDiagonal when a sign's system has a zero diagonal entry.
     """
@@ -262,11 +272,11 @@ def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | Non
         terms = [_poly_terms(s) for s in sol]
         results[sign_label] = BisectionSolution(
             case.id, sign_label, deg_q, sol,
-            terms if all(t is not None for t in terms) else None, True,
+            terms if all(t is not None for t in terms) else None, True, P,
         )
     if not results:
         if forced_sign is not None:
-            return BisectionSolution(case.id, forced_sign, deg_q, [], None, False)
+            return BisectionSolution(case.id, forced_sign, deg_q, [], None, False, P)
         raise NoBisection(f"case {case.id}: no consistent sign at degree {deg_q}")
     if len(results) == 2:
         raise AmbiguousSign(results)
@@ -349,9 +359,12 @@ def degree_search(case: BisectionCase, max_deg: int):
 def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
     """P - [Q*A + sign*shift*Q(q^(1/2)y)*B] as a y-polynomial (must be zero).
 
-    Both products start from -Q (the second one already shifted and with
-    its coefficient i at t^(half*i)) and take the atom steps of A and B.
+    P is the one sol was solved against (sol.P); a solution of another
+    case raises ValueError.  Both products start from -Q (the second one
+    already shifted and with its coefficient i at t^(half*i)) and take the
+    atom steps of A and B.
     """
+    P = [p.coeffs for p in _solved_P(case, sol)]
     shift_texp, shift_ypow = case.fe_shift
     sign = 1 if sol.sign == "+" else -1
     half = case.root // 2
@@ -361,7 +374,6 @@ def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
         c = r.as_poly().coeffs
         qa.append([-x for x in c])
         qb.append([0] * (shift_texp + half * i) + [-sign * x for x in c])
-    P = [p.coeffs for p in build_P(case)]
     residual = _ysum([P, _ytimes(qa, _case_atoms(case.fe_a)), _ytimes(qb, _case_atoms(case.fe_b))])
     return [Poly(row) for row in residual]
 
@@ -382,11 +394,16 @@ def reduced_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
     return replace(case.t, braces=(qgroup,), sign_alt=sol.sign == "-")
 
 
-def pp_recipe(case: BisectionCase) -> SeriesRecipe:
-    """The double-width (unreduced) series with P(q^n) as its weight."""
+def pp_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
+    """The double-width (unreduced) series with P(q^n) as its weight.
+
+    P is the one sol was solved against (sol.P); a solution of another case
+    raises ValueError.  The weight is one brace group of pure monomials,
+    one per nonzero coefficient of P.
+    """
     group = tuple(
         BraceTerm(BExp(k * case.root, texp, coeff), (), ())
-        for k, c in enumerate(build_P(case))
+        for k, c in enumerate(_solved_P(case, sol))
         for texp, coeff in enumerate(c.coeffs)
         if coeff
     )
@@ -406,14 +423,16 @@ def emit_reduced(case: BisectionCase, sol: BisectionSolution) -> IdentityRecord:
 def pairing_check(case: BisectionCase, sol: BisectionSolution, order: int) -> bool:
     """T_{2n} +- T_{2n+1} must reproduce the unreduced summand exactly.
 
-    The terms of both series below the order come from carried_terms, which
-    stops at each series' stop index, so the check is bounded; a term left
-    out is zero to that order.  NonmonotoneValuation is raised when a
-    valuation does not grow quadratically.
+    The unreduced summand is weighted by the P that sol was solved against
+    (pp_recipe); a solution of another case raises ValueError.  The terms
+    of both series below the order come from carried_terms, which stops at
+    each series' stop index, so the check is bounded; a term left out is
+    zero to that order.  NonmonotoneValuation is raised when a valuation
+    does not grow quadratically.
     """
     ring = SeriesRing(order=order, root=case.root)
     t = {n: tv.series for n, tv in carried_terms(ring, reduced_recipe(case, sol))}
-    pp = {n: tv.series for n, tv in carried_terms(ring, pp_recipe(case))}
+    pp = {n: tv.series for n, tv in carried_terms(ring, pp_recipe(case, sol))}
     zero = ring.zero()
     for n in sorted(set(pp) | {k // 2 for k in t}):
         pair = t.get(2 * n, zero) + t.get(2 * n + 1, zero)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -225,8 +226,23 @@ def _unit_rational(text):
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative rational such as -1/2 as a value, as it takes -1.
+
+    argparse reads a token that starts with '-' as a flag unless its
+    negative-number pattern matches it, and that pattern knows only integers
+    and decimals.  No flag of this program looks like a number, so widening
+    the pattern to p/q turns no flag into a value.  Subparsers take the
+    class of their parent.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qseries",
         description="Exact verification of Jackson-dual q-series identities and their pi-limits",
     )

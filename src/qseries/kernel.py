@@ -11,9 +11,9 @@ ints by itself, so only an output that holds a Fraction is rewritten.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
-from operator import sub
+from operator import add, mul, sub
 
 IMPLEMENTATION = "python"
 
@@ -44,6 +44,27 @@ def mul_dense(a, b, nmax):
         for j, bj in enumerate(b[: n - i], i):
             if bj:
                 out[j] += ai * bj
+    return _canonical(out)
+
+
+def mul_sparse(a, b, nmax):
+    """a times the sparse polynomial b, truncated to nmax coefficients.
+
+    b is a sequence of (offset, coefficient) pairs with distinct offsets
+    >= 0 and nonzero coefficients; each pair is one pass that adds
+    coefficient * a into the output from its offset on.
+    """
+    la = len(a)
+    n = min(nmax, la + max(off for off, _ in b)) if la and b else 0
+    out = [0] * n
+    for off, c in b:
+        end = min(n, off + la)     # past n the slice is empty and nothing changes
+        if c == 1:
+            out[off:end] = map(add, out[off:end], a)
+        elif c == -1:
+            out[off:end] = map(sub, out[off:end], a)
+        else:
+            out[off:end] = map(add, out[off:end], map(mul, a, repeat(c)))
     return _canonical(out)
 
 

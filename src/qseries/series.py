@@ -281,7 +281,8 @@ class LaurentSeries:
 
 # ------------------------------------------------------------ raw windows
 #
-# The rules of the binomial steps, on bare (minexp, coeffs, order) windows.
+# The rules of the binomial steps and of the sparse product, on bare
+# (minexp, coeffs, order) windows.
 # A window holds canonical coefficients, at most order - minexp of them when
 # order is set; unlike a LaurentSeries it may keep zeros at either end, and
 # an empty window is zero whatever its minexp.  The LaurentSeries methods
@@ -306,6 +307,29 @@ def window_scale(minexp, coeffs, order, c):
     if c == 1:
         return minexp, coeffs, order
     return minexp, kernel.scale(coeffs, c), order
+
+
+def window_times_sparse(minexp, coeffs, order, poly):
+    """The window times the Laurent polynomial sum(c * t**s for s, c in poly.items()).
+
+    poly maps each shift s, of any sign, to its coefficient.  Every
+    shift bounds the known order, order + min(poly), also one whose
+    coefficient is 0: poly merges monomials, and a shift at which they
+    cancel is known only as far as the sum of their shifted windows.  A
+    single monomial is a shift and a scaling; an empty poly gives the exact
+    zero.
+    """
+    if not poly:
+        return 0, (), None
+    lo = min(poly)
+    minexp, order = minexp + lo, _add_order(order, lo)
+    terms = [(s - lo, _norm(c)) for s, c in poly.items() if c]
+    if len(poly) == 1 and terms:
+        return window_scale(minexp, coeffs, order, terms[0][1])
+    nmax = len(coeffs) + max((s for s, _ in terms), default=0)
+    if order is not None and order - minexp < nmax:
+        nmax = order - minexp
+    return minexp, kernel.mul_sparse(coeffs, terms, nmax), order
 
 
 def window_add(m1, a1, o1, m2, a2, o2):

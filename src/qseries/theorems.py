@@ -31,7 +31,8 @@ NonmonotoneValuation.  carried_terms compiles the recipe once per call
 (Pochhammer factors to integer progressions, brace and weight atoms to int
 tuples, each term's valuation bound and weight margin evaluated once) and
 steps raw (minexp, coefficients, order) windows with the binomial rules of
-qseries.series, building a LaurentSeries only for each finished term.
+qseries.series, building a LaurentSeries only for each finished term; a
+brace group's terms without num or den atoms are one sparse product there.
 theorem_series sums the regularized terms on one integer window, scaled by
 the lcm of their weights' denominators, and divides once.  eval_term builds
 one term from scratch in one pass on LaurentSeries; it is the per-term
@@ -75,6 +76,7 @@ from qseries.series import (
     window_over_binom,
     window_scale,
     window_times_binom,
+    window_times_sparse,
     window_truncate,
 )
 
@@ -738,13 +740,16 @@ def _compiled_atom(x: BExp):
 def _compiled_weight(bt: SeriesRecipe, shadow: SeriesRecipe | None):
     """The brace groups and the w_num/w_den atoms as (ncoef, const, coeff) int tuples.
 
-    A brace term is (mono, num, den); a w_num/w_den atom also carries
-    whether it is the unit monomial and its shadow atom's (ncoef, const), or
-    None without a shadow.
+    Each brace group is split into (pure, mixed): pure holds the monomials
+    of its terms without num or den atoms, zero monomials left out, and
+    mixed the other terms as (mono, num, den).  A w_num/w_den atom also
+    carries whether it is the unit monomial and its shadow atom's
+    (ncoef, const), or None without a shadow.
     """
     braces = tuple(
-        tuple((_compiled_atom(t.mono), tuple(map(_compiled_atom, t.num)), tuple(map(_compiled_atom, t.den)))
-              for t in group)
+        (tuple(_compiled_atom(t.mono) for t in group if not t.num and not t.den and t.mono.coeff),
+         tuple((_compiled_atom(t.mono), tuple(map(_compiled_atom, t.num)), tuple(map(_compiled_atom, t.den)))
+               for t in group if t.num or t.den))
         for group in bt.braces
     )
 
@@ -758,14 +763,25 @@ def _compiled_weight(bt: SeriesRecipe, shadow: SeriesRecipe | None):
 def _weight_window(win, n: int, work: int, weight, unit: int):
     """The window times W_n, as eval_weight takes it, on raw windows.
 
-    Returns (window, net drops, phi), or None when an n-dependent numerator
-    zero kills the term.  Divisions are known below the working order.
+    A brace group's pure monomials, at their shifts at n and merged where
+    they meet, multiply the window once (series.window_times_sparse), known
+    as far as the sum of the separately shifted windows would be; each
+    other term starts from the window times its monomial and takes its own
+    atom steps.  Returns (window, net drops, phi), or None when an
+    n-dependent numerator zero kills the term.  Divisions are known below
+    the working order.
     """
     braces, w_num, w_den = weight
-    for group in braces:
+    for pure, mixed in braces:
         total = (0, (), work)
         m, a, o = win
-        for (mn, mc, mcoef), num, den in group:
+        if pure:
+            poly = {}
+            for mn, mc, mcoef in pure:
+                s = mn * n + mc
+                poly[s] = poly.get(s, 0) + mcoef
+            total = window_add(*total, *window_times_sparse(m, a, o, poly))
+        for (mn, mc, mcoef), num, den in mixed:
             if any(c == 1 and kn * n + kc == 0 for kn, kc, c in num):
                 continue
             s = mn * n + mc
@@ -820,13 +836,18 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
     negative exponent will shift it down.
 
     The recipe is compiled once per call: each Pochhammer factor to an
-    integer progression, each brace and weight atom to an int tuple
-    (_compiled_poch, _compiled_weight), and each term's valuation bound and
-    weight margin are evaluated once.  The block, the brace groups and the
-    w_num/w_den atoms then run on raw (minexp, coefficients, order) windows
-    (series.window_times_binom and its siblings, the rules LaurentSeries
-    itself steps by), and a LaurentSeries is built only for each finished
-    term, in _resolved.  Nothing compiled outlives the call.
+    integer progression, each brace and weight atom to an int tuple, each
+    brace group split into its pure monomials (terms without num or den
+    atoms) and its other terms (_compiled_poch, _compiled_weight), and each
+    term's valuation bound and weight margin are evaluated once.  The
+    block, the brace groups and the w_num/w_den atoms then run on raw
+    (minexp, coefficients, order) windows (series.window_times_binom and
+    its siblings, the rules LaurentSeries itself steps by): at each n a
+    group's pure monomials are merged into one sparse polynomial that
+    multiplies the window once (series.window_times_sparse), and each other
+    term takes its own steps (_weight_window).  A LaurentSeries is built
+    only for each finished term, in _resolved.  Nothing compiled outlives
+    the call.
 
     Every term equals eval_term(ring, bt, n, shadow), the per-term
     reference, and raises what it raises: NonmonotoneValuation for a term

@@ -167,11 +167,11 @@ def test_P_degree_19(cat):
         assert len(build_P(cat.cases[cid])) - 1 == 19
 
 
-def test_pp_form_verifies_against_product(cat):
+def test_pp_form_verifies_against_product(cat, sols):
     # the double-width series with P(q^n) reproduces its displayed product
     ring = SeriesRing(order=120)
     for cid in ("v1x3", "v3x1"):
-        bt = pp_recipe(cat.cases[cid])
+        bt = pp_recipe(cat.cases[cid], sols[cid])
         lhs, net, phi = theorem_lhs(ring, bt)
         assert net == 0
         res = theorem_series(ring, bt)
@@ -348,6 +348,42 @@ def test_atom_that_does_not_divide_names_case(cat, extra, level):
     assert "v3x1" in str(exc.value) and level in str(exc.value)
 
 
+def test_solve_residual_pairing_build_P_once(cat, monkeypatch):
+    # the solution carries the P it was solved against; residual and pairing read it
+    built = []
+
+    def spy(case):
+        built.append(case.id)
+        return build_P(case)
+
+    monkeypatch.setattr(bisection, "build_P", spy)
+    for cid in ("v1x3", "v3x1"):
+        case = cat.cases[cid]
+        sol = solve_Q(case)
+        assert sol.P == build_P(case)
+        assert functional_equation_residual(case, sol) == []
+        assert pairing_check(case, sol, 60)
+        assert built.count(cid) == 1
+        deg, sol = degree_search(case, 8)
+        assert functional_equation_residual(case, sol) == []
+        assert built.count(cid) == 2
+    assert built == ["v1x3", "v1x3", "v3x1", "v3x1"]
+
+
+def test_solution_of_another_case_is_rejected(cat, sols):
+    case = cat.cases["v1x3"]
+    for check in (lambda: functional_equation_residual(case, sols["v3x1"]),
+                  lambda: pairing_check(case, sols["v3x1"], 60),
+                  lambda: pp_recipe(case, sols["v3x1"])):
+        with pytest.raises(ValueError, match="solution of case v3x1 given for case v1x3"):
+            check()
+
+
+def test_solution_equality_ignores_P(sols):
+    sol = sols["v1x3"]
+    assert dataclasses.replace(sol, P=[]) == sol
+
+
 def test_pairing_check_rejects_flat_valuation(cat, sols):
     case = cat.cases["v3x1"]
     flat = _with(case, pp=dataclasses.replace(case.pp, pref_quad=0))
@@ -460,10 +496,10 @@ def _bareiss_signs(case, system, deg_q, forced_sign):
             sol = [s / sol[0] for s in sol]
             terms = [_poly_terms(s) for s in sol]
             results[sign_label] = BisectionSolution(
-                case.id, sign_label, deg_q, sol, None if None in terms else terms, True)
+                case.id, sign_label, deg_q, sol, None if None in terms else terms, True, P)
     if not results:
         if forced_sign is not None:
-            return BisectionSolution(case.id, forced_sign, deg_q, [], None, False)
+            return BisectionSolution(case.id, forced_sign, deg_q, [], None, False, P)
         raise NoBisection("no consistent sign")
     if len(results) == 2:
         raise AmbiguousSign(results)

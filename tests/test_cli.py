@@ -113,6 +113,24 @@ def test_oracle_accepts_negative_r_inside_unit_interval():
     assert payload["r"] == "-1/2" and payload["equal"] is True
 
 
+@pytest.mark.parametrize("flag, value, field", [("--r", "-1/2", "r"), ("--a", "-3/2", "params")])
+def test_oracle_negative_rational_as_separate_token(flag, value, field):
+    # argparse's own pattern takes -1 but not -1/2 for a value; both spellings must parse alike
+    joined = run_cli("--json", "oracle", "jackson", "--n", "2", f"{flag}={value}")
+    spaced = run_cli("--json", "oracle", "jackson", "--n", "2", flag, value)
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    payload = json.loads(spaced.stdout)
+    assert value in (payload[field] if field == "params" else [payload[field]])
+    assert payload["equal"] is True
+
+
+def test_negative_rational_out_of_bound_is_a_usage_error():
+    proc = run_cli("--json", "oracle", "jackson", "--r", "-3/2")
+    assert proc.returncode == 2
+    assert "0 < |r| < 1" in proc.stderr and proc.stdout == ""
+
+
 def test_limit_json_fields():
     proc = run_cli("--json", "limit", "v3x1", "--terms", "20", "--digits", "30")
     assert proc.returncode == 0

@@ -112,12 +112,36 @@ def test_scale_canonical(a, c):
     assert_canonical_equal(kernel.scale(a, c), ref_scale(a, c))
 
 
+# a sparse polynomial: distinct offsets >= 0, nonzero coefficients
+sparse_st = st.dictionaries(st.integers(0, 12), nonzero_st, min_size=1, max_size=6).map(lambda d: list(d.items()))
+
+
+def dense_form(pairs):
+    out = [0] * (max(off for off, _ in pairs) + 1)
+    for off, c in pairs:
+        out[off] = c
+    return out
+
+
+@given(st.lists(scalar_st, max_size=24), sparse_st, st.integers(-2, 40))
+@settings(max_examples=150)
+@example([], [(0, 1), (3, 2)], 5)                                      # an empty window
+@example([1, 2, 3], [(0, 1), (1, -1), (4, Fraction(1, 2))], 2)          # nmax cuts every pass
+@example([Fraction(1, 3), Fraction(2, 3)], [(0, 3), (2, Fraction(-3, 2))], 6)
+def test_mul_sparse_matches_mul_dense(a, b, nmax):
+    out = kernel.mul_sparse(a, b, nmax)
+    assert not any(type(x) is Fraction and x.denominator == 1 for x in out), out
+    assert out == kernel.mul_dense(a, dense_form(b), nmax)
+
+
 def test_values_that_cancel_to_integers():
     third = Fraction(1, 3)
     assert kernel.mul_binom([third, third], 1, -2, 3) == [third, 1, 2 * third]
     assert kernel.scale([third, Fraction(2, 3)], 3) == [1, 2]
     assert kernel.add_shifted([Fraction(1, 2)], [Fraction(1, 2)], 0, 1) == [1]
     assert kernel.mul_dense([3], [third, Fraction(2, 3)], 2) == [1, 2]
+    out = kernel.mul_sparse([third, Fraction(2, 3)], [(0, 3), (1, -3)], 3)
+    assert out == [1, 1, -2] and all(type(x) is int for x in out)
     out = kernel.inv_dense([-1, 1], 4)               # 1/(t - 1) = -(1 + t + t^2 + ...)
     assert out == [-1, -1, -1, -1] and all(type(x) is int for x in out)
 

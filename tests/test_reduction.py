@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qseries import theorems
+from qseries import bisection, theorems
 from qseries.inversion import params_from_exponents
 from qseries.qcore import QMono, SeriesRing
 from qseries.registry import load_catalog, reduced_sides, record_sides, verify_identity
@@ -219,6 +219,53 @@ def test_deep_carried_terms_match_eval_term(rid, monkeypatch):
     rec = CATALOG.get(rid)
     bs, g = reduce_root(rec.recipe)
     assert_carried_match(bs, shadow_of(rec), -(-400 // g), monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def bisect_sols():
+    return {cid: bisection.solve_Q(CATALOG.cases[cid]) for cid in ("v1x3", "v3x1")}
+
+
+def pure_groups(bt):
+    """The size of each brace group's merged part: its terms without num or den atoms."""
+    return [len(pure) for pure, _ in theorems._compiled_weight(bt, None)[0]]
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_bisection_series_carried_terms_match_eval_term(cid, bisect_sols, monkeypatch):
+    """The unreduced series with P(q^n) (one group of many pure monomials) and the emitted record."""
+    case, sol = CATALOG.cases[cid], bisect_sols[cid]
+    pp = bisection.pp_recipe(case, sol)
+    assert pure_groups(pp) == [len(pp.braces[0])] and len(pp.braces[0]) > 1
+    assert_carried_match(pp, None, 120, monkeypatch)
+    bs, g = reduce_root(pp)
+    assert_carried_match(bs, None, -(-120 // g), monkeypatch)
+    emitted = bisection.emit_reduced(case, sol).recipe
+    assert_carried_match(emitted, None, 120, monkeypatch)
+
+
+# pure monomials of one group at n = 1, 2: shifts {-4 twice, cancelling, 5}, {-8, -2, 5}; a zero monomial
+CANCELLING = (BraceTerm(BExp(-4, 0, 1)), BraceTerm(BExp(2, -6, -1)), BraceTerm(BExp(0, 5, 3)),
+              BraceTerm(BExp(0, 1, 0)), BraceTerm(BExp(1, 2, 1), num=(BExp(1, 1, F(1, 2)),)))
+# negative pure monomials beside terms with num and den atoms
+NEGATIVE_BESIDE_ATOMS = (BraceTerm(BExp(0, -6, 2)), BraceTerm(BExp(1, 1), (BExp(1, 2, F(1, 2)),), (BExp(2, 1, -1),)),
+                         BraceTerm(BExp(-1, -3, F(1, 3))), BraceTerm(BExp(0, -2, -1), den=(BExp(1, 3),)))
+
+
+@pytest.mark.parametrize("brace, pure, known", [(CANCELLING, 3, 116), (NEGATIVE_BESIDE_ATOMS, 2, 114)],
+                         ids=["cancelling", "negative_beside_atoms"])
+def test_merged_pure_monomials_match_eval_term(brace, pure, known, monkeypatch):
+    bt = replace(CATALOG.get("u2-05").recipe, poch_num=(PochF(F(1, 2), 2, 1, 0, 12),),
+                 poch_den=(PochF(1, 3, 0, 2, 12),), braces=(brace,), n_start=1)
+    assert pure_groups(bt) == [pure]
+    for order in (24, 120):
+        assert_carried_match(bt, None, order, monkeypatch)
+    # with no headroom for W_n the known order shows: at n = 1 the cancelled shift -4 still sets it
+    monkeypatch.setattr(theorems, "_weight_margin", lambda bt, n: 0)
+    ring = SeriesRing(order=120, root=12)
+    short = carried_outcomes(ring, bt, None)
+    assert short == reference_outcomes(ring, bt, None)
+    assert short == [(NonmonotoneValuation, f"term n=1 resolved only to t^{known} < requested t^120")]
 
 
 EQUAL = (F(1, 2), F(1, 2), F(1, 2), F(1, 2))   # a = b = c = d: dropped zero factors

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qseries.series import (
@@ -11,7 +11,9 @@ from qseries.series import (
     ZeroLeadingCoefficient,
     window_add,
     window_over_binom,
+    window_scale,
     window_times_binom,
+    window_times_sparse,
 )
 
 L = LaurentSeries
@@ -190,3 +192,53 @@ def outcome(fn):
         return fn()
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+_mono_st = st.tuples(st.integers(-6, 6), st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 3)]))
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=8), st.integers(-6, 6),
+       st.one_of(st.none(), st.integers(-2, 12)), st.integers(0, 3), st.integers(0, 3),
+       st.lists(_mono_st, min_size=1, max_size=6), st.integers(0, 6))
+@settings(max_examples=150)
+@example([1, 2], 0, 10, 0, 0, [(-3, 1), (2, 1)], 1)       # the lowest shift cancels
+@example([], 4, 3, 0, 0, [(1, 1), (-2, 3)], 0)              # an empty window
+def test_window_times_sparse_is_the_sum_of_shifted_windows(a, minexp, width, lo, hi, monos, cancel):
+    """The merged product equals the sum of one shifted, scaled window per monomial, order included.
+
+    The first `cancel` monomials are repeated negated, so their shifts merge to 0 and must still
+    bound the known order; shifts are of either sign, and the window may be empty, exact, or cut
+    short of some products.
+    """
+    s = L(minexp, a, None if width is None else minexp + width)
+    win = padded(s, lo, hi)
+    monos = monos + [(sh, -c) for sh, c in monos[:cancel]]
+    poly = {}
+    for sh, c in monos:
+        poly[sh] = poly.get(sh, 0) + c
+    ref = (0, (), None)
+    for sh, c in monos:
+        ref = window_add(*ref, *window_scale(win[0] + sh, win[1], None if win[2] is None else win[2] + sh, c))
+    got = window_times_sparse(*win, poly)
+    assert got[2] == ref[2] == (None if s.order is None else s.order + min(poly))
+    assert not any(type(x) is Fraction and x.denominator == 1 for x in got[1])
+    prod = L(*got, _canonical=True)
+    assert prod == L(*ref, _canonical=True)
+    dense = L(min(poly), [poly.get(k, 0) for k in range(min(poly), max(poly) + 1)])
+    assert prod == (s * dense).truncate(got[2])
+
+
+def test_window_times_sparse_edges():
+    # a shift whose monomials cancelled still sets the order: (t - t^3)(1 + 2t + 3t^2) + O(t^(10-2))
+    m, a, o = window_times_sparse(0, [1, 2, 3], 10, {-2: 0, 1: 1, 3: -1})
+    assert o == 8 and L(m, a, o, _canonical=True) == L(1, [1, 2, 2, -2, -3], 8)
+    # every shift cancelled: a zero window known to the lowest shift
+    assert L(*window_times_sparse(0, [1, 2], 5, {-1: 0, 2: 0}), _canonical=True) == L.zero(4)
+    # an empty window keeps its order, moved by the lowest shift
+    assert window_times_sparse(5, [], 10, {1: 2, 3: 1})[2] == 11
+    # one monomial is a shift and a scaling, the window itself when the coefficient is 1
+    coeffs = [1, Fraction(1, 2)]
+    assert window_times_sparse(0, coeffs, 6, {-3: 1}) == (-3, coeffs, 3)
+    assert window_times_sparse(0, coeffs, 6, {2: 2}) == (2, [2, 1], 8)
+    # an empty polynomial is the exact zero
+    assert window_times_sparse(0, coeffs, 6, {}) == (0, (), None)
