@@ -31,7 +31,6 @@ BisectionSolution.P and reject a solution of another case.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from qseries import kernel
@@ -207,15 +206,32 @@ def build_P(case: BisectionCase):
     return [Poly(row) for row in P]
 
 
-@dataclass
 class BisectionSolution:
-    case: str
-    sign: str
-    degree: int
-    coeffs: list            # RatFunc entries, a_0 normalized to 1
-    terms: list | None      # per entry: [(coeff, t-exp), ...] when polynomial
-    consistent: bool
-    P: list = field(compare=False, repr=False)   # build_P(case), the P it was solved against
+    """A solved (or forced-sign) Q of one case; equality and repr leave out P."""
+
+    __slots__ = ("case", "sign", "degree", "coeffs", "terms", "consistent", "P")
+
+    def __init__(self, case: str, sign: str, degree: int, coeffs: list, terms: list | None,
+                 consistent: bool, P: list):
+        self.case = case
+        self.sign = sign
+        self.degree = degree
+        self.coeffs = coeffs          # RatFunc entries, a_0 normalized to 1
+        self.terms = terms            # per entry: [(coeff, t-exp), ...] when polynomial
+        self.consistent = consistent
+        self.P = P                    # build_P(case), the P it was solved against
+
+    def _key(self):
+        return self.case, self.sign, self.degree, self.coeffs, self.terms, self.consistent
+
+    def __eq__(self, other):
+        if other.__class__ is BisectionSolution:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"BisectionSolution({fields})"
 
 
 def _solved_P(case: BisectionCase, sol: BisectionSolution):
@@ -391,7 +407,7 @@ def reduced_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
         for i, entry in enumerate(sol.terms)
         for coeff, texp in entry
     )
-    return replace(case.t, braces=(qgroup,), sign_alt=sol.sign == "-")
+    return case.t._replace(braces=(qgroup,), sign_alt=sol.sign == "-")
 
 
 def pp_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
@@ -407,7 +423,7 @@ def pp_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
         for texp, coeff in enumerate(c.coeffs)
         if coeff
     )
-    return replace(case.pp, braces=(group,))
+    return case.pp._replace(braces=(group,))
 
 
 def emit_reduced(case: BisectionCase, sol: BisectionSolution) -> IdentityRecord:

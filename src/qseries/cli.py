@@ -17,7 +17,6 @@ import time
 from fractions import Fraction
 
 from qseries import __version__
-from qseries.limits import BigFloatCtx, limit_report
 from qseries.registry import Catalog, load_catalog, summary_table, verify_all, verify_identity
 
 
@@ -95,6 +94,8 @@ def cmd_verify_all(args):
 
 
 def cmd_limit(args):
+    from qseries.limits import BigFloatCtx, limit_report
+
     cat = _load(args)
     try:
         rec = cat.get(args.id)

@@ -11,7 +11,9 @@ The layer has two tiers:
 None of it runs when the catalog is verified: the five specialized theorems
 and their evaluator are in qseries.theorems, which the test suite checks
 against the general dual machinery here.  The command line loads this
-module only for its oracle command.
+module only for its oracle command.  The exact q-exponents (QExp, qpow) and
+the partition patterns with their Theta monomials live here too, since
+nothing else uses them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qseries.qcore import (
-    PartitionPattern,
-    QMono,
-    _binom2,
-    gauss_binom,
-    poch_finite,
-    theta_monomial,
-)
+from qseries.qcore import DEFAULT_ROOT, QMono, gauss_binom, poch_finite
 from qseries.theorems import WPParams
 
 
@@ -37,6 +32,80 @@ class ParameterError(ValueError):
 
 class DegenerateSpec(ValueError):
     """phi-polynomial vanishes at an evaluation point of an inversion pair."""
+
+
+class RootMismatch(ValueError):
+    """A q-exponent is not an integer multiple of 1/root."""
+
+
+@dataclass(frozen=True)
+class QExp:
+    """Exponent of q as the exact multiple num/root."""
+
+    num: int
+    root: int = DEFAULT_ROOT
+
+    @staticmethod
+    def of(x, root=DEFAULT_ROOT):
+        """Build from a rational exponent of q, validating divisibility."""
+        x = Fraction(x)
+        num = x * root
+        if num.denominator != 1:
+            raise RootMismatch(f"exponent {x} is not a multiple of 1/{root}")
+        return QExp(int(num), root)
+
+
+def qpow(exponent, root=DEFAULT_ROOT):
+    """The monomial q**exponent for a rational exponent."""
+    return QMono(1, QExp.of(exponent, root).num)
+
+
+# --------------------------------------------------------- partition pattern
+
+
+@dataclass(frozen=True)
+class PartitionPattern:
+    """Integer data (Lam, eps_*, lam_*) splitting n into four floor parts."""
+
+    Lam: int
+    eps: tuple[int, int, int, int]
+    lam: tuple[int, int, int, int]
+
+    def __post_init__(self):
+        if self.Lam <= 0:
+            raise ValueError("Lam must be positive")
+        if sum(self.lam) != self.Lam:
+            raise ValueError("lam entries must sum to Lam")
+        if any(e < 0 for e in self.eps) or any(l < 0 for l in self.lam):
+            raise ValueError("pattern entries must be nonnegative")
+        for n in range(0, 64):
+            if sum(self.indices(n)) != n:
+                raise ValueError(f"floor identity fails at n={n}")
+
+    def indices(self, n):
+        """The four parts <n>_b, <n>_c, <n>_d, <n>_e."""
+        return tuple((e + n * l) // self.Lam for e, l in zip(self.eps, self.lam))
+
+
+DUPLICATE = PartitionPattern(2, (0, 0, 1, 0), (1, 0, 1, 0))
+TRIPLICATE = PartitionPattern(3, (0, 1, 2, 0), (1, 1, 1, 0))
+TRIPLICATE_SPLIT = PartitionPattern(3, (1, 0, 1, 0), (1, 0, 2, 0))
+
+
+def _binom2(m: int) -> int:
+    return m * (m - 1) // 2
+
+
+def theta_monomial(pattern: PartitionPattern, a: QMono, b: QMono, c: QMono, d: QMono,
+                   m: int, root: int = DEFAULT_ROOT) -> QMono:
+    """The monomial weight q^(C(m,2) - sum C(<m>,2)) * (a/b)^.. (bcd/qa)^.. ."""
+    ib, ic, id_, ie = pattern.indices(m)
+    texp = root * (_binom2(m) - _binom2(ib) - _binom2(ic) - _binom2(id_) - _binom2(ie))
+    q = QMono(1, root)
+    out = QMono(1, texp)
+    for ratio, k in (((a / b), ib), ((a / c), ic), ((a / d), id_), ((b * c * d / (q * a)), ie)):
+        out = out * ratio**k
+    return out
 
 
 def params_from_exponents(ea, eb, ec, ed, root=12):

@@ -11,17 +11,15 @@ products linear in its terms and no gcd of two large ints.  The same pass
 keeps each term ratio t(n)/t(n-1) as a Fraction of small ints, which the
 rate fit reads instead of dividing two large terms.
 Closed forms are products of rationals, powers of pi, Gamma at rationals,
-and algebraic surds.
+and algebraic surds.  mpmath is imported where the numerics start
+(BigFloatCtx, eval_series, limit_report), so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import mpmath
-from mpmath.libmp import MPZ, fzero, mpf_abs, mpf_add, mpf_div, normalize
 
 from qseries.qcore import PoleError, q_guard_digits, q_pochhammer_numeric
 from qseries.registry import ClassicalSeries
@@ -38,25 +36,23 @@ class DegenerateTerm(ArithmeticError):
 GUARD_DIGITS = 10
 
 
-@dataclass(frozen=True)
 class BigFloatCtx:
     """An isolated arbitrary-precision context (no global precision state).
 
-    It works at digits + GUARD_DIGITS decimal digits.
+    It works at digits + GUARD_DIGITS decimal digits.  mpmath is imported
+    here, on the first numeric use, not with the module.
     """
 
-    digits: int = 60
+    __slots__ = ("digits", "ctx")
 
-    def __post_init__(self):
-        if self.digits < 1:
-            raise ValueError(f"need digits >= 1, got digits={self.digits}")
-        ctx = mpmath.ctx_mp.MPContext()
-        ctx.dps = self.digits + GUARD_DIGITS
-        object.__setattr__(self, "_ctx", ctx)
+    def __init__(self, digits: int = 60):
+        if digits < 1:
+            raise ValueError(f"need digits >= 1, got digits={digits}")
+        import mpmath
 
-    @property
-    def ctx(self):
-        return self._ctx
+        self.digits = digits
+        self.ctx = mpmath.ctx_mp.MPContext()
+        self.ctx.dps = digits + GUARD_DIGITS
 
     def mpf(self, x):
         if isinstance(x, Fraction):
@@ -324,13 +320,14 @@ def _exact_terms(spec: ClassicalSeries, count: int, rated: int | None = None):
     # from this n on, every kn*(n-1)+kc >= 0 and the step's forms stay fixed
     ready = max((1 - f.kc // f.kn for f in (*spec.fnum, *spec.fden) if f.kn), default=0)
     payload = _compile_payload(spec)
-    acc = _rising_part(spec, spec.start)
+    start = spec.start
+    acc = _rising_part(spec, start)
     an, ad = acc.numerator, acc.denominator
     terms, ratios = [], []
     prev = None  # the payload pair of the term before, while that term is nonzero
-    for n in range(spec.start, spec.start + count):
-        if n > spec.start:
-            if n == spec.start + 1 or n <= ready:
+    for n in range(start, start + count):
+        if n > start:
+            if n == start + 1 or n <= ready:
                 cn, upper, cd, lower = _step_forms(spec, n)
             d = _at(lower, n)
             if d == 0:
@@ -346,9 +343,21 @@ def _exact_terms(spec: ClassicalSeries, count: int, rated: int | None = None):
     return terms, ratios
 
 
+_LIBMP = []   # mpmath.libmp's (MPZ, normalize), bound by the first _int_mpf call
+
+
 def _int_mpf(n: int, prec: int, rnd):
-    """The raw mpf from_int(n, prec, rnd) returns, with the bit count from int.bit_length."""
-    man = MPZ(abs(n))
+    """The raw mpf from_int(n, prec, rnd) returns, with the bit count from int.bit_length.
+
+    eval_series calls it for every term, so mpmath's names are imported
+    once, on the first call, and kept in _LIBMP rather than imported anew.
+    """
+    if not _LIBMP:
+        from mpmath.libmp import MPZ, normalize
+
+        _LIBMP[:] = MPZ, normalize
+    mpz, normalize = _LIBMP
+    man = mpz(abs(n))
     return normalize(int(n < 0), man, 0, man.bit_length(), prec, rnd)
 
 
@@ -368,6 +377,8 @@ def eval_series(spec: ClassicalSeries, terms: int, ctx: BigFloatCtx, *, exact=No
     already computed; only its first `terms` entries are used, and a shorter
     list raises ValueError.
     """
+    from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_div
+
     if exact is None:
         exact = _exact_terms(spec, terms)[0]
     elif len(exact) < terms:
@@ -429,6 +440,8 @@ def limit_report(rec_id: str, spec: ClassicalSeries, terms: int, ctx: BigFloatCt
     ratios for the rate fit, which reads the first min(30, terms - 1) + 1.
     Raises ValueError for terms < 2: the rate fit needs a ratio.
     """
+    from mpmath import nstr
+
     if terms < 2:
         raise ValueError(f"terms must be at least 2, got {terms}")
     upto = min(30, terms - 1)
@@ -438,10 +451,10 @@ def limit_report(rec_id: str, spec: ClassicalSeries, terms: int, ctx: BigFloatCt
     ratios, fitted = measure_rate(spec, upto, ratios=step_ratios)
     return {
         "id": rec_id,
-        "series_value": mpmath.nstr(value, ctx.digits),
-        "closed_form_value": mpmath.nstr(target, ctx.digits),
-        "abs_diff": mpmath.nstr(abs(value - target), 8),
-        "tail_estimate": mpmath.nstr(tail, 8),
+        "series_value": nstr(value, ctx.digits),
+        "closed_form_value": nstr(target, ctx.digits),
+        "abs_diff": nstr(abs(value - target), 8),
+        "tail_estimate": nstr(tail, 8),
         "declared_base": str(spec.rate),
         "fitted_base": str(float(fitted)),
         "terms": terms,

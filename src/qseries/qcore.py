@@ -1,4 +1,4 @@
-"""q-calculus layer: exact q-exponents, Pochhammer symbols, partition patterns.
+"""q-calculus layer: exact q-monomials, Pochhammer symbols, numeric q-products.
 
 All q-expressions are evaluated through a ring object so the same formulas
 run in two modes:
@@ -10,23 +10,17 @@ run in two modes:
   zero tolerance.
 
 A q-exponent is always an integer multiple of 1/root; it is stored as that
-integer (the t-exponent).  Mixing roots inside one computation is a
-construction-time error.
+integer (the t-exponent).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, expm1, factorial, inf, lcm, log, log1p, log2, pi
 
 from qseries.series import LaurentSeries, _inv_scalar, _norm
 
 DEFAULT_ROOT = 12
-
-
-class RootMismatch(ValueError):
-    """A q-exponent is not an integer multiple of 1/root."""
 
 
 class PoleError(ArithmeticError):
@@ -37,29 +31,30 @@ class ConvergenceError(ArithmeticError):
     """A numeric expansion did not reach its tolerance within its term budget."""
 
 
-@dataclass(frozen=True)
-class QExp:
-    """Exponent of q as the exact multiple num/root."""
-
-    num: int
-    root: int = DEFAULT_ROOT
-
-    @staticmethod
-    def of(x, root=DEFAULT_ROOT):
-        """Build from a rational exponent of q, validating divisibility."""
-        x = Fraction(x)
-        num = x * root
-        if num.denominator != 1:
-            raise RootMismatch(f"exponent {x} is not a multiple of 1/{root}")
-        return QExp(int(num), root)
-
-
-@dataclass(frozen=True)
 class QMono:
-    """An exact monomial coeff * q**(texp/root), stored via its t-exponent."""
+    """An exact monomial coeff * q**(texp/root), stored via its t-exponent.
 
-    coeff: Fraction | int = 1
-    texp: int = 0
+    A value: equal and hashed by (coeff, texp), and never changed after
+    construction.  A plain class rather than a tuple, so that QMono * 3 is
+    an error and not a repetition.
+    """
+
+    __slots__ = ("coeff", "texp")
+
+    def __init__(self, coeff: Fraction | int = 1, texp: int = 0):
+        self.coeff = coeff
+        self.texp = texp
+
+    def __repr__(self):
+        return f"QMono(coeff={self.coeff!r}, texp={self.texp!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is QMono:
+            return self.coeff == other.coeff and self.texp == other.texp
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeff, self.texp))
 
     def __mul__(self, other):
         if isinstance(other, QMono):
@@ -91,11 +86,6 @@ class QMono:
     @property
     def is_one(self):
         return self.coeff == 1 and self.texp == 0
-
-
-def qpow(exponent, root=DEFAULT_ROOT):
-    """The monomial q**exponent for a rational exponent."""
-    return QMono(1, QExp.of(exponent, root).num)
 
 
 # --------------------------------------------------------------------- rings
@@ -186,38 +176,6 @@ class RationalRing:
 
     def eq(self, u, v):
         return u == v
-
-
-# --------------------------------------------------------- partition pattern
-
-
-@dataclass(frozen=True)
-class PartitionPattern:
-    """Integer data (Lam, eps_*, lam_*) splitting n into four floor parts."""
-
-    Lam: int
-    eps: tuple[int, int, int, int]
-    lam: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if self.Lam <= 0:
-            raise ValueError("Lam must be positive")
-        if sum(self.lam) != self.Lam:
-            raise ValueError("lam entries must sum to Lam")
-        if any(e < 0 for e in self.eps) or any(l < 0 for l in self.lam):
-            raise ValueError("pattern entries must be nonnegative")
-        for n in range(0, 64):
-            if sum(self.indices(n)) != n:
-                raise ValueError(f"floor identity fails at n={n}")
-
-    def indices(self, n):
-        """The four parts <n>_b, <n>_c, <n>_d, <n>_e."""
-        return tuple((e + n * l) // self.Lam for e, l in zip(self.eps, self.lam))
-
-
-DUPLICATE = PartitionPattern(2, (0, 0, 1, 0), (1, 0, 1, 0))
-TRIPLICATE = PartitionPattern(3, (0, 1, 2, 0), (1, 1, 1, 0))
-TRIPLICATE_SPLIT = PartitionPattern(3, (1, 0, 1, 0), (1, 0, 2, 0))
 
 
 # ------------------------------------------------------------------ products
@@ -429,25 +387,6 @@ def gauss_binom(ring, m: int, n: int):
     num = poch_finite(ring, q ** (m - n + 1), n)
     den = poch_finite(ring, q, n)
     return num * ring.inv(den)
-
-
-# --------------------------------------------------------------------- theta
-
-
-def _binom2(m: int) -> int:
-    return m * (m - 1) // 2
-
-
-def theta_monomial(pattern: PartitionPattern, a: QMono, b: QMono, c: QMono, d: QMono,
-                   m: int, root: int = DEFAULT_ROOT) -> QMono:
-    """The monomial weight q^(C(m,2) - sum C(<m>,2)) * (a/b)^.. (bcd/qa)^.. ."""
-    ib, ic, id_, ie = pattern.indices(m)
-    texp = root * (_binom2(m) - _binom2(ib) - _binom2(ic) - _binom2(id_) - _binom2(ie))
-    q = QMono(1, root)
-    out = QMono(1, texp)
-    for ratio, k in (((a / b), ib), ((a / c), ic), ((a / d), id_), ((b * c * d / (q * a)), ie)):
-        out = out * ratio**k
-    return out
 
 
 # ------------------------------------------------------ numeric q-products

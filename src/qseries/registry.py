@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from qseries.qcore import QMono, SeriesRing
 from qseries.theorems import (
@@ -51,58 +51,57 @@ class CatalogError(ValueError):
 # ----------------------------------------------------------- classical data
 
 
-@dataclass(frozen=True)
-class LinearFactor:
+class LinearFactor(NamedTuple):
     """(c0 + c1*n)**power, a factor of a classical brace term."""
 
-    c0: Fraction
-    c1: Fraction
+    c0: Fraction | int
+    c1: Fraction | int
     power: int = 1
 
 
-@dataclass(frozen=True)
-class BraceRational:
+class BraceRational(NamedTuple):
     """coeff * n^npow * prod(num) / prod(den): one term of a classical brace."""
 
-    coeff: Fraction
+    coeff: Fraction | int
     npow: int
     num: tuple[LinearFactor, ...]
     den: tuple[LinearFactor, ...]
 
 
-@dataclass(frozen=True)
-class FactorialFactor:
+class FactorialFactor(NamedTuple):
     """((p)_{kn*n+kc})**power with the rising factorial (p)_m."""
 
-    p: Fraction
+    p: Fraction | int
     kn: int
     kc: int
     power: int
 
 
-@dataclass(frozen=True)
-class ClassicalSeries:
-    """A classical (q -> 1) limit: closed-form value and term recipe."""
+class ClassicalSeries(NamedTuple):
+    """A classical (q -> 1) limit: closed-form value and term recipe.
 
-    value_factors: tuple[tuple[str, Fraction, int], ...]  # (kind, arg, power)
-    base: Fraction           # explicit geometric factor base**n (1 when embedded)
-    rate: Fraction           # declared convergence-rate label
+    Its rationals are read by _frac: an int where the catalog writes an
+    integer, a Fraction otherwise.
+    """
+
+    value_factors: tuple[tuple[str, Fraction | int, int], ...]  # (kind, arg, power)
+    base: Fraction | int     # explicit geometric factor base**n (1 when embedded)
+    rate: Fraction | int     # declared convergence-rate label
     fnum: tuple[FactorialFactor, ...]
     fden: tuple[FactorialFactor, ...]
-    poly: tuple[Fraction, ...]
-    polyden: tuple[Fraction, ...]
+    poly: tuple[Fraction | int, ...]
+    polyden: tuple[Fraction | int, ...]
     braces: tuple[BraceRational, ...]
     factor_num: tuple[LinearFactor, ...]
     factor_den: tuple[LinearFactor, ...]
     start: int
-    prefix: Fraction
+    prefix: Fraction | int
 
 
 # ----------------------------------------------------------------- records
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     id: str
     kind: str                      # theorem | explicit | bisected
     section: str
@@ -121,8 +120,7 @@ class IdentityRecord:
         return num, den
 
 
-@dataclass(frozen=True)
-class BisectionCase:
+class BisectionCase(NamedTuple):
     """Data of one reverse-bisection derivation (see qseries.bisection)."""
 
     id: str
@@ -141,11 +139,15 @@ class BisectionCase:
     emit_id: str
 
 
-@dataclass
 class Catalog:
-    root: int
-    records: list[IdentityRecord]
-    cases: dict[str, BisectionCase]
+    """The loaded catalog: its root, the records in file order and the bisection cases by id."""
+
+    __slots__ = ("root", "records", "cases")
+
+    def __init__(self, root: int, records: list[IdentityRecord], cases: dict[str, BisectionCase]):
+        self.root = root
+        self.records = records
+        self.cases = cases
 
     def get(self, rid):
         for r in self.records:
@@ -172,7 +174,16 @@ def _parse_count(text, where):
 
 
 def _frac(text, where):
+    """A rational token: an int for an integer, else a Fraction.
+
+    It accepts and rejects exactly what Fraction(text) does.  An integer or
+    an integer/integer token is read with int(), which agrees with
+    Fraction's parser on these, and skips the parser's regular expression.
+    """
+    num, slash, den = text.partition("/")
     try:
+        if (num[1:] if num[:1] in "+-" else num).isdecimal() and (not slash or den.isdecimal()):
+            return Fraction(int(num), int(den)) if slash else int(num)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CatalogError(f"{where}: bad rational {text!r}") from exc
@@ -185,11 +196,11 @@ def _int(text, where):
         raise CatalogError(f"{where}: bad integer {text!r}") from exc
 
 
-def _texp(x: Fraction, root: int, where):
-    v = x * root
-    if v.denominator != 1:
+def _texp(x: Fraction | int, root: int, where):
+    texp, rest = divmod(x.numerator * root, x.denominator)
+    if rest:
         raise CatalogError(f"{where}: exponent {x} is not a multiple of 1/{root}")
-    return int(v)
+    return texp
 
 
 def _parse_poch(tok, root, where):
@@ -318,15 +329,17 @@ def _parse_yatoms(toks, root, where):
     return tuple(out)
 
 
-@dataclass
 class _Block:
     """One catalog block: the values of each key and the line of each value."""
 
-    kind: str                                   # record | case | root
-    name: str
-    lineno: int
-    body: dict = field(default_factory=dict)    # key -> [value, ...]
-    lines: dict = field(default_factory=dict)   # key -> [line number, ...]
+    __slots__ = ("kind", "name", "lineno", "body", "lines")
+
+    def __init__(self, kind: str, name: str, lineno: int):
+        self.kind = kind      # record | case | root
+        self.name = name
+        self.lineno = lineno
+        self.body = {}        # key -> [value, ...]
+        self.lines = {}       # key -> [line number, ...]
 
     def where(self, key=None, i=0):
         """The block and the line of value i of key, or of the block itself."""
@@ -630,17 +643,24 @@ def load_catalog(path=None) -> Catalog:
 # ------------------------------------------------------------- verification
 
 
-@dataclass
 class VerificationReport:
-    id: str
-    status: str                   # verified | mismatch | unverified
-    first_diff_exp: int | None
-    lhs_coeff: str | None
-    rhs_coeff: str | None
-    terms_used: int
-    order: int
-    elapsed_ms: float
-    cause: str | None = None
+    """The outcome of one record's verification (see to_json for its payload)."""
+
+    __slots__ = ("id", "status", "first_diff_exp", "lhs_coeff", "rhs_coeff", "terms_used", "order",
+                 "elapsed_ms", "cause")
+
+    def __init__(self, id: str, status: str, first_diff_exp: int | None, lhs_coeff: str | None,
+                 rhs_coeff: str | None, terms_used: int, order: int, elapsed_ms: float,
+                 cause: str | None = None):
+        self.id = id
+        self.status = status                  # verified | mismatch | unverified
+        self.first_diff_exp = first_diff_exp
+        self.lhs_coeff = lhs_coeff
+        self.rhs_coeff = rhs_coeff
+        self.terms_used = terms_used
+        self.order = order
+        self.elapsed_ms = elapsed_ms
+        self.cause = cause
 
     def to_json(self, include_elapsed=True):
         payload = {

@@ -63,9 +63,9 @@ VanishingDenominatorFactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from qseries import kernel
 from qseries.qcore import QMono, SeriesRing, poch_quotient
@@ -98,8 +98,7 @@ class SingularMismatch(ArithmeticError):
     """The two sides of an identity do not share the same vanishing factors."""
 
 
-@dataclass(frozen=True)
-class WPParams:
+class WPParams(NamedTuple):
     """The four free parameters; the fifth is pinned by the side condition."""
 
     a: QMono
@@ -108,8 +107,7 @@ class WPParams:
     d: QMono
 
 
-@dataclass(frozen=True)
-class BExp:
+class BExp(NamedTuple):
     """coeff * t^(ncoef*n + const): a monomial whose exponent is linear in n."""
 
     ncoef: int
@@ -128,8 +126,7 @@ class BExp:
         return f"(1 - {self.coeff}*t^({self.ncoef * unit}n{self.const * unit:+d}))"
 
 
-@dataclass(frozen=True)
-class PochF:
+class PochF(NamedTuple):
     """((coeff*t^texp; t^step)_{kn*n+kc})^(+/-1)."""
 
     coeff: Fraction | int
@@ -142,15 +139,13 @@ class PochF:
         return self.kn * n + self.kc
 
 
-@dataclass(frozen=True)
-class BraceTerm:
+class BraceTerm(NamedTuple):
     mono: BExp
     num: tuple[BExp, ...] = ()
     den: tuple[BExp, ...] = ()
 
 
-@dataclass(frozen=True)
-class SeriesRecipe:
+class SeriesRecipe(NamedTuple):
     """One catalogued series identity: LHS product and RHS term recipe."""
 
     name: str
@@ -403,8 +398,8 @@ def reduce_root(bt: SeriesRecipe) -> tuple[SeriesRecipe, int]:
     def atom(x):
         return BExp(x.ncoef // g, x.const // g, x.coeff)
 
-    return replace(
-        bt, root=bt.root // g, unit=bt.unit * g,
+    return bt._replace(
+        root=bt.root // g, unit=bt.unit * g,
         lhs_num=tuple(map(mono, bt.lhs_num)), lhs_den=tuple(map(mono, bt.lhs_den)),
         pref_quad=bt.pref_quad // g, pref_lin=bt.pref_lin // g, pref_const=bt.pref_const // g,
         poch_num=tuple(map(poch, bt.poch_num)), poch_den=tuple(map(poch, bt.poch_den)),
@@ -517,11 +512,15 @@ def stop_index(bt: SeriesRecipe, order: int) -> int:
     return n
 
 
-@dataclass
 class TermValue:
-    series: LaurentSeries
-    net_drops: int | None
-    phi: Fraction | int = 1
+    """One right-side term: its series, net dropped zero factors (None: the term vanished) and their weight."""
+
+    __slots__ = ("series", "net_drops", "phi")
+
+    def __init__(self, series: LaurentSeries, net_drops: int | None, phi: Fraction | int = 1):
+        self.series = series
+        self.net_drops = net_drops
+        self.phi = phi
 
 
 SHADOW_BASE = 64
@@ -912,11 +911,15 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
             yield n, TermValue(_resolved(*win, order, bound, n, unit), net + wnet, phi * wphi)
 
 
-@dataclass
 class SeriesResult:
-    series: LaurentSeries
-    net_drops: int
-    terms_used: int
+    """The summed right side, the drop count it was checked against, and the terms it summed."""
+
+    __slots__ = ("series", "net_drops", "terms_used")
+
+    def __init__(self, series: LaurentSeries, net_drops: int, terms_used: int):
+        self.series = series
+        self.net_drops = net_drops
+        self.terms_used = terms_used
 
 
 def theorem_series(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None,

@@ -12,6 +12,9 @@ from fractions import Fraction
 import pytest
 
 from qseries.inversion import (
+    DUPLICATE,
+    TRIPLICATE,
+    TRIPLICATE_SPLIT,
     InversionSpec,
     ParameterError,
     gould_hsu_roundtrip,
@@ -19,16 +22,10 @@ from qseries.inversion import (
     jackson_rhs,
     lemma_H_verify,
     params_from_exponents,
-)
-from qseries.limits import BigFloatCtx, eval_closed_form, eval_series, measure_rate
-from qseries.qcore import (
-    DUPLICATE,
-    TRIPLICATE,
-    TRIPLICATE_SPLIT,
-    QMono,
-    RationalRing,
     qpow,
 )
+from qseries.limits import BigFloatCtx, eval_closed_form, eval_series, measure_rate
+from qseries.qcore import QMono, RationalRing
 from qseries.registry import load_catalog, verify_all
 from qseries.series import LaurentSeries
 

@@ -1,6 +1,5 @@
 """Reverse bisection: P construction, the sign systems, emitted series."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -213,7 +212,7 @@ def test_functional_equation_residual_zero(cat, sols):
 def test_functional_equation_residual_matches_reference(cat, sols, ref_P, cid):
     case = cat.cases[cid]
     sol = sols[cid]
-    plus = dataclasses.replace(sol, sign="+")  # the solved Q under the wrong sign
+    plus = _solution(sol, sign="+")  # the solved Q under the wrong sign
     forced = solve_Q(case, forced_sign="+")    # no Q at all: the residual is P
     assert functional_equation_residual(case, sol) == _reference_residual(case, sol, ref_P[cid]) == []
     for wrong in (plus, forced):
@@ -229,13 +228,13 @@ def test_normalization_invariance(cat):
     # a_0 = 1 normalized Q is unchanged
     case = cat.cases["v3x1"]
     extra = (6, 0, 1)  # the factor (1 - t^6)
-    scaled = BisectionCase(**{**case.__dict__, "clear_num": case.clear_num + (extra,)})
+    scaled = BisectionCase(**{**case._asdict(), "clear_num": case.clear_num + (extra,)})
     P0, P1 = build_P(case), build_P(scaled)
     factor = Poly((1,)) - Poly.monomial(1, 6)
     assert len(P1) == len(P0) and all(a == b * factor for a, b in zip(P1, P0))
 
     both = BisectionCase(**{
-        **case.__dict__,
+        **case._asdict(),
         "clear_num": case.clear_num + (extra,),
         "fe_a": case.fe_a + (extra,),
         "fe_b": case.fe_b + (extra,),
@@ -246,7 +245,7 @@ def test_normalization_invariance(cat):
 def test_exact_division_failure_names_case(cat):
     case = cat.cases["v3x1"]
     # removing the clearing factor entirely leaves the weight's own poles behind
-    broken = BisectionCase(**{**case.__dict__, "clear_num": (), "clear_den": ()})
+    broken = BisectionCase(**{**case._asdict(), "clear_num": (), "clear_den": ()})
     with pytest.raises(ExactDivisionFailed) as exc:
         build_P(broken)
     assert "v3x1" in str(exc.value)
@@ -260,7 +259,12 @@ def _num_and_den(case):
 
 
 def _with(case, **changes):
-    return BisectionCase(**{**case.__dict__, **changes})
+    return BisectionCase(**{**case._asdict(), **changes})
+
+
+def _solution(sol, **changes):
+    """sol with some fields changed, P included."""
+    return BisectionSolution(**{**{k: getattr(sol, k) for k in BisectionSolution.__slots__}, **changes})
 
 
 def test_P_times_denominator_is_numerator(cat):
@@ -381,12 +385,12 @@ def test_solution_of_another_case_is_rejected(cat, sols):
 
 def test_solution_equality_ignores_P(sols):
     sol = sols["v1x3"]
-    assert dataclasses.replace(sol, P=[]) == sol
+    assert _solution(sol, P=[]) == sol
 
 
 def test_pairing_check_rejects_flat_valuation(cat, sols):
     case = cat.cases["v3x1"]
-    flat = _with(case, pp=dataclasses.replace(case.pp, pref_quad=0))
+    flat = _with(case, pp=case.pp._replace(pref_quad=0))
     with pytest.raises(NonmonotoneValuation):
         pairing_check(flat, sols["v3x1"], 120)
 
@@ -399,7 +403,7 @@ def test_degree_search_finds_six(cat):
 def test_degree_search_synthetic_degree(cat):
     # a perturbed P admits no Q at small degree
     case = cat.cases["v3x1"]
-    broken = BisectionCase(**{**case.__dict__, "fe_shift": (case.fe_shift[0] + 1, case.fe_shift[1])})
+    broken = BisectionCase(**{**case._asdict(), "fe_shift": (case.fe_shift[0] + 1, case.fe_shift[1])})
     with pytest.raises(NoBisection):
         degree_search(broken, 4)
 
@@ -430,7 +434,7 @@ def test_reduced_recipe_is_the_shipped_record_but_its_braces(cat, sols, cid):
     case = cat.cases[cid]
     derived = reduced_recipe(case, sols[cid])
     shipped = cat.get(case.emit_id).recipe
-    assert dataclasses.replace(derived, braces=shipped.braces) == shipped
+    assert derived._replace(braces=shipped.braces) == shipped
 
 
 def test_pairwise_combination_matches_unreduced(cat, sols, monkeypatch):
@@ -452,12 +456,12 @@ def test_pairing_check_rejects_perturbed_Q_coefficient(cat, sols, cid, entry):
     terms = [list(t) for t in sol.terms]
     coeff, texp = terms[entry][0]
     terms[entry][0] = (coeff + 1, texp)
-    assert not pairing_check(cat.cases[cid], dataclasses.replace(sol, terms=terms), 120)
+    assert not pairing_check(cat.cases[cid], _solution(sol, terms=terms), 120)
 
 
 @pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
 def test_pairing_check_rejects_flipped_sign(cat, sols, cid):
-    flipped = dataclasses.replace(sols[cid], sign="+" if sols[cid].sign == "-" else "-")
+    flipped = _solution(sols[cid], sign="+" if sols[cid].sign == "-" else "-")
     assert not pairing_check(cat.cases[cid], flipped, 120)
 
 

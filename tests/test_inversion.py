@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from qseries.inversion import (
+    DUPLICATE,
+    TRIPLICATE,
+    TRIPLICATE_SPLIT,
     DegenerateSpec,
     InversionSpec,
     ParameterError,
@@ -18,16 +21,13 @@ from qseries.inversion import (
     lemma_H_value,
     lemma_H_verify,
     params_from_exponents,
+    qpow,
 )
 from qseries.qcore import (
-    DUPLICATE,
-    TRIPLICATE,
-    TRIPLICATE_SPLIT,
     QMono,
     RationalRing,
     SeriesRing,
     poch_finite,
-    qpow,
 )
 
 F = Fraction

@@ -1,6 +1,5 @@
 """High-precision numerics: Gamma, classical series, convergence rates."""
 
-import dataclasses
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -297,7 +296,7 @@ _big_fraction = st.builds(F, st.integers(-(10**300), 10**300), st.integers(1, 10
     digits=st.integers(1, 80),
 )
 def test_eval_series_equals_mpf_object_loop(terms, prefix, rate, digits):
-    spec = dataclasses.replace(zero_series(), prefix=prefix, rate=rate)
+    spec = zero_series()._replace(prefix=prefix, rate=rate)
     bf = BigFloatCtx(digits=digits)
     got = eval_series(spec, len(terms), bf, exact=pairs(terms))
     want = _eval_series_mpf(spec, terms, bf)

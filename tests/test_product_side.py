@@ -10,7 +10,6 @@ series products and series inverses, with the same drop accounting.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,9 +77,8 @@ SYNTHETIC = {
 
 
 def synthetic(num, den):
-    bt = replace(BASE, lhs_num=num, lhs_den=den)
-    shadow = replace(
-        BASE,
+    bt = BASE._replace(lhs_num=num, lhs_den=den)
+    shadow = BASE._replace(
         lhs_num=tuple(QMono(m.coeff, 1000 * m.texp + 3 + i) for i, m in enumerate(num)),
         lhs_den=tuple(QMono(m.coeff, 1000 * m.texp + 7 + i) for i, m in enumerate(den)),
         root=1000 * 12,

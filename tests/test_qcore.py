@@ -9,23 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qseries import qcore
-from qseries.qcore import (
+from qseries.inversion import (
     DUPLICATE,
     TRIPLICATE,
     TRIPLICATE_SPLIT,
     PartitionPattern,
     QExp,
+    RootMismatch,
+    qpow,
+    theta_monomial,
+)
+from qseries.qcore import (
     QMono,
     RationalRing,
-    RootMismatch,
     SeriesRing,
     gauss_binom,
     poch_finite,
     poch_infinite,
     q_gamma_numeric,
     q_pochhammer_numeric,
-    qpow,
-    theta_monomial,
 )
 
 L = 12

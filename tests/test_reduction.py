@@ -6,7 +6,6 @@ before (carried_terms).  The references are the same functions at the
 catalog root, and eval_term, which builds every block from scratch.
 """
 
-from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from math import gcd
@@ -49,17 +48,18 @@ EXPONENT_FIELDS = {"root", "texp", "step", "ncoef", "const", "pref_quad", "pref_
 
 
 def exponents(obj):
-    """Every t-exponent field of a recipe, found by walking its dataclasses."""
-    if isinstance(obj, tuple):
-        for x in obj:
-            yield from exponents(x)
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if f.name in EXPONENT_FIELDS:
+    """Every t-exponent field of a recipe, found by walking its records (NamedTuples and QMono)."""
+    names = obj._fields if hasattr(obj, "_fields") else QMono.__slots__ if isinstance(obj, QMono) else None
+    if names is not None:
+        for name in names:
+            value = getattr(obj, name)
+            if name in EXPONENT_FIELDS:
                 yield value
             else:
                 yield from exponents(value)
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from exponents(x)
 
 
 def shadow_of(rec):
@@ -255,8 +255,8 @@ NEGATIVE_BESIDE_ATOMS = (BraceTerm(BExp(0, -6, 2)), BraceTerm(BExp(1, 1), (BExp(
 @pytest.mark.parametrize("brace, pure, known", [(CANCELLING, 3, 116), (NEGATIVE_BESIDE_ATOMS, 2, 114)],
                          ids=["cancelling", "negative_beside_atoms"])
 def test_merged_pure_monomials_match_eval_term(brace, pure, known, monkeypatch):
-    bt = replace(CATALOG.get("u2-05").recipe, poch_num=(PochF(F(1, 2), 2, 1, 0, 12),),
-                 poch_den=(PochF(1, 3, 0, 2, 12),), braces=(brace,), n_start=1)
+    bt = CATALOG.get("u2-05").recipe._replace(poch_num=(PochF(F(1, 2), 2, 1, 0, 12),),
+                                              poch_den=(PochF(1, 3, 0, 2, 12),), braces=(brace,), n_start=1)
     assert pure_groups(bt) == [pure]
     for order in (24, 120):
         assert_carried_match(bt, None, order, monkeypatch)
@@ -291,7 +291,7 @@ SHAPES = {
 @pytest.mark.parametrize("parts", SHAPES.values(), ids=SHAPES)
 def test_carried_terms_on_synthetic_shapes(parts):
     base = CATALOG.get("u2-05").recipe
-    bt = replace(base, **{"poch_num": (), "poch_den": (), **parts})
+    bt = base._replace(**{"poch_num": (), "poch_den": (), **parts})
     for order in (24, 120, 400):
         assert_carried_match(bt, None, order)
 
@@ -299,18 +299,18 @@ def test_carried_terms_on_synthetic_shapes(parts):
 def test_carried_zero_terms_match_eval_term():
     """n-dependent (1 - 1) numerators: a brace term skipped at n = 1, the whole term dead at n = 2."""
     brace = (BraceTerm(BExp(0, 0, 1)), BraceTerm(BExp(0, 0, 2), num=(BExp(1, -1),)))
-    bt = replace(CATALOG.get("u2-05").recipe, poch_num=(PochF(F(1, 2), 2, 1, 0, 12),),
-                 w_num=(BExp(1, -2),), braces=(brace,))
+    bt = CATALOG.get("u2-05").recipe._replace(poch_num=(PochF(F(1, 2), 2, 1, 0, 12),),
+                                              w_num=(BExp(1, -2),), braces=(brace,))
     ring = SeriesRing(order=120, root=12)
     carried = carried_outcomes(ring, bt, None)
     assert carried == reference_outcomes(ring, bt, None)
     assert [x[0] for x in carried] == [0, 1, 2] and carried[2][3] is None
-    assert carried[1][1] == eval_term(ring, replace(bt, braces=(brace[:1],)), 1).series
+    assert carried[1][1] == eval_term(ring, bt._replace(braces=(brace[:1],)), 1).series
 
 
 def test_carried_vanishing_factor_raises_as_eval_term():
     """An explicit record with a (1 - 1) block factor from n = 3 on."""
-    bt = replace(CATALOG.get("u2-05").recipe, poch_num=(PochF(1, -24, 1, 0, 12),))
+    bt = CATALOG.get("u2-05").recipe._replace(poch_num=(PochF(1, -24, 1, 0, 12),))
     ring = SeriesRing(order=120, root=12)
     carried = carried_outcomes(ring, bt, None)
     assert carried == reference_outcomes(ring, bt, None)
@@ -320,13 +320,13 @@ def test_carried_vanishing_factor_raises_as_eval_term():
 def test_carried_terms_reject_a_shrinking_count():
     """A count kn*n + kc with kn < 0 cannot be carried; eval_term still evaluates it."""
     shrinking = PochF(1, 3, -1, 6, 12)
-    bt = replace(CATALOG.get("u2-05").recipe, poch_num=(shrinking,), poch_den=())
+    bt = CATALOG.get("u2-05").recipe._replace(poch_num=(shrinking,), poch_den=())
     ring = SeriesRing(order=120, root=12)
     with pytest.raises(ValueError, match="kn < 0"):
         next(carried_terms(ring, bt))
     for n in evaluated(bt, 120):
         # at each n the block is (t^3; t^12)_{6-n}, the same as a constant count
-        fixed = replace(bt, poch_num=(replace(shrinking, kn=0, kc=max(0, shrinking.count(n))),))
+        fixed = bt._replace(poch_num=(shrinking._replace(kn=0, kc=max(0, shrinking.count(n))),))
         assert values(n, eval_term(ring, bt, n)) == values(n, eval_term(ring, fixed, n))
 
 
@@ -397,13 +397,13 @@ def compiled_cases(draw):
     u, v = draw(st.integers(1, 5)), draw(st.integers(6, 9))
 
     def poch(f):
-        return replace(f, texp=64 * f.texp + u, step=64 * f.step + v)
+        return f._replace(texp=64 * f.texp + u, step=64 * f.step + v)
 
     def atom(x):
-        return replace(x, ncoef=64 * x.ncoef + u, const=64 * x.const + v)
+        return x._replace(ncoef=64 * x.ncoef + u, const=64 * x.const + v)
 
-    return bt, replace(bt, poch_num=tuple(map(poch, bt.poch_num)), poch_den=tuple(map(poch, bt.poch_den)),
-                       w_num=tuple(map(atom, bt.w_num)), w_den=tuple(map(atom, bt.w_den)))
+    return bt, bt._replace(poch_num=tuple(map(poch, bt.poch_num)), poch_den=tuple(map(poch, bt.poch_den)),
+                           w_num=tuple(map(atom, bt.w_num)), w_den=tuple(map(atom, bt.w_den)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -419,8 +419,8 @@ def test_compiled_carried_terms_match_eval_term(case, order):
 
 
 def test_has_unit_factor_on_synthetic_factors():
-    base = replace(CATALOG.get("u2-05").recipe, lhs_num=(), lhs_den=(), poch_num=(), poch_den=(),
-                   w_num=(), w_den=())
+    base = CATALOG.get("u2-05").recipe._replace(lhs_num=(), lhs_den=(), poch_num=(), poch_den=(),
+                                                w_num=(), w_den=())
     assert not has_unit_factor(base)
     unit = {
         "lhs": dict(lhs_num=(QMono(1, -24),)),
@@ -436,8 +436,8 @@ def test_has_unit_factor_on_synthetic_factors():
         "poch_away_from_zero": dict(poch_num=(PochF(1, 10, 1, 0, 5), PochF(1, -10, 1, 0, -5))),
         "weight_n_dependent": dict(w_num=(BExp(1, -3),), w_den=(BExp(0, 0, 2),)),
     }
-    assert all(has_unit_factor(replace(base, **parts)) for parts in unit.values())
-    assert not any(has_unit_factor(replace(base, **parts)) for parts in never.values())
+    assert all(has_unit_factor(base._replace(**parts)) for parts in unit.values())
+    assert not any(has_unit_factor(base._replace(**parts)) for parts in never.values())
 
 
 @pytest.mark.parametrize("rec", [r for r in CATALOG.records if r.kind == "theorem"], ids=lambda r: r.id)

@@ -1,12 +1,16 @@
 """Catalog loading, validation, and the verification driver."""
 
 import textwrap
+from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qseries.registry import (
     CatalogError,
+    _frac,
     load_catalog,
     verify_all,
     verify_identity,
@@ -68,6 +72,50 @@ def _mutated(tmp_path, key, edit):
     p = tmp_path / "catalog.txt"
     p.write_text(text[:start] + edit(text[start:end]) + text[end:])
     return p
+
+
+def _fraction_or_error(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return CatalogError
+
+
+def _parsed_or_error(text):
+    try:
+        return _frac(text, "record x (line 7)")
+    except CatalogError as exc:
+        assert str(exc) == f"record x (line 7): bad rational {text!r}"
+        return CatalogError
+
+
+_PIECES = ("", "", "+", "-", "/", "/", " / ", "/-", "/+", ".", "e", "E-", "_", " ", "\t", "+-")
+_DIGITS = st.text(alphabet="0123456789\u0662\uff13\u00b3", max_size=3)   # Arabic-Indic, fullwidth, superscript
+# number-like tokens: digit runs joined by signs, slashes, points, exponents, underscores and spaces
+_NUMBER_LIKE = st.lists(st.tuples(st.sampled_from(_PIECES), _DIGITS), min_size=1, max_size=3).map(
+    lambda parts: "".join(p + d for p, d in parts)) | st.from_regex(
+    r"\A\s?[+-]{0,2}\d{0,3}(_\d{0,2})?(\s?/\s?[+-]?\d{0,3}(_\d)?|\.\d{0,2})?([eE][+-]?\d{0,2})?\s?\Z")
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_NUMBER_LIKE | st.text(alphabet="0123456789+-/._eE \t\u0662\uff13\u00b3", max_size=8))
+@example(text="1/-2")
+@example(text="1/ 2")
+@example(text="1 / 2")
+@example(text=" 1/2 ")
+@example(text="1_000")
+@example(text="1.5")
+@example(text="1e3")
+@example(text="+3")
+@example(text=" -2 ")
+@example(text="3/0")
+def test_rational_token_parses_as_fraction_does(text):
+    """The catalog's rational parser gives Fraction(text)'s value, or a located CatalogError where it raises."""
+    got = _parsed_or_error(text)
+    assert got == _fraction_or_error(text)
+    if got is not CatalogError:
+        # an integer token stays an int; every other value is a Fraction
+        assert type(got) is (int if (text[1:] if text[:1] in "+-" else text).isdecimal() else Fraction)
 
 
 def test_non_integer_prefactor_is_a_located_catalog_error(tmp_path):

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from qseries.inversion import (
+    DUPLICATE,
+    TRIPLICATE,
+    TRIPLICATE_SPLIT,
     PatternSystem,
     general_dual_group,
     general_dual_prefix,
     params_from_exponents,
 )
-from qseries.qcore import DUPLICATE, TRIPLICATE, TRIPLICATE_SPLIT, RationalRing, SeriesRing
+from qseries.qcore import RationalRing, SeriesRing
 from qseries.theorems import (
     THEOREM_NAMES,
     VanishingDenominatorFactor,
