@@ -18,9 +18,11 @@ Q is solved by forward substitution and every row above, up to the top of
 the system, checks it.  At most one sign admits a solution; the solved Q
 turns the double-width sum into sum(+-1)^n T_n.
 
-Case data ships in the catalog: the clearing factor, the functional-equation
-factors, and two series recipes, the unreduced double-width series (pp)
-and the term block T_n of the reduced series (t).  pp_recipe puts P(q^n)
+A catalog case holds the theorem, its parameters and two series recipes,
+the unreduced double-width series (pp) and the term block T_n of the
+reduced series (t).  The clearing factor and the functional-equation
+factors A, B and shift are derived from them at load
+(registry._parse_case, by theorems.term_ratio).  pp_recipe puts P(q^n)
 into pp's braces and reduced_recipe puts the solved Q into t's.  The
 weight polynomial itself is rebuilt from the theorem recipe, never
 transcribed.  P is built once per solve (solve_Q, degree_search) and the
@@ -55,7 +57,7 @@ class NoBisection(ArithmeticError):
 
 
 class VanishingDiagonal(ArithmeticError):
-    """A diagonal entry of the triangular y-rows is zero (fe-shift 0 0, sign -, A[0] = B[0])."""
+    """A diagonal entry of the triangular y-rows is zero (shift 1, sign -, A[0] = B[0])."""
 
 
 class AmbiguousSign(ArithmeticError):
@@ -109,7 +111,7 @@ def _ysum(parts):
 
 
 def _case_atoms(triples):
-    """Catalog (t-exp, y-power, multiplicity) triples as a list of unit atoms."""
+    """A case's (t-exp, y-power, multiplicity) triples as a list of unit atoms."""
     return [(1, texp, ypow) for texp, ypow, mult in triples for _ in range(mult)]
 
 

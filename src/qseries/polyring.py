@@ -81,9 +81,6 @@ class Poly:
             out[i] -= c
         return Poly(out)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -227,9 +224,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             other = RatFunc(other)
@@ -247,9 +241,6 @@ class RatFunc:
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc(other) / self
 
     def __repr__(self):
         if self.is_polynomial():

@@ -32,6 +32,7 @@ from qseries.theorems import (
     BExp,
     BraceTerm,
     PochF,
+    RatioError,
     SeriesRecipe,
     THEOREM_NAMES,
     WPParams,
@@ -39,6 +40,7 @@ from qseries.theorems import (
     has_unit_factor,
     reduce_root,
     shadow_params,
+    term_ratio,
     theorem_lhs,
     theorem_series,
 )
@@ -127,10 +129,12 @@ class BisectionCase(NamedTuple):
     theorem: str
     params: WPParams
     root: int
-    clear_num: tuple[tuple[int, int, int], ...]   # (t-exp of q-coeff, y-power, multiplicity)
+    # derived at load from the recipes (registry._parse_case); each atom is
+    # (t-exp, y-power, multiplicity) for (1 - t^t-exp * y^y-power), y = q^n
+    clear_num: tuple[tuple[int, int, int], ...]   # theta(n)/pp(n) on pp's product side
     clear_den: tuple[tuple[int, int, int], ...]
-    fe_a: tuple[tuple[int, int, int], ...]
-    fe_shift: tuple[int, int]                      # (t-exp, y-power)
+    fe_a: tuple[tuple[int, int, int], ...]        # A = t(2n)/pp(n)
+    fe_shift: tuple[int, int]                      # (t-exp, y-power) of shift, shift*B = t(2n+1)/pp(n)
     fe_b: tuple[tuple[int, int, int], ...]
     deg_q: int
     sign: str                                      # the declared consistent sign
@@ -176,14 +180,18 @@ def _parse_count(text, where):
 def _frac(text, where):
     """A rational token: an int for an integer, else a Fraction.
 
-    It accepts and rejects exactly what Fraction(text) does.  An integer or
-    an integer/integer token is read with int(), which agrees with
-    Fraction's parser on these, and skips the parser's regular expression.
+    It accepts and rejects exactly what Fraction(text) does on Python 3.10,
+    on every Python: later versions also take underscores (3.11) and
+    whitespace around the slash (3.12), which a catalog must not depend on.
+    An integer or an integer/integer token is read with int(), which agrees
+    with Fraction's parser on these, and skips the parser's regular expression.
     """
     num, slash, den = text.partition("/")
     try:
         if (num[1:] if num[:1] in "+-" else num).isdecimal() and (not slash or den.isdecimal()):
             return Fraction(int(num), int(den)) if slash else int(num)
+        if "_" in text or slash and (num[-1:].isspace() or den[:1].isspace()):
+            raise ValueError(f"not a Python 3.10 Fraction literal: {text!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CatalogError(f"{where}: bad rational {text!r}") from exc
@@ -308,27 +316,6 @@ def _parse_ffactor(tok, where):
     return FactorialFactor(p, kn, kc, power)
 
 
-def _parse_yatoms(toks, root, where):
-    out = []
-    for tok in toks:
-        parts = tok.split(":")
-        if len(parts) not in (2, 3):
-            raise CatalogError(f"{where}: y-atom needs qexp:ypow[:mult], got {tok!r}")
-        texp = _texp(_frac(parts[0], where), root, where)
-        ypow = _int(parts[1], where)
-        mult = _int(parts[2], where) if len(parts) == 3 else 1
-        if mult < 1:
-            raise CatalogError(f"{where}: y-atom {tok!r} needs a positive multiplicity")
-        if ypow < 0:
-            raise CatalogError(f"{where}: y-atom {tok!r} needs a nonnegative y-power")
-        if texp < 0:
-            raise CatalogError(f"{where}: y-atom {tok!r} needs a nonnegative q-exponent")
-        if texp == ypow == 0:
-            raise CatalogError(f"{where}: y-atom {tok!r} is identically zero")
-        out.append((texp, ypow, mult))
-    return tuple(out)
-
-
 class _Block:
     """One catalog block: the values of each key and the line of each value."""
 
@@ -405,8 +392,7 @@ _BLOCK_KEYS = {
     "theorem": _RECORD_KEYS | {"theorem", "a", "b", "c", "d"},
     "explicit": _RECORD_KEYS | set(_SERIES_KEYS),
     "case": {
-        "note", "theorem", "a", "b", "c", "d", "clear-num", "clear-den", "fe-a", "fe-shift", "fe-b",
-        "deg-q", "sign", "emit-id",
+        "note", "theorem", "a", "b", "c", "d", "deg-q", "sign", "emit-id",
     } | {"pp-" + k for k in _PRODUCT_KEYS + _TERM_KEYS} | {"t-" + k for k in _TERM_KEYS},
 }
 _BLOCK_KEYS["bisected"] = _BLOCK_KEYS["explicit"] | {"case", "sign"}
@@ -552,32 +538,48 @@ def _parse_recipe(name, blk, root, prefix="", product=None):
     )
 
 
+def _derive(blk, what, parts, normalized=False, polynomial=False):
+    """term_ratio(parts), its RatioError located at the key of the part at fault."""
+    try:
+        return term_ratio(parts, normalized, polynomial)
+    except RatioError as exc:
+        tag, field = exc.source
+        raise CatalogError(f"{blk.where('theorem' if tag is None else tag + field)}: {what}: {exc}") from exc
+
+
 def _parse_case(blk, root):
+    """A bisection case, its functional equation and clearing factor derived from its recipes.
+
+    With y = q^n and theta the theorem's term block at the case parameters
+    (its weight W is rebuilt by bisection.weight_y_fraction): A = t(2n)/pp(n),
+    shift*B = t(2n+1)/pp(n), and the clearing factor theta(n)/pp(n) times
+    pp's product side over the theorem's.
+    """
     thm, params = _parse_theorem(blk, root)
-
-    def yatoms(key):
-        text, at = blk.value(key)
-        return _parse_yatoms(text.split(), root, at)
-
-    text, at = blk.value("fe-shift")
-    fe_shift = text.split()
-    if len(fe_shift) != 2:
-        raise CatalogError(f"{at}: fe-shift needs 'qexp ypow'")
-    fe_shift = (_texp(_frac(fe_shift[0], at), root, at), _int(fe_shift[1], at))
-    if min(fe_shift) < 0:
-        raise CatalogError(f"{at}: fe-shift needs a nonnegative q-exponent and y-power")
     deg_q = _int(*blk.value("deg-q"))
     if deg_q < 0:
         raise CatalogError(f"{blk.where('deg-q')}: deg-q must be nonnegative, got {deg_q}")
     pp = _parse_recipe(f"{blk.name}-pp", blk, root, "pp-")
     emit_id = blk.value("emit-id")[0]
+    t = _parse_recipe(emit_id, blk, root, "t-", (pp.lhs_num, pp.lhs_den))
+    (texp, ypow), fe_a, _ = _derive(blk, "A = t(2n)/pp(n)", [(1, t, 2, 0, "t-"), (-1, pp, 1, 0, "pp-")],
+                                    polynomial=True)
+    if texp or ypow:
+        raise CatalogError(f"{blk.where('t-pref')}: A = t(2n)/pp(n) has the monomial t^{texp}*y^{ypow}, not 1")
+    fe_shift, fe_b, _ = _derive(blk, "shift*B = t(2n+1)/pp(n)", [(1, t, 2, 1, "t-"), (-1, pp, 1, 0, "pp-")],
+                                polynomial=True)
+    if fe_shift[0] < 0:
+        raise CatalogError(f"{blk.where('t-pref')}: the shift t^{fe_shift[0]}*y^{fe_shift[1]} has a negative t-exponent")
+    theta = bind_theorem(thm, params, root)._replace(w_num=(), w_den=())
+    (texp, ypow), clear_num, clear_den = _derive(
+        blk, "clearing factor", [(1, theta, 1, 0, None), (-1, pp, 1, 0, "pp-")], normalized=True)
+    if texp or ypow:
+        raise CatalogError(f"{blk.where('pp-pref')}: the clearing factor has the monomial t^{texp}*y^{ypow}, not 1")
     return BisectionCase(
         id=blk.name, theorem=thm, params=params, root=root,
-        clear_num=yatoms("clear-num"), clear_den=yatoms("clear-den"),
-        fe_a=yatoms("fe-a"), fe_shift=fe_shift, fe_b=yatoms("fe-b"),
-        deg_q=deg_q, sign=_parse_sign(blk),
-        pp=pp, t=_parse_recipe(emit_id, blk, root, "t-", (pp.lhs_num, pp.lhs_den)),
-        emit_id=emit_id,
+        clear_num=clear_num, clear_den=clear_den,
+        fe_a=fe_a, fe_shift=fe_shift, fe_b=fe_b,
+        deg_q=deg_q, sign=_parse_sign(blk), pp=pp, t=t, emit_id=emit_id,
     )
 
 

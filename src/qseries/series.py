@@ -132,9 +132,6 @@ class LaurentSeries:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -207,13 +204,6 @@ class LaurentSeries:
             return LaurentSeries.zero(out_order)
         out = kernel.inv_dense(self.coeffs, nmax)
         return LaurentSeries(-v, out, out_order, _canonical=True)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(_inv_scalar(other))
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self * other.inverse()
 
     # ------------------------------------------------------------ comparison
 

@@ -411,6 +411,104 @@ def reduce_root(bt: SeriesRecipe) -> tuple[SeriesRecipe, int]:
     ), g
 
 
+# ---------------------------------------------------------- term-block ratios
+
+
+class RatioError(ValueError):
+    """A quotient of term blocks that is not a monomial times finite atoms.
+
+    source is the (tag, field) of the part at fault: the tag the caller gave
+    its recipe and a field such as "poch-num".
+    """
+
+    def __init__(self, message, source):
+        super().__init__(message)
+        self.source = source
+
+
+def term_ratio(parts, normalized=False, polynomial=False):
+    """A quotient of term blocks in y = q^n, as (monomial, numerator atoms, denominator atoms).
+
+    parts holds (power, recipe, alpha, beta, tag): the term block of recipe
+    at alpha*n + beta, to the power +1 or -1.  A term block is the
+    prefactor (its pref_base is 1 on every catalog recipe and is not read),
+    the Pochhammer blocks and the w atoms, not the braces; normalized
+    divides each by its recipe's product side.  The monomial is
+    (texp, ypow) for t^texp * y^ypow and each atom (texp, ypow, multiplicity)
+    stands for (1 - t^texp * y^ypow).
+
+    (c t^e; t^s)_(Kn+C) is K residue blocks (c t^e0; t^(sK))_n, e0 in
+    (0, sK], times finite atoms, and (c t^e; t^s)_inf one residue block
+    times constants.  RatioError, naming a part at fault, is raised when
+    the residue blocks or the n^2 terms of the prefactors do not cancel, a
+    y-power is not integral, an atom is not of that form, or polynomial is
+    set and a denominator atom is left.  A block left over is blamed on a
+    part tagged None only when no other part holds one.
+    """
+    atoms, blocks, origin = {}, {}, {}
+    root = parts[0][1].root
+
+    def add(table, key, m, src):
+        table[key] = table.get(key, 0) + m
+        origin.setdefault(key, src)
+
+    def residue(c, f, step, finite, m, src):
+        # (c t^f; t^step)_n = (c t^e0; t^step)_n * prod (1 - c t^(e0 + i step) y^.) / (1 - c t^(e0 + i step))
+        k = (f - 1) // step
+        e0 = f - k * step
+        mk = m if k > 0 else -m
+        for i in range(min(k, 0), max(k, 0)):
+            if finite:
+                add(atoms, (c, step, e0 + i * step), mk, src)
+            add(atoms, (c, 0, e0 + i * step), -mk, src)
+        add(blocks, (c, e0, step, finite), m, src)
+
+    quad = lin = const = 0
+    for m, r, al, be, tag in parts:
+        quad += m * r.pref_quad * al * al
+        lin += m * (2 * r.pref_quad * be + r.pref_lin) * al
+        const += m * ((r.pref_quad * be + r.pref_lin) * be + r.pref_const)
+        for field, fs, s in (("poch-num", r.poch_num, m), ("poch-den", r.poch_den, -m)):
+            for f in fs:
+                K, C = f.kn * al, f.kn * be + f.kc
+                for j in range(K):
+                    residue(f.coeff, f.texp + f.step * j, f.step * K, True, s, (tag, field))
+                for i in range(min(C, 0), max(C, 0)):
+                    add(atoms, (f.coeff, f.step * K, f.texp + f.step * i), s if C > 0 else -s, (tag, field))
+        for field, ws, s in (("w-num", r.w_num, m), ("w-den", r.w_den, -m)):
+            for w in ws:
+                add(atoms, (w.coeff, w.ncoef * al, w.const + w.ncoef * be), s, (tag, field))
+        if normalized:
+            for field, xs, s in (("lhs-num", r.lhs_num, -m), ("lhs-den", r.lhs_den, m)):
+                for x in xs:
+                    residue(x.coeff, x.texp, r.root, False, s, (tag, field))
+    left = [key for key, m in blocks.items() if m]
+    if left:
+        key = min(left, key=lambda k: origin[k][0] is None)
+        kind = "Pochhammer block" if key[3] else "infinite product"
+        raise RatioError(f"{kind} ({key[0]}*t^{key[1]}; t^{key[2]}) does not cancel", origin[key])
+    pref = (parts[-1][4], "pref")
+    if quad:
+        raise RatioError(f"the prefactors differ by t^({quad}n^2 + ...), not a monomial", pref)
+
+    def ypow(ncoef, src):
+        if ncoef % root:
+            raise RatioError(f"y-power {ncoef}/{root} is not an integer", src)
+        return ncoef // root
+
+    num, den = [], []
+    for (c, ncoef, texp), m in atoms.items():
+        if m:
+            src = origin[c, ncoef, texp]
+            y = ypow(ncoef, src)
+            if c != 1 or texp < 0 or texp == y == 0:
+                raise RatioError(f"atom (1 - {c}*t^{texp}*y^{y}) is not (1 - t^a*y^b) with a >= 0", src)
+            if m < 0 and polynomial:
+                raise RatioError(f"denominator atom (1 - t^{texp}*y^{y})", src)
+            (num if m > 0 else den).append((texp, y, abs(m)))
+    return (const, ypow(lin, pref)), tuple(num), tuple(den)
+
+
 # ------------------------------------------------------------- term assembly
 
 

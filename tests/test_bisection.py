@@ -1,6 +1,8 @@
 """Reverse bisection: P construction, the sign systems, emitted series."""
 
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from qseries.bisection import (
 from qseries.linsolve import poly_solve_overdetermined
 from qseries.polyring import Poly, RatFunc
 from qseries.qcore import SeriesRing
-from qseries.registry import BisectionCase, load_catalog, record_sides
+from qseries.registry import BisectionCase, CatalogError, load_catalog, record_sides
 from qseries.theorems import NonmonotoneValuation, bind_theorem, eval_term, theorem_lhs, theorem_series
 
 F = Fraction
@@ -406,6 +408,32 @@ def test_degree_search_synthetic_degree(cat):
     broken = BisectionCase(**{**case._asdict(), "fe_shift": (case.fe_shift[0] + 1, case.fe_shift[1])})
     with pytest.raises(NoBisection):
         degree_search(broken, 4)
+
+
+_T_POCH_NUM = "  t-poch-num 1/2:1:n 2/3:1:n 1/2:1/2:n 1/2:1/2:n 5/6:1/2:n\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("1/2:1:n ", "1/2:1:n+1 "), ("2/3:1:n ", "2/3:1:n+1 "), ("5/6:1/2:n", "5/6:1/2:n+1"),
+    ("1/2:1:n ", "1/3:1:n "), ("2/3:1:n ", "2/3:1:2n "), ("5/6:1/2:n", "5/6:1/4:n"),
+    ("1/2:1:n ", "1/2:1:n-1 "), ("5/6:1/2:n", "1/3:1/2:n"),
+])
+def test_changed_t_poch_atom_gives_no_bisection_or_a_located_error(cat, tmp_path, old, new):
+    # one atom of v1x3's t-poch-num changed: the derived A and B change, and
+    # the case is refused at a line of its own or solve_Q finds no Q
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    assert text.count(_T_POCH_NUM) == 1
+    p = tmp_path / "catalog.txt"
+    p.write_text(text.replace(_T_POCH_NUM, _T_POCH_NUM.replace(old, new, 1)))
+    try:
+        case = load_catalog(p).cases["v1x3"]
+    except CatalogError as exc:
+        assert re.match(r"case v1x3 \(line 106[2-9]\): ", str(exc))
+        return
+    shipped = cat.cases["v1x3"]
+    assert (case.fe_a, case.fe_b) != (shipped.fe_a, shipped.fe_b)
+    with pytest.raises(NoBisection):
+        solve_Q(case)
 
 
 def test_emitted_records_verify(cat, sols):

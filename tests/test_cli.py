@@ -203,17 +203,21 @@ def test_bisect_contradicting_declared_sign_exits_1(tmp_path, capsys):
     assert "case v1x3: solved sign - contradicts the declared sign +" in err
 
 
-def test_bisect_vanishing_diagonal_exits_1(tmp_path, capsys):
-    # fe-shift 0 0 with fe-b equal to fe-a: under '-' the y^0 diagonal A[0] - B[0] is zero
-    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
-    case = text[text.index("\ncase v1x3\n") + 1:]
-    case = case[:case.index("\nend\n") + 5]
-    fe_a = case[case.index("  fe-a ") + 7:].split("\n")[0]
-    fe_b = case[case.index("  fe-b "):].split("\n")[0]
-    p = tmp_path / "case.txt"
-    p.write_text(case.replace("  fe-shift 4/3 3", "  fe-shift 0 0").replace(fe_b, "  fe-b " + fe_a))
+def test_bisect_vanishing_diagonal_exits_1(monkeypatch, capsys):
+    # A derived shift has a positive y-power, so no catalog case has a
+    # vanishing diagonal; the solver still meets one on the system with
+    # shift 1 and B = A, whose y^0 diagonal under '-' is A[0] - B[0] = 0.
+    from qseries import bisection
+
+    forward_solve = bisection._forward_solve
+
+    def vanishing(case, system, deg_q, sign):
+        P, A, _ = system
+        return forward_solve(case._replace(fe_shift=(0, 0)), (P, A, A), deg_q, sign)
+
+    monkeypatch.setattr(bisection, "_forward_solve", vanishing)
     for extra in ((), ("--max-deg", "8")):
-        assert main(["--catalog", str(p), "--json", "bisect", "v1x3", *extra]) == 1
+        assert main(["--json", "bisect", "v1x3", *extra]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "case v1x3: sign -, y-row 0: the diagonal entry vanishes" in err
