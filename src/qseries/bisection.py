@@ -2,21 +2,23 @@
 
 A specialized triplicate summand, cleared of denominators, becomes a
 polynomial P(y) (y standing for q^n).  P is built without rational
-functions, as a list of coefficient rows (one plain list of t-coefficients
-per power of y) changed only by atom steps.  Every factor is an atom
-(1 - c*t^a*y^b): times an atom, row k takes -c*t^a times row k-b; over an
-atom, which has constant term 1 in y, an ascending recurrence divides
-exactly, and any nonzero remainder raises ExactDivisionFailed.  Equal
-numerator and denominator atoms cancel before any step.  The ansatz series
-T_n carries an unknown polynomial Q evaluated at q^(n/2), and matching
+functions, as a list of coefficient rows (one sparse map {t-exponent:
+nonzero coefficient} per power of y, so a step touches only nonzero terms)
+changed only by atom steps.  Every factor is an atom (1 - c*t^a*y^b):
+times an atom, row k takes -c*t^a times row k-b; over an atom, which has
+constant term 1 in y, an ascending recurrence divides exactly, and any
+nonzero remainder raises ExactDivisionFailed.  Equal numerator and
+denominator atoms cancel before any step.  The ansatz series T_n carries
+an unknown polynomial Q evaluated at q^(n/2), and matching
 
     P(y) = Q(y)*A(y) +- shift * Q(q^(1/2)y) * B(y)
 
 coefficientwise yields an overdetermined linear system over the polynomial
 ring in t.  Its first deg Q + 1 rows (powers of y) are lower triangular, so
-Q is solved by forward substitution and every row above, up to the top of
-the system, checks it.  At most one sign admits a solution; the solved Q
-turns the double-width sum into sum(+-1)^n T_n.
+Q is solved by forward substitution on the same sparse rows and every row
+above, up to the top of the system, checks it.  At most one sign admits a
+solution; the solved Q turns the double-width sum into sum(+-1)^n T_n.
+P, A, B and Q cross the module boundary as Poly entries.
 
 A catalog case holds the theorem, its parameters and two series recipes,
 the unreduced double-width series (pp) and the term block T_n of the
@@ -35,7 +37,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from qseries import kernel
 from qseries.polyring import Poly, RatFunc
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, IdentityRecord
@@ -70,18 +71,46 @@ class AmbiguousSign(ArithmeticError):
 
 # ------------------------------------------------- y-polynomials over QQ[t]
 #
-# A y-polynomial is a list of rows: row k is the plain list of int/Fraction
-# t-coefficients of y^k.  Rows change only by atom steps, times or over one
-# atom (c, texp, ypow) standing for (1 - c * t^texp * y^ypow), and are turned
-# into Poly entries only where they leave this module's arithmetic.
+# A y-polynomial is a list of rows: row k is the sparse map {t-exponent:
+# nonzero coefficient} of y^k, so every step touches only nonzero terms.
+# Rows change only by atom steps, times or over one atom (c, texp, ypow)
+# standing for (1 - c * t^texp * y^ypow).  No row is changed in place, so
+# rows may be shared.  Steps on int rows with int atoms stay on ints, as the
+# catalog's do; a Fraction atom brings Fractions.  Rows become Poly entries
+# (and Poly entries rows) only where they cross this module's boundary, and
+# a Poly holds an int wherever a coefficient is integral.
+
+_ONE = {0: 1}
 
 
-def _axpy(row, src, c, texp):
-    """row + c * t^texp * src, as a new row."""
-    out = row + [0] * (len(src) + texp - len(row))
-    for j, x in enumerate(src, texp):
-        if x:
-            out[j] += c * x
+def _row(p: Poly):
+    return {j: x for j, x in enumerate(p.coeffs) if x}
+
+
+def _poly(row) -> Poly:
+    coeffs = [0] * (max(row) + 1) if row else []
+    for j, x in row.items():
+        coeffs[j] = x
+    return Poly(coeffs)
+
+
+def _addmul(acc, a, b, s=1):
+    """acc + s * a * b for rows acc, a and b, as a new row; only nonzero terms are touched."""
+    out = dict(acc)
+    for i, x in a.items():
+        x *= s
+        if not x:              # the step of an atom with c = 0
+            continue
+        for j, y in b.items():
+            j += i
+            if j in out:
+                v = out[j] + x * y
+                if v:
+                    out[j] = v
+                else:
+                    del out[j]
+            else:
+                out[j] = x * y
     return out
 
 
@@ -92,9 +121,11 @@ def _ytimes(rows, atoms):
     so every row reads its source before that source changes.
     """
     for c, texp, ypow in atoms:
-        rows = rows + [[]] * ypow
+        step = {texp: -c}
+        rows = rows + [{}] * ypow
         for k in range(len(rows) - 1, ypow - 1, -1):
-            rows[k] = _axpy(rows[k], rows[k - ypow], -c, texp)
+            if rows[k - ypow]:
+                rows[k] = _addmul(rows[k], step, rows[k - ypow])
     return rows
 
 
@@ -102,10 +133,11 @@ def _ysum(parts):
     """The row-wise sum of y-polynomials, without trailing zero rows."""
     out = []
     for part in parts:
-        out += [[]] * (len(part) - len(out))
+        out += [{}] * (len(part) - len(out))
         for k, row in enumerate(part):
-            out[k] = _axpy(out[k], row, 1, 0)
-    while out and not any(out[-1]):
+            if row:
+                out[k] = _addmul(out[k], _ONE, row)
+    while out and not out[-1]:
         out.pop()
     return out
 
@@ -116,17 +148,33 @@ def _case_atoms(triples):
 
 
 def _tdiv_atom(row, c, texp: int, what: str):
-    """row / (1 - c * t^texp) in QQ[t]: the series quotient, exact when its last texp places are zero."""
+    """row / (1 - c * t^texp) in QQ[t]: the series quotient, exact when it stops at deg row - texp.
+
+    The quotient follows q_j = row_j + c * q_(j-texp), one chain per residue
+    of j mod texp; a chain is walked from each term of row that no chain
+    has reached, until it leaves zero.
+    """
     if texp == 0:
         if c == 1:
             raise ExactDivisionFailed(f"{what}: atom (1 - 1) is identically zero")
         inv = 1 / (1 - Fraction(c))
-        return [x * inv for x in row]
-    size = max(len(row) - texp, 0)
-    q = kernel.div_binom(row, texp, c, len(row))
-    if any(q[size:]):
-        raise ExactDivisionFailed(f"{what}: (1 - {c}*t^{texp}) leaves a remainder in t")
-    return q[:size]
+        return {j: x * inv for j, x in row.items()}
+    top = max(row, default=-1) - texp       # the degree of an exact quotient
+    q = {}
+    for j in sorted(row):
+        if j > top or j - texp in q:
+            continue
+        x = row[j]
+        while x:
+            q[j] = x
+            j += texp
+            if j > top:
+                break
+            x = row.get(j, 0) + c * x
+    for j in range(top + 1, top + texp + 1):
+        if row.get(j, 0) + c * q.get(j - texp, 0):
+            raise ExactDivisionFailed(f"{what}: (1 - {c}*t^{texp}) leaves a remainder in t")
+    return q
 
 
 def _ydiv_atom(rows, atom, what: str):
@@ -139,14 +187,15 @@ def _ydiv_atom(rows, atom, what: str):
     c, texp, ypow = atom
     if ypow == 0:
         return [_tdiv_atom(row, c, texp, what) for row in rows]
+    step = {texp: c}
     size = len(rows) - ypow
     q = []
     for k, row in enumerate(rows):
-        if k >= ypow:
-            row = _axpy(row, q[k - ypow], c, texp)
+        if k >= ypow and q[k - ypow]:
+            row = _addmul(row, step, q[k - ypow])
         if k < size:
             q.append(row)
-        elif any(row):
+        elif row:
             raise ExactDivisionFailed(
                 f"{what}: (1 - {c}*t^{texp}*y^{ypow}) leaves a remainder in y")
     return q
@@ -179,7 +228,7 @@ def weight_y_fraction(case: BisectionCase):
     parts = []
     for i, t in enumerate(group):
         c, texp, ypow = _atom_to_y(t.mono, case.root, "brace monomial")
-        part = _ytimes([[]] * ypow + [[0] * texp + [c]], atoms(t.num, "brace numerator"))
+        part = _ytimes([{}] * ypow + [{texp: c}], atoms(t.num, "brace numerator"))
         for j, dj in enumerate(dens):
             if j != i:
                 part = _ytimes(part, dj)
@@ -205,7 +254,7 @@ def build_P(case: BisectionCase):
     P = _ytimes(brace, (num - common).elements())
     for atom in (den - common).elements():
         P = _ydiv_atom(P, atom, f"case {case.id}")
-    return [Poly(row) for row in P]
+    return [_poly(row) for row in P]
 
 
 class BisectionSolution:
@@ -257,8 +306,8 @@ def _fe_system(case: BisectionCase):
     """P and the functional-equation factors A and B of a case."""
     return (
         build_P(case),
-        [Poly(row) for row in _ytimes([[1]], _case_atoms(case.fe_a))],
-        [Poly(row) for row in _ytimes([[1]], _case_atoms(case.fe_b))],
+        [_poly(row) for row in _ytimes([_ONE], _case_atoms(case.fe_a))],
+        [_poly(row) for row in _ytimes([_ONE], _case_atoms(case.fe_b))],
     )
 
 
@@ -274,16 +323,17 @@ def solve_Q(case: BisectionCase, forced_sign: str | None = None):
 
 
 def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | None):
-    P, A, B = system
+    P = system[0]
     rows = len(P)
     if rows - 1 < deg_q:
         raise NoBisection(f"deg P = {rows - 1} cannot balance deg Q = {deg_q}")
 
+    sparse = [[_row(p) for p in part] for part in system]
     results = {}
     for sign_label, sign in (("+", 1), ("-", -1)):
         if forced_sign is not None and sign_label != forced_sign:
             continue
-        num = _forward_solve(case, system, deg_q, sign)
+        num = _forward_solve(case, sparse, deg_q, sign)
         if num is None or num[0].is_zero:
             continue
         sol = [RatFunc(n, num[0]) for n in num]  # a_0 normalized to 1
@@ -302,19 +352,22 @@ def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | Non
 
 
 def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
-    """Numerators of Q over one common denominator, or None when no Q fits P.
+    """Numerators of Q (Poly) over one common denominator, or None when no Q fits P.
 
-    Row k of the system reads P_k = sum_i M[k][i] * Q_i with
+    system is P, A and B as lists of rows.  Row k of the system reads
+    P_k = sum_i M[k][i] * Q_i with
     M[k][i] = A[k-i] + sign * t^(shift_texp + half*i) * B[k - shift_ypow - i],
     which is zero for i > k (shift_ypow >= 0), so rows 0..deg_q are lower
     triangular: Q_k = (P_k - sum_(i<k) M[k][i] * Q_i) / M[k][k], one row at a
     time, each entry built when its row needs it.  Every Q_i is kept as
-    num[i] / den, all in QQ[t]: den stays 1 while each division by M[k][k]
-    is exact, and a division that leaves a remainder multiplies den and the
-    num[i] before it by M[k][k] instead, so no rational function (and no
-    gcd) is formed here.  Every row above deg_q must then leave zero, up to
-    the top of the system, deg_q + max(deg A, shift_ypow + deg B), or of P
-    if that is higher; P has no rows past its degree.
+    num[i] / den, all rows in QQ[t]: den stays 1 while each division by
+    M[k][k] is exact (a unit diagonal, the catalog's case, needs none; any
+    other goes through Poly.divmod), and a division that leaves a remainder
+    multiplies den and the num[i] before it by M[k][k] instead, so no
+    rational function (and no gcd) is formed here.  Every row above deg_q
+    must then leave zero, up to the top of the system,
+    deg_q + max(deg A, shift_ypow + deg B), or of P if that is higher; P has
+    no rows past its degree.
     """
     P, A, B = system
     shift_texp, shift_ypow = case.fe_shift
@@ -322,42 +375,41 @@ def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
     top = deg_q + max(len(A) - 1, shift_ypow + len(B) - 1)
 
     def entry(k, i):
-        out = A[k - i] if k - i < len(A) else Poly()
+        out = A[k - i] if k - i < len(A) else {}
         jb = k - shift_ypow - i
-        if 0 <= jb < len(B) and not B[jb].is_zero:
-            # sign * t^(shift_texp + half*i) * B[jb], as a shift of B[jb]'s coefficients
-            out = out + Poly((0,) * (shift_texp + half * i) + tuple(sign * c for c in B[jb].coeffs))
+        if 0 <= jb < len(B) and B[jb]:
+            out = _addmul(out, {shift_texp + half * i: sign}, B[jb])
         return out
 
     num = []
-    den = Poly.const(1)
+    den = _ONE
     for k in range(max(len(P), top + 1)):
-        acc = P[k] if k < len(P) else Poly()
-        if den.coeffs != (1,):
-            acc = acc * den
+        acc = P[k] if k < len(P) else {}
+        if den != _ONE:
+            acc = _addmul({}, acc, den)
         for i, n in enumerate(num):
-            if not n.is_zero:
+            if n:
                 m = entry(k, i)
-                if not m.is_zero:
-                    acc = acc - m * n
+                if m:
+                    acc = _addmul(acc, m, n, -1)
         if k > deg_q:
-            if not acc.is_zero:
+            if acc:
                 return None
             continue
         d = entry(k, k)
-        if d.is_zero:
+        if not d:
             label = "+" if sign > 0 else "-"
             raise VanishingDiagonal(f"case {case.id}: sign {label}, y-row {k}: the diagonal "
                                     f"entry vanishes, so forward substitution has no pivot")
-        if d.coeffs != (1,):
-            quo, rem = acc.divmod(d)
+        if d != _ONE:
+            quo, rem = _poly(acc).divmod(_poly(d))
             if rem.is_zero:
-                acc = quo
+                acc = _row(quo)
             else:
-                den = den * d
-                num = [n * d for n in num]
+                den = _addmul({}, den, d)
+                num = [_addmul({}, n, d) for n in num]
         num.append(acc)
-    return num
+    return [_poly(n) for n in num]
 
 
 def degree_search(case: BisectionCase, max_deg: int):
@@ -382,18 +434,18 @@ def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
     already shifted and with its coefficient i at t^(half*i)) and take the
     atom steps of A and B.
     """
-    P = [p.coeffs for p in _solved_P(case, sol)]
+    P = [_row(p) for p in _solved_P(case, sol)]
     shift_texp, shift_ypow = case.fe_shift
     sign = 1 if sol.sign == "+" else -1
     half = case.root // 2
     qa = []
-    qb = [[]] * shift_ypow
+    qb = [{}] * shift_ypow
     for i, r in enumerate(sol.coeffs):
         c = r.as_poly().coeffs
-        qa.append([-x for x in c])
-        qb.append([0] * (shift_texp + half * i) + [-sign * x for x in c])
+        qa.append({j: -x for j, x in enumerate(c) if x})
+        qb.append({j: -sign * x for j, x in enumerate(c, shift_texp + half * i) if x})
     residual = _ysum([P, _ytimes(qa, _case_atoms(case.fe_a)), _ytimes(qb, _case_atoms(case.fe_b))])
-    return [Poly(row) for row in residual]
+    return [_poly(row) for row in residual]
 
 
 # ------------------------------------------------------------ emitted series

@@ -18,7 +18,7 @@ from operator import add, mul, sub
 IMPLEMENTATION = "python"
 
 
-def _canonical(out):
+def canonical(out):
     """out with every integral Fraction replaced by its int.
 
     math.gcd takes integers only and raises at the first other value, so it
@@ -44,7 +44,7 @@ def mul_dense(a, b, nmax):
         for j, bj in enumerate(b[: n - i], i):
             if bj:
                 out[j] += ai * bj
-    return _canonical(out)
+    return canonical(out)
 
 
 def mul_sparse(a, b, nmax):
@@ -65,7 +65,7 @@ def mul_sparse(a, b, nmax):
             out[off:end] = map(sub, out[off:end], a)
         else:
             out[off:end] = map(add, out[off:end], map(mul, a, repeat(c)))
-    return _canonical(out)
+    return canonical(out)
 
 
 def _padded(a, n):
@@ -90,11 +90,11 @@ def mul_binom(a, e, c, nmax):
     out = _padded(a, n)
     if c == 1:
         out[e:] = map(sub, out[e:], a)   # n - e <= len(a), so map stops with out[e:]
-        return _canonical(out)
+        return canonical(out)
     for i, ai in enumerate(a[: max(0, n - e)], e):
         if ai:
             out[i] -= c * ai
-    return _canonical(out)
+    return canonical(out)
 
 
 def div_binom(a, e, c, nmax):
@@ -106,15 +106,15 @@ def div_binom(a, e, c, nmax):
     out = _padded(a, nmax)
     if c == 1:
         if e == 1:
-            return _canonical(list(accumulate(out)))
+            return canonical(list(accumulate(out)))
         for i in range(e, nmax):
             out[i] += out[i - e]
-        return _canonical(out)
+        return canonical(out)
     for i in range(e, nmax):
         prev = out[i - e]
         if prev:
             out[i] += c * prev
-    return _canonical(out)
+    return canonical(out)
 
 
 def inv_dense(a, nmax):
@@ -131,7 +131,7 @@ def inv_dense(a, nmax):
                 acc += ai * out[k - i]
         if acc:
             out[k] = -acc * inv
-    return _canonical(out)
+    return canonical(out)
 
 
 def add_shifted(a, b, off, nmax):
@@ -142,9 +142,9 @@ def add_shifted(a, b, off, nmax):
     for j, bj in enumerate(b[: max(0, n - off)], off):
         if bj:
             out[j] += bj
-    return _canonical(out)
+    return canonical(out)
 
 
 def scale(a, c):
     """Multiply every coefficient by the nonzero scalar c."""
-    return _canonical([c * x if x else 0 for x in a])
+    return canonical([c * x if x else 0 for x in a])

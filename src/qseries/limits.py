@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from qseries.qcore import PoleError, q_guard_digits, q_pochhammer_numeric
+from qseries.qcore import PoleError, q_guard_digits, q_pochhammer_of
 from qseries.registry import ClassicalSeries
 
 
@@ -482,7 +482,7 @@ def q_product_numeric(num_exps, den_exps, q, ctx: BigFloatCtx):
     """Direct numeric (x;q)_inf quotient at 0 < q < 1 (sanity bridge).
 
     prod (q^a;q)_inf over num_exps / prod (q^b;q)_inf over den_exps, each
-    product by qcore.q_pochhammer_numeric, each q^a taken from q as given
+    product by one qcore.q_pochhammer_of(q), each q^a taken from q as given
     with qcore.q_guard_digits extra digits.  Raises ValueError unless
     0 < q < 1, and PoleError for a nonpositive integer exponent (a factor
     1 - q^0 on either side).
@@ -499,9 +499,10 @@ def q_product_numeric(num_exps, den_exps, q, ctx: BigFloatCtx):
         qe = ctx.mpf(q)
         num = [qe ** ctx.mpf(e) for e in num_exps]
         den = [qe ** ctx.mpf(e) for e in den_exps]
+    poch = q_pochhammer_of(q, c)
     acc = c.mpf(1)
     for x in num:
-        acc *= q_pochhammer_numeric(x, q, c)
+        acc *= poch(x)
     for x in den:
-        acc /= q_pochhammer_numeric(x, q, c)
+        acc /= poch(x)
     return acc

@@ -1,13 +1,18 @@
 """Dense univariate polynomials and rational functions over the rationals.
 
-Poly is the coefficient domain of the bisection functional equation
-(polynomials in t, and in y with Poly coefficients built on top of these in
-qseries.bisection) and of the reference Bareiss solver in qseries.linsolve.
+Poly carries the bisection functional equation across the boundary of
+qseries.bisection (P, A, B and Q as one polynomial in t per power of y; the
+module steps sparse rows inside) and is the coefficient domain of the
+reference Bareiss solver in qseries.linsolve.  Coefficients are canonical,
+as kernel.canonical makes them: an int wherever the value is integral, a
+Fraction only where it is not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from qseries.kernel import canonical
 
 
 class Poly:
@@ -16,7 +21,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
+        coeffs = canonical(list(coeffs))
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -193,6 +198,8 @@ class RatFunc:
     def as_poly(self):
         if not self.is_polynomial():
             raise ValueError("not a polynomial")
+        if self.den.coeffs == (1,):
+            return self.num
         return self.num * (1 / Fraction(self.den.coeffs[0]))
 
     def __eq__(self, other):

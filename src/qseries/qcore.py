@@ -401,12 +401,23 @@ _BERNOULLI = []       # entry j-1: B_2j/(2j)! as (numerator, denominator)
 def q_pochhammer_numeric(x, q, ctx):
     """(x;q)_inf = prod_{k>=0} (1 - x*q^k) at numeric x >= 0 and 0 < q < 1.
 
-    The value has the precision of ctx.  x and q are anything ctx.convert
-    accepts, converted at the working precision wp (ctx's precision plus
-    log10(1/t) + 5 guard digits, t = -ln q: the tail is about -pi^2/(6t),
-    and quotients of such products cancel); log (x;q)_inf moves by about
-    1/(1-q)^2 times a relative change of q, so pass q exactly (a Fraction)
-    near 1.
+    One call of q_pochhammer_of(q, ctx); a product of several (x;q)_inf at
+    one q should take that function once and call it on each x.
+    """
+    return q_pochhammer_of(q, ctx)(x)
+
+
+def q_pochhammer_of(q, ctx):
+    """The function x -> (x;q)_inf at numeric 0 < q < 1, with the per-q set-up done here, once.
+
+    The set-up is everything that depends on q and ctx alone: the guard
+    digits, q and t = -ln q in fixed point, the floor q^_HEAD and the stop
+    tolerance.  The values have the precision ctx has at the set-up.  x and
+    q are anything ctx.convert accepts, converted at the working precision
+    wp (ctx's precision plus log10(1/t) + 5 guard digits, t = -ln q: the
+    tail is about -pi^2/(6t), and quotients of such products cancel);
+    log (x;q)_inf moves by about 1/(1-q)^2 times a relative change of q, so
+    pass q exactly (a Fraction) near 1.
 
     The first _HEAD factors (and, for x > 1, the further ones until
     x*q^k <= q^_HEAD) are multiplied directly; the product stops there once
@@ -449,47 +460,53 @@ def q_pochhammer_numeric(x, q, ctx):
 
     So the head and the tail together stay below 2^25 u, and the 32 extra
     bits keep that below one unit in the last place of wp.  Raises
-    ValueError unless x >= 0 and 0 < q < 1, and ConvergenceError when the
-    head needs more than _MAX_HEAD factors or the Bernoulli sum has not
-    converged after _EM_TERMS terms (near q = 1 that caps the precision at
-    about 140 digits).
+    ValueError unless 0 < q < 1 (here) and x >= 0 (at the call), and
+    ConvergenceError when the head needs more than _MAX_HEAD factors or the
+    Bernoulli sum has not converged after _EM_TERMS terms (near q = 1 that
+    caps the precision at about 140 digits).
     """
     from mpmath import libmp
 
     qv = ctx.convert(q)
     if not 0 < qv < 1:
         raise ValueError("need 0 < q < 1")
-    if ctx.convert(x) < 0:
-        raise ValueError("need x >= 0")
     dps, (prec, rnd) = ctx.dps, ctx._prec_rounding
     guard = max(0, int(ctx.log10(-1 / ctx.ln(qv)))) + 5
     with ctx.extradps(guard):
         bits = ctx.prec + 32
-        xf, qf = ctx.convert(x)._mpf_, ctx.convert(q)._mpf_
+        qf = ctx.convert(q)._mpf_
     one = 1 << bits
-    z, qx = libmp.to_fixed(xf, bits), libmp.to_fixed(qf, bits)
+    qx = libmp.to_fixed(qf, bits)
     tf = libmp.mpf_neg(libmp.mpf_log(qf, bits))
     t = libmp.to_fixed(tf, bits)
     tol = one // 10 ** (dps + 5)
     floor = libmp.to_fixed(libmp.mpf_pow_int(qf, _HEAD, bits), bits)
     stop = tol if t >= one else tol * t >> bits
-    acc, scale, k = one, -bits, 0
-    while (k < _HEAD or z > floor) and z >= stop:
-        if k == _MAX_HEAD:
-            raise ConvergenceError(f"(x;q)_inf head: x*q^k still above q^{_HEAD} after {k} factors")
-        acc *= one - z
-        shift = acc.bit_length() - bits
-        if shift > 0:
-            acc >>= shift
-            scale += shift
-        scale -= bits
-        z = z * qx >> bits
-        k += 1
-    if z >= stop:
-        _, man, exp, _ = libmp.mpf_exp(libmp.from_man_exp(_log_tail(z, qx, t, tf, tol, bits), -bits), bits)
-        acc *= man
-        scale += exp
-    return ctx.make_mpf(libmp.from_man_exp(acc, scale, prec, rnd))
+
+    def at(x):
+        if ctx.convert(x) < 0:
+            raise ValueError("need x >= 0")
+        with ctx.extradps(guard):
+            z = libmp.to_fixed(ctx.convert(x)._mpf_, bits)
+        acc, scale, k = one, -bits, 0
+        while (k < _HEAD or z > floor) and z >= stop:
+            if k == _MAX_HEAD:
+                raise ConvergenceError(f"(x;q)_inf head: x*q^k still above q^{_HEAD} after {k} factors")
+            acc *= one - z
+            shift = acc.bit_length() - bits
+            if shift > 0:
+                acc >>= shift
+                scale += shift
+            scale -= bits
+            z = z * qx >> bits
+            k += 1
+        if z >= stop:
+            _, man, exp, _ = libmp.mpf_exp(libmp.from_man_exp(_log_tail(z, qx, t, tf, tol, bits), -bits), bits)
+            acc *= man
+            scale += exp
+        return ctx.make_mpf(libmp.from_man_exp(acc, scale, prec, rnd))
+
+    return at
 
 
 def _log_tail(z, q, t, tf, tol, bits):
@@ -565,9 +582,9 @@ def q_guard_digits(qv, ctx):
 def q_gamma_numeric(x, q, ctx=None):
     """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf at numeric 0 < q < 1.
 
-    Both infinite products come from q_pochhammer_numeric: a direct head of
-    64 factors and a closed-form tail (Euler-Maclaurin near q = 1), so the
-    cost does not grow as q -> 1.  q^x and 1 - q are taken from q as given
+    Both infinite products come from one q_pochhammer_of(q, ctx): a direct
+    head of 64 factors and a closed-form tail (Euler-Maclaurin near q = 1),
+    so the cost does not grow as q -> 1.  q^x and 1 - q are taken from q as given
     (pass it exactly, as a Fraction, near 1) with log10(1/(1-q)) + 5 guard
     digits, since (q^x;q)_inf magnifies an error in q^x about 1/(1-q)
     times.  The default context has 30 digits.
@@ -586,4 +603,5 @@ def q_gamma_numeric(x, q, ctx=None):
     with ctx.extradps(q_guard_digits(qv, ctx)):
         qe, xf = ctx.convert(q), ctx.convert(x)
         scale, qx = ctx.power(1 - qe, 1 - xf), ctx.power(qe, xf)
-    return scale * q_pochhammer_numeric(q, q, ctx) / q_pochhammer_numeric(qx, q, ctx)
+    poch = q_pochhammer_of(q, ctx)
+    return scale * poch(q) / poch(qx)

@@ -97,11 +97,13 @@ def _ydiv(num, den):
 
 
 def _polys(rows):
-    return [Poly(row) for row in rows]
+    """Sparse rows {t-exponent: coefficient} as dense Polys."""
+    return [Poly([row.get(j, 0) for j in range(max(row, default=-1) + 1)]) for row in rows]
 
 
 def _rows(polys):
-    return [list(p.coeffs) for p in polys]
+    """Polys as sparse rows {t-exponent: nonzero coefficient}."""
+    return [{j: c for j, c in enumerate(p.coeffs) if c} for p in polys]
 
 
 def _dense_weight(case):
@@ -305,6 +307,70 @@ def test_atom_steps_match_dense_product(cat):
         assert _polys(_ytimes(_rows(P), atoms)) == _ymul(P, _yatoms_poly(atoms))
 
 
+def _integral_fractions(polys):
+    return [c for p in polys for c in p.coeffs if type(c) is Fraction and c.denominator == 1]
+
+
+@pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
+def test_P_solution_and_residual_hold_no_integral_fraction(cat, sols, cid, monkeypatch):
+    # every Poly that leaves the module keeps an int wherever a coefficient is integral
+    case, sol = cat.cases[cid], sols[cid]
+    residual = functional_equation_residual(case, _solution(sol, sign="+"))
+    assert residual != []
+    entries = [p for r in sol.coeffs for p in (r.num, r.den, r.as_poly())]
+    assert _integral_fractions([*sol.P, *entries, *residual]) == []
+    # also where Fraction atoms pass through the rows on the way
+    weight = bisection.weight_y_fraction
+
+    def padded(case):
+        brace, num, den = weight(case)
+        return _rows(_ymul(_polys(brace), _yatoms_poly(SYNTHETIC_ATOMS))), num, den + SYNTHETIC_ATOMS
+
+    monkeypatch.setattr(bisection, "weight_y_fraction", padded)
+    P = build_P(case)
+    assert P == sol.P and _integral_fractions(P) == []
+
+
+_coeff = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
+_sparse_row = st.dictionaries(st.integers(0, 12), _coeff, max_size=5)
+# (c, texp, ypow): Fraction c, b = 0 and a = b = 0 included, the zero atom (1 - 1) left out
+_atom = st.tuples(_coeff, st.integers(0, 5), st.integers(0, 2)).filter(lambda a: a != (1, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_sparse_row, max_size=4), atoms=st.lists(_atom, max_size=3))
+def test_sparse_atom_steps_match_dense_reference(rows, atoms):
+    dense = _polys(rows)
+    times = _ytimes(rows, atoms)
+    assert _yadd(_polys(times), []) == _yadd(_ymul(dense, _yatoms_poly(atoms)), [])
+    back = times
+    for atom in reversed(atoms):
+        back = _ydiv_atom(back, atom, "drawn")
+    assert _yadd(_polys(back), []) == _yadd(dense, [])
+    assert all(0 not in row.values() for row in times + back)   # rows keep nonzero terms only
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_sparse_row, max_size=4), atom=_atom, texp=st.integers(0, 12), ypow=st.integers(0, 3))
+def test_sparse_division_remainder_keeps_its_text(rows, atom, texp, ypow):
+    # a multiple of the atom plus one monomial is a multiple only when the atom is a constant
+    c, a, b = atom
+    num = _rows(_yadd(_ymul(_polys(rows), _yatoms_poly([atom])), _ymono(texp, ypow)))
+    if a == b == 0:
+        assert _polys(_ydiv_atom(num, atom, "drawn")) == _ydiv(_polys(num), _yatoms_poly([atom]))
+        return
+    with pytest.raises(ExactDivisionFailed) as exc:
+        _ydiv_atom(num, atom, "drawn")
+    where = f"*y^{b}) leaves a remainder in y" if b else ") leaves a remainder in t"
+    assert str(exc.value) == f"drawn: (1 - {c}*t^{a}{where}"
+
+
+def test_zero_atom_division_keeps_its_text():
+    with pytest.raises(ExactDivisionFailed) as exc:
+        _ydiv_atom([{}, {2: 1}], (1, 0, 0), "drawn")
+    assert str(exc.value) == "drawn: atom (1 - 1) is identically zero"
+
+
 @pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
 def test_build_P_matches_multiplied_out_reference(cat, ref_P, cid):
     assert build_P(cat.cases[cid]) == ref_P[cid]
@@ -428,7 +494,12 @@ def test_changed_t_poch_atom_gives_no_bisection_or_a_located_error(cat, tmp_path
     try:
         case = load_catalog(p).cases["v1x3"]
     except CatalogError as exc:
-        assert re.match(r"case v1x3 \(line 106[2-9]\): ", str(exc))
+        # a line from pp-lhs-num to t-poch-num, the keys the derivation reads
+        block = text.index("\ncase v1x3\n")
+        first, last = (text.count("\n", 0, text.index(f"\n  {key} ", block) + 1) + 1
+                       for key in ("pp-lhs-num", "t-poch-num"))
+        line = re.match(r"case v1x3 \(line (\d+)\): ", str(exc))
+        assert line and first <= int(line.group(1)) <= last
         return
     shipped = cat.cases["v1x3"]
     assert (case.fe_a, case.fe_b) != (shipped.fe_a, shipped.fe_b)

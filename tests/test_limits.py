@@ -233,6 +233,25 @@ def bridge_pool(cat):
     return out
 
 
+def test_q_product_numeric_is_the_quotient_of_separate_products(cat):
+    # one per-q set-up for all the factors gives the very mpf that one
+    # q_pochhammer_numeric call per factor gives, each q^e taken as
+    # q_product_numeric takes it
+    q, bf = F(249, 250), BigFloatCtx(digits=30)
+    c = bf.ctx
+    records = [cat.get("v3x1a").lhs_exponents(), *bridge_pool(cat)[:3]]
+    for num, den in records:
+        with c.extradps(q_guard_digits(bf.mpf(q), c)):
+            qe = bf.mpf(q)
+            xs = [qe ** bf.mpf(e) for e in num], [qe ** bf.mpf(e) for e in den]
+        want = c.mpf(1)
+        for x in xs[0]:
+            want *= q_pochhammer_numeric(x, q, c)
+        for x in xs[1]:
+            want /= q_pochhammer_numeric(x, q, c)
+        assert q_product_numeric(num, den, q, bf)._mpf_ == want._mpf_, (num, den)
+
+
 @pytest.mark.parametrize("q", [F(1, 2), F(9, 10), F(99, 100), F(249, 250)], ids=str)
 def test_q_pochhammer_matches_brute_force(cat, q):
     pool = bridge_pool(cat)

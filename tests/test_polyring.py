@@ -20,6 +20,34 @@ def test_poly_basic_ops():
     assert q == t + 1 and r.is_zero
 
 
+def _canonical(p):
+    """True when p holds an int wherever a coefficient is integral."""
+    return all(type(c) is int or c.denominator != 1 for c in p.coeffs)
+
+
+def test_results_are_canonical():
+    assert Poly((Fraction(4, 2), Fraction(1, 2), Fraction(3))).coeffs == (2, Fraction(1, 2), 3)
+    assert all(map(_canonical, Poly((2, 4, 2)).divmod(Poly((2, 2)))))   # q = 1 + t, from Fraction steps
+    assert _canonical(Poly((4, 2)).monic())
+    r = RatFunc(Poly((2, 4)), Poly.const(2))
+    assert r.as_poly().coeffs == (1, 2) and _canonical(r.as_poly())
+    assert _canonical(RatFunc(Poly((3, 6)), Poly.const(3), _reduced=True).as_poly())
+
+
+_coeffs = st.lists(st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5)
+
+
+@given(_coeffs, _coeffs)
+@settings(max_examples=100)
+def test_divmod_monic_and_as_poly_are_canonical(a, b):
+    p, d = Poly(a), Poly(b)
+    assert _canonical(p.monic())
+    if not d.is_zero:
+        quo, rem = p.divmod(d)
+        assert _canonical(quo) and _canonical(rem) and quo * d + rem == p
+        assert _canonical(RatFunc(p * d, d).as_poly())
+
+
 @given(
     st.lists(st.integers(-2, 2) | st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5),
     st.lists(st.integers(-2, 2) | st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5),

@@ -67,6 +67,19 @@ def test_bad_exponent_rejected(tmp_path):
     assert "broken" in str(exc.value)
 
 
+_CATALOG = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+
+
+def _line(key, block=None):
+    """The shipped catalog's line number of the first line '  key ...' after the
+    header line block (from the top without one), as _mutated and
+    _edited_in_block find it; with key None, of the header itself."""
+    start = _CATALOG.index(f"\n{block}\n") + 1 if block else 0
+    if key is not None:
+        start = _CATALOG.index(f"\n  {key} ", start) + 1
+    return _CATALOG.count("\n", 0, start) + 1
+
+
 def _mutated(tmp_path, key, edit):
     """The shipped catalog with the first line starting with key rewritten by edit."""
     text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
@@ -150,16 +163,16 @@ def test_zero_denominator_is_a_located_catalog_error(tmp_path):
     p = _mutated(tmp_path, "classical-lower", lambda line: line + " 1/0")
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
-    assert str(exc.value) == "record g1x5pp (line 34): bad rational '1/0'"
+    assert str(exc.value) == f"record g1x5pp (line {_line('classical-lower')}): bad rational '1/0'"
 
 
 @pytest.mark.parametrize("key, edit, message", [
     # a value error names the line of its own key, also deep in a case's series
-    ("a", lambda line: "  a 1/x", "record g1x5pp (line 27): bad rational '1/x'"),
+    ("a", lambda line: "  a 1/x", f"record g1x5pp (line {_line('a')}): bad rational '1/x'"),
     ("pp-poch-den", lambda line: line + " 1:1:m",
-     "case v1x3 (line 1066): bad count 'm'"),
-    ("t-w-den", lambda line: "  t-w-den 0:1/5", "case v1x3 (line 1071): exponent 1/5 is not a multiple of 1/12"),
-    ("qpoly", lambda line: line + "\n  qpoly 0 1", "record v1x3a (line 1006): qpoly line needs 'ypow coeff qexp'"),
+     f"case v1x3 (line {_line('pp-poch-den')}): bad count 'm'"),
+    ("t-w-den", lambda line: "  t-w-den 0:1/5", f"case v1x3 (line {_line('t-w-den')}): exponent 1/5 is not a multiple of 1/12"),
+    ("qpoly", lambda line: line + "\n  qpoly 0 1", f"record v1x3a (line {_line('qpoly') + 1}): qpoly line needs 'ypow coeff qexp'"),
 ], ids=["record-parameter", "case-pp-poch", "case-t-w-den", "second-qpoly"])
 def test_value_error_names_its_key_line(tmp_path, key, edit, message):
     with pytest.raises(CatalogError) as exc:
@@ -186,7 +199,7 @@ def test_unusable_classical_rate_is_a_located_catalog_error(tmp_path, edit):
     p = _mutated(tmp_path, "classical-base", edit)
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
-    assert str(exc.value).startswith("record g1x5pp (line 23): classical rate ")
+    assert str(exc.value).startswith(f"record g1x5pp (line {_line(None, 'record g1x5pp')}): classical rate ")
     assert str(exc.value).endswith("needs 0 < |rate| < 1")
 
 
@@ -233,20 +246,27 @@ def test_derived_case_fields_equal_the_shipped_keys(cat, cid):
 
 @pytest.mark.parametrize("edits, message", [
     ({"t-poch-num 1/2:1:n ": "t-poch-num 1/3:1:n "},
-     "case v1x3 (line 1069): A = t(2n)/pp(n): Pochhammer block (1*t^4; t^24) does not cancel"),
-    ({"t-w-den 0:1": "t-w-den 1/12:1"}, "case v1x3 (line 1071): A = t(2n)/pp(n): y-power 2/12 is not an integer"),
-    ({"3/2:1/2:3n": "3/2:1/2:3n+4"}, "case v1x3 (line 1070): A = t(2n)/pp(n): denominator atom (1 - t^36*y^3)"),
+     f"case v1x3 (line {_line('t-poch-num', 'case v1x3')}): A = t(2n)/pp(n): Pochhammer block (1*t^4; t^24) "
+     "does not cancel"),
+    ({"t-w-den 0:1": "t-w-den 1/12:1"},
+     f"case v1x3 (line {_line('t-w-den', 'case v1x3')}): A = t(2n)/pp(n): y-power 2/12 is not an integer"),
+    ({"3/2:1/2:3n": "3/2:1/2:3n+4"},
+     f"case v1x3 (line {_line('t-poch-den', 'case v1x3')}): A = t(2n)/pp(n): denominator atom (1 - t^36*y^3)"),
     ({"t-poch-num 1/2:1:n ": "t-poch-num 1/2:1:n-1 "},
-     "case v1x3 (line 1069): A = t(2n)/pp(n): atom (1 - 1*t^-6*y^2) is not (1 - t^a*y^b) with a >= 0"),
-    ({"t-pref 9 7 0": "t-pref 9 7 1"}, "case v1x3 (line 1068): A = t(2n)/pp(n) has the monomial t^1*y^0, not 1"),
+     f"case v1x3 (line {_line('t-poch-num', 'case v1x3')}): A = t(2n)/pp(n): atom (1 - 1*t^-6*y^2) "
+     "is not (1 - t^a*y^b) with a >= 0"),
+    ({"t-pref 9 7 0": "t-pref 9 7 1"},
+     f"case v1x3 (line {_line('t-pref', 'case v1x3')}): A = t(2n)/pp(n) has the monomial t^1*y^0, not 1"),
     ({"pp-pref 36 14 0": "pp-pref 32 14 0"},
-     "case v1x3 (line 1064): A = t(2n)/pp(n): the prefactors differ by t^(4n^2 + ...), not a monomial"),
+     f"case v1x3 (line {_line('pp-pref', 'case v1x3')}): A = t(2n)/pp(n): the prefactors differ by "
+     "t^(4n^2 + ...), not a monomial"),
     ({"t-pref 9 7 0": "t-pref 9 -12 0", "pp-pref 36 14 0": "pp-pref 36 -24 0"},
-     "case v1x3 (line 1068): the shift t^-3*y^3 has a negative t-exponent"),
+     f"case v1x3 (line {_line('t-pref', 'case v1x3')}): the shift t^-3*y^3 has a negative t-exponent"),
     ({"pp-lhs-num 1 1 5/6 5/6": "pp-lhs-num 1 1 5/6 1/6"},
-     "case v1x3 (line 1062): clearing factor: infinite product (1*t^2; t^12) does not cancel"),
+     f"case v1x3 (line {_line('pp-lhs-num', 'case v1x3')}): clearing factor: infinite product (1*t^2; t^12) "
+     "does not cancel"),
     ({"t-pref 9 7 0": "t-pref 9 7 1", "pp-pref 36 14 0": "pp-pref 36 14 1"},
-     "case v1x3 (line 1064): the clearing factor has the monomial t^-1*y^0, not 1"),
+     f"case v1x3 (line {_line('pp-pref', 'case v1x3')}): the clearing factor has the monomial t^-1*y^0, not 1"),
 ], ids=["residue-block-left", "non-integral-y-power", "denominator-atom-in-A", "negative-t-exponent-atom",
         "non-unit-monomial-in-A", "prefactors-not-a-monomial", "negative-shift", "product-side-not-finite",
         "non-unit-clearing-monomial"])
@@ -280,21 +300,26 @@ def test_bad_functional_equation_data_is_a_located_catalog_error(tmp_path, key, 
 @pytest.mark.parametrize("key, edit, message", [
     # a key error names the line of the key itself (the repeat, for a duplicate)
     ("w-num", lambda line: line + "\n  leading-on true",
-     "record u2-05 (line 93): unknown key 'leading-on' (kind explicit)"),
-    ("a", lambda line: line + "\n  pref 12 8 0", "record g1x5pp (line 28): unknown key 'pref' (kind theorem)"),
-    ("w-num", lambda line: line + "\n" + line, "record u2-05 (line 93): duplicate key 'w-num'"),
+     f"record u2-05 (line {_line('w-num') + 1}): unknown key 'leading-on' (kind explicit)"),
+    ("a", lambda line: line + "\n  pref 12 8 0",
+     f"record g1x5pp (line {_line('a') + 1}): unknown key 'pref' (kind theorem)"),
+    ("w-num", lambda line: line + "\n" + line, f"record u2-05 (line {_line('w-num') + 1}): duplicate key 'w-num'"),
     ("classical-fnum", lambda line: line + "\n" + line,
-     "record w1+1+1a (line 927): duplicate key 'classical-fnum'"),
-    ("t-w-den", lambda line: line + "\n" + line, "case v1x3 (line 1072): duplicate key 't-w-den'"),
-    ("classical-value", lambda line: "", "record g1x5pp (line 23): classical keys without classical-value"),
+     f"record w1+1+1a (line {_line('classical-fnum') + 1}): duplicate key 'classical-fnum'"),
+    ("t-w-den", lambda line: line + "\n" + line,
+     f"case v1x3 (line {_line('t-w-den') + 1}): duplicate key 't-w-den'"),
+    ("classical-value", lambda line: "",
+     f"record g1x5pp (line {_line(None, 'record g1x5pp')}): classical keys without classical-value"),
     ("qpoly", lambda line: line + "\n  leading-on true",
-     "record v1x3a (line 1006): unknown key 'leading-on' (kind bisected)"),
+     f"record v1x3a (line {_line('qpoly') + 1}): unknown key 'leading-on' (kind bisected)"),
     ("t-poch-den", lambda line: line + "\n  leading-on true",
-     "case v1x3 (line 1071): unknown key 'leading-on' (kind case)"),
+     f"case v1x3 (line {_line('t-poch-den') + 1}): unknown key 'leading-on' (kind case)"),
     ("deg-q", lambda line: line + "\n  fe-a 4/3:2:2 3/2:3:1 2:3:1 5/2:3:1",
-     "case v1x3 (line 1061): unknown key 'fe-a' (kind case)"),
-    ("w-num", lambda line: line + "\n  case v1x3", "record u2-05 (line 93): unknown key 'case' (kind explicit)"),
-    ("w-num", lambda line: line + "\n  sign -", "record u2-05 (line 93): unknown key 'sign' (kind explicit)"),
+     f"case v1x3 (line {_line('deg-q') + 1}): unknown key 'fe-a' (kind case)"),
+    ("w-num", lambda line: line + "\n  case v1x3",
+     f"record u2-05 (line {_line('w-num') + 1}): unknown key 'case' (kind explicit)"),
+    ("w-num", lambda line: line + "\n  sign -",
+     f"record u2-05 (line {_line('w-num') + 1}): unknown key 'sign' (kind explicit)"),
 ], ids=["misspelt-key", "pref-on-theorem", "second-w-num", "second-classical-fnum", "second-t-w-den",
         "classical-without-value", "misspelt-key-deep-in-bisected", "misspelt-key-deep-in-case",
         "derived-key-on-case", "case-on-explicit", "sign-on-explicit"])
@@ -305,9 +330,10 @@ def test_unread_or_repeated_key_is_a_located_catalog_error(tmp_path, key, edit, 
 
 
 @pytest.mark.parametrize("key, edit, message", [
-    ("sign", lambda line: "  sign +", "record v1x3a (line 997): sign + contradicts sign-alt true"),
-    ("sign", lambda line: "  sign x", "record v1x3a (line 997): sign must be '+' or '-', got 'x'"),
-    ("sign-alt", lambda line: "  sign-alt false", "record v1x3a (line 997): sign - contradicts sign-alt false"),
+    ("sign", lambda line: "  sign +", f"record v1x3a (line {_line('sign')}): sign + contradicts sign-alt true"),
+    ("sign", lambda line: "  sign x", f"record v1x3a (line {_line('sign')}): sign must be '+' or '-', got 'x'"),
+    ("sign-alt", lambda line: "  sign-alt false",
+     f"record v1x3a (line {_line('sign')}): sign - contradicts sign-alt false"),
 ], ids=["plus-with-alternation", "not-a-sign", "minus-without-alternation"])
 def test_bisected_sign_must_agree_with_sign_alt(tmp_path, key, edit, message):
     with pytest.raises(CatalogError) as exc:
@@ -328,7 +354,7 @@ def test_bisected_sign_must_equal_its_case_sign(tmp_path):
     p.write_text(p.read_text().replace("  sign-alt true\n", "", 1))
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
-    assert str(exc.value) == "record v1x3a (line 997): sign + contradicts case v1x3's sign -"
+    assert str(exc.value) == f"record v1x3a (line {_line('sign')}): sign + contradicts case v1x3's sign -"
 
 
 def _edited_in_block(tmp_path, header, old, new):
@@ -341,10 +367,11 @@ def _edited_in_block(tmp_path, header, old, new):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("  theorem 3U", "  theorem 9Z", "case v1x3 (line 1050): unknown theorem '9Z'"),
-    ("  a 4/3", "  a 4/5", "case v1x3 (line 1051): exponent 4/5 is not a multiple of 1/12"),
-    ("  sign -", "  sign x", "case v1x3 (line 1061): sign must be '+' or '-', got 'x'"),
-    ("  sign -", "  sign +", "record v1x3a (line 997): sign - contradicts case v1x3's sign +"),
+    ("  theorem 3U", "  theorem 9Z", f"case v1x3 (line {_line('theorem', 'case v1x3')}): unknown theorem '9Z'"),
+    ("  a 4/3", "  a 4/5",
+     f"case v1x3 (line {_line('a', 'case v1x3')}): exponent 4/5 is not a multiple of 1/12"),
+    ("  sign -", "  sign x", f"case v1x3 (line {_line('sign', 'case v1x3')}): sign must be '+' or '-', got 'x'"),
+    ("  sign -", "  sign +", f"record v1x3a (line {_line('sign')}): sign - contradicts case v1x3's sign +"),
 ], ids=["unknown-theorem", "off-root-parameter", "not-a-sign", "record-contradicts-case"])
 def test_bad_case_header_is_a_located_catalog_error(tmp_path, old, new, message):
     with pytest.raises(CatalogError) as exc:
@@ -355,8 +382,9 @@ def test_bad_case_header_is_a_located_catalog_error(tmp_path, old, new, message)
 @pytest.mark.parametrize("step", ["0", "-1"])
 @pytest.mark.parametrize("header, old, factor, where", [
     ("record u2-06", "  poch-num 1/6:1:n 5/6:1:n 7/6:1:n -7/6:1:n 13/6:1:n 19/6:1:n 11/6:1:2n",
-     "-7/6:1:n", "record u2-06 (line 110)"),
-    ("case v1x3", "  pp-poch-den 4/3:1:2n+1 4/3:1:2n+1 3/2:1/2:6n+3", "3/2:1/2:6n+3", "case v1x3 (line 1066)"),
+     "-7/6:1:n", f"record u2-06 (line {_line('poch-num', 'record u2-06')})"),
+    ("case v1x3", "  pp-poch-den 4/3:1:2n+1 4/3:1:2n+1 3/2:1/2:6n+3", "3/2:1/2:6n+3",
+     f"case v1x3 (line {_line('pp-poch-den', 'case v1x3')})"),
 ], ids=["record-poch-num", "case-pp-poch-den"])
 def test_poch_step_must_be_positive(tmp_path, header, old, factor, where, step):
     exp, _, count = factor.split(":")
@@ -367,10 +395,10 @@ def test_poch_step_must_be_positive(tmp_path, header, old, factor, where, step):
 
 
 @pytest.mark.parametrize("header, old, new, where", [
-    ("record u2-06", "  pref 12 8 0", "  pref 0 8 0", "record u2-06 (line 109): pref"),
-    ("record u2-06", "  pref 12 8 0", "  pref -12 8 0", "record u2-06 (line 109): pref"),
-    ("case v1x3", "  pp-pref 36 14 0", "  pp-pref 0 14 0", "case v1x3 (line 1064): pp-pref"),
-    ("case v1x3", "  t-pref 9 7 0", "  t-pref -9 7 0", "case v1x3 (line 1068): t-pref"),
+    ("record u2-06", "  pref 12 8 0", "  pref 0 8 0", f"record u2-06 (line {_line('pref', 'record u2-06')}): pref"),
+    ("record u2-06", "  pref 12 8 0", "  pref -12 8 0", f"record u2-06 (line {_line('pref', 'record u2-06')}): pref"),
+    ("case v1x3", "  pp-pref 36 14 0", "  pp-pref 0 14 0", f"case v1x3 (line {_line('pp-pref', 'case v1x3')}): pp-pref"),
+    ("case v1x3", "  t-pref 9 7 0", "  t-pref -9 7 0", f"case v1x3 (line {_line('t-pref', 'case v1x3')}): t-pref"),
 ], ids=["record-zero", "record-negative", "case-pp-zero", "case-t-negative"])
 def test_pref_needs_a_positive_quadratic_coefficient(tmp_path, header, old, new, where):
     with pytest.raises(CatalogError) as exc:
@@ -548,4 +576,5 @@ def test_case_poch_lines_follow_the_record_rules(cat, tmp_path):
     assert _parse_recipe("v1x3-pp", blk, 12, "pp-") == case.pp
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
-    assert str(exc.value) == "case v1x3 (line 1065): A = t(2n)/pp(n): Pochhammer block (1*t^6; t^24) does not cancel"
+    assert str(exc.value) == (f"case v1x3 (line {_line('pp-poch-num', 'case v1x3')}): A = t(2n)/pp(n): "
+                              "Pochhammer block (1*t^6; t^24) does not cancel")
