@@ -1,24 +1,29 @@
 """The reverse bisection method: recover a single alternating series.
 
 A specialized triplicate summand, cleared of denominators, becomes a
-polynomial P(y) (y standing for q^n).  P is built without rational
-functions, as a list of coefficient rows (one sparse map {t-exponent:
-nonzero coefficient} per power of y, so a step touches only nonzero terms)
-changed only by atom steps.  Every factor is an atom (1 - c*t^a*y^b):
-times an atom, row k takes -c*t^a times row k-b; over an atom, which has
-constant term 1 in y, an ascending recurrence divides exactly, and any
-nonzero remainder raises ExactDivisionFailed.  Equal numerator and
-denominator atoms cancel before any step.  The ansatz series T_n carries
-an unknown polynomial Q evaluated at q^(n/2), and matching
+polynomial P(y) (y standing for q^n).  Every y-polynomial here (P, the
+functional-equation factors A and B, the solved Q and the residual) is a
+list of coefficient rows, one sparse map {t-exponent: nonzero coefficient}
+per power of y, so a step touches only nonzero terms.  Rows change only by
+atom steps and one exact division.  Every factor is an atom
+(1 - c*t^a*y^b): times an atom, row k takes -c*t^a times row k-b; over an
+atom with b > 0, which has constant term 1 in y, an ascending recurrence
+divides exactly.  A row is divided by any row in t (a y^0 atom, a diagonal
+entry of the solve) from its lowest term up, and any nonzero remainder
+raises ExactDivisionFailed.  Equal numerator and denominator atoms cancel
+before any step.  The ansatz series T_n carries an unknown polynomial Q
+evaluated at q^(n/2), and matching
 
     P(y) = Q(y)*A(y) +- shift * Q(q^(1/2)y) * B(y)
 
 coefficientwise yields an overdetermined linear system over the polynomial
 ring in t.  Its first deg Q + 1 rows (powers of y) are lower triangular, so
-Q is solved by forward substitution on the same sparse rows and every row
-above, up to the top of the system, checks it.  At most one sign admits a
-solution; the solved Q turns the double-width sum into sum(+-1)^n T_n.
-P, A, B and Q cross the module boundary as Poly entries.
+Q is solved by forward substitution and every row above, up to the top of
+the system, checks it.  Q is kept as solved: numerator rows over one
+denominator row, which stays 1 exactly when Q is polynomial in t.  At most
+one sign admits a solution; the solved Q turns the double-width sum into
+sum(+-1)^n T_n.  Only build_P returns Poly entries; the solve converts them
+to rows once.
 
 A catalog case holds the theorem, its parameters and two series recipes,
 the unreduced double-width series (pp) and the term block T_n of the
@@ -37,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from qseries.polyring import Poly, RatFunc
+from qseries.polyring import Poly
 from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, IdentityRecord
 from qseries.theorems import (
@@ -71,27 +76,18 @@ class AmbiguousSign(ArithmeticError):
 
 # ------------------------------------------------- y-polynomials over QQ[t]
 #
-# A y-polynomial is a list of rows: row k is the sparse map {t-exponent:
-# nonzero coefficient} of y^k, so every step touches only nonzero terms.
-# Rows change only by atom steps, times or over one atom (c, texp, ypow)
-# standing for (1 - c * t^texp * y^ypow).  No row is changed in place, so
-# rows may be shared.  Steps on int rows with int atoms stay on ints, as the
-# catalog's do; a Fraction atom brings Fractions.  Rows become Poly entries
-# (and Poly entries rows) only where they cross this module's boundary, and
-# a Poly holds an int wherever a coefficient is integral.
+# Row k of a y-polynomial is the sparse map {t-exponent: nonzero
+# coefficient} of y^k.  An atom (c, texp, ypow) stands for
+# (1 - c * t^texp * y^ypow).  No row is changed in place, so rows may be
+# shared.  Steps on int rows with int atoms stay on ints, as the catalog's
+# do; a Fraction atom brings Fractions, and _tdiv gives an int wherever a
+# quotient term is integral.
 
 _ONE = {0: 1}
 
 
 def _row(p: Poly):
     return {j: x for j, x in enumerate(p.coeffs) if x}
-
-
-def _poly(row) -> Poly:
-    coeffs = [0] * (max(row) + 1) if row else []
-    for j, x in row.items():
-        coeffs[j] = x
-    return Poly(coeffs)
 
 
 def _addmul(acc, a, b, s=1):
@@ -147,33 +143,40 @@ def _case_atoms(triples):
     return [(1, texp, ypow) for texp, ypow, mult in triples for _ in range(mult)]
 
 
-def _tdiv_atom(row, c, texp: int, what: str):
-    """row / (1 - c * t^texp) in QQ[t]: the series quotient, exact when it stops at deg row - texp.
+def _tdiv(row, d, what: str, name: str):
+    """row / d in QQ[t] for a nonzero row d: the quotient, or ExactDivisionFailed.
 
-    The quotient follows q_j = row_j + c * q_(j-texp), one chain per residue
-    of j mod texp; a chain is walked from each term of row that no chain
-    has reached, until it leaves zero.
+    The quotient is taken from the lowest term up: with d_m * t^m the lowest
+    term of d, q_j = (row_(j+m) - sum_(i > m) d_i * q_(j+m-i)) / d_m up to
+    the degree deg row - deg d of an exact quotient.  The division is exact
+    when no term of row is left (below t^m or above that degree); name is
+    the divisor as the messages print it.
     """
-    if texp == 0:
-        if c == 1:
-            raise ExactDivisionFailed(f"{what}: atom (1 - 1) is identically zero")
-        inv = 1 / (1 - Fraction(c))
-        return {j: x * inv for j, x in row.items()}
-    top = max(row, default=-1) - texp       # the degree of an exact quotient
+    if not d:
+        raise ExactDivisionFailed(f"{what}: {name} is identically zero")
+    m = min(d)
+    lead = d[m]
+    rest = [(i, -x) for i, x in d.items() if i != m]
+    rem = dict(row)
     q = {}
-    for j in sorted(row):
-        if j > top or j - texp in q:
+    for j in range(max(row, default=-1) - max(d) + 1):
+        x = rem.pop(j + m, 0)
+        if not x:
             continue
-        x = row[j]
-        while x:
-            q[j] = x
-            j += texp
-            if j > top:
-                break
-            x = row.get(j, 0) + c * x
-    for j in range(top + 1, top + texp + 1):
-        if row.get(j, 0) + c * q.get(j - texp, 0):
-            raise ExactDivisionFailed(f"{what}: (1 - {c}*t^{texp}) leaves a remainder in t")
+        if lead != 1:
+            x = Fraction(x, lead)
+        if type(x) is Fraction and x.denominator == 1:
+            x = x.numerator
+        q[j] = x
+        for i, y in rest:
+            i += j
+            v = rem.get(i, 0) + x * y
+            if v:
+                rem[i] = v
+            else:
+                del rem[i]
+    if rem:
+        raise ExactDivisionFailed(f"{what}: {name} leaves a remainder in t")
     return q
 
 
@@ -182,11 +185,13 @@ def _ydiv_atom(rows, atom, what: str):
 
     The atom has constant term 1 in y, so the quotient follows the ascending
     recurrence Q_k = N_k + c * t^texp * Q_(k-ypow); the division is exact
-    when the top ypow rows leave zero.  A y^0 atom divides every row.
+    when the top ypow rows leave zero.  A y^0 atom divides every row by _tdiv.
     """
     c, texp, ypow = atom
     if ypow == 0:
-        return [_tdiv_atom(row, c, texp, what) for row in rows]
+        d = _addmul(_ONE, {texp: -c}, _ONE)
+        name = f"(1 - {c}*t^{texp})" if texp else f"atom (1 - {c})"
+        return [_tdiv(row, d, what, name) for row in rows]
     step = {texp: c}
     size = len(rows) - ypow
     q = []
@@ -212,9 +217,11 @@ def _atom_to_y(x: BExp, root: int, what: str):
 def weight_y_fraction(case: BisectionCase):
     """The theorem weight at the case parameters as (brace numerator, numerator atoms, denominator atoms).
 
-    The brace numerator is a y-polynomial in rows: a row-wise sum of one atom
-    product per brace term, each started from the term's monomial.  The
-    atoms (c, texp, ypow) each stand for (1 - c * t^texp * y^ypow).
+    The brace terms are brought to the lcm of their denominator atoms (per
+    atom the largest multiplicity in any term): the brace numerator is a
+    y-polynomial in rows, a row-wise sum of one atom product per brace term,
+    each started from the term's monomial.  The atoms (c, texp, ypow) each
+    stand for (1 - c * t^texp * y^ypow).
     """
     bt = bind_theorem(case.theorem, case.params, case.root)
 
@@ -224,24 +231,24 @@ def weight_y_fraction(case: BisectionCase):
     if len(bt.braces) != 1:
         raise ExactDivisionFailed("theorem weight must have a single brace group")
     group = bt.braces[0]
-    dens = [atoms(t.den, "brace denominator") for t in group]
+    dens = [Counter(atoms(t.den, "brace denominator")) for t in group]
+    lcm = Counter()
+    for d in dens:
+        lcm |= d
     parts = []
-    for i, t in enumerate(group):
+    for t, d in zip(group, dens):
         c, texp, ypow = _atom_to_y(t.mono, case.root, "brace monomial")
-        part = _ytimes([{}] * ypow + [{texp: c}], atoms(t.num, "brace numerator"))
-        for j, dj in enumerate(dens):
-            if j != i:
-                part = _ytimes(part, dj)
-        parts.append(part)
+        parts.append(_ytimes([{}] * ypow + [{texp: c}],
+                             atoms(t.num, "brace numerator") + list((lcm - d).elements())))
     wden = atoms(bt.w_den, "weight denominator")
-    return _ysum(parts), atoms(bt.w_num, "weight numerator"), wden + [x for d in dens for x in d]
+    return _ysum(parts), atoms(bt.w_num, "weight numerator"), wden + list(lcm.elements())
 
 
 def build_P(case: BisectionCase):
     """clearing-factor * weight as an exact polynomial in y over QQ[t].
 
     Numerator atoms (clearing factor, weight) cancel against equal
-    denominator atoms (clearing factor, weight, brace terms); the brace
+    denominator atoms (clearing factor, weight, brace lcm); the brace
     numerator takes the atom steps of the numerator atoms left, and every
     denominator atom left is divided out exactly, one at a time.  Returns
     one Poly in t per power of y.
@@ -254,26 +261,27 @@ def build_P(case: BisectionCase):
     P = _ytimes(brace, (num - common).elements())
     for atom in (den - common).elements():
         P = _ydiv_atom(P, atom, f"case {case.id}")
-    return [_poly(row) for row in P]
+    return [Poly([row.get(j, 0) for j in range(max(row, default=-1) + 1)]) for row in P]
 
 
 class BisectionSolution:
     """A solved (or forced-sign) Q of one case; equality and repr leave out P."""
 
-    __slots__ = ("case", "sign", "degree", "coeffs", "terms", "consistent", "P")
+    __slots__ = ("case", "sign", "degree", "num", "den", "terms", "consistent", "P")
 
-    def __init__(self, case: str, sign: str, degree: int, coeffs: list, terms: list | None,
+    def __init__(self, case: str, sign: str, degree: int, num: list, den: dict, terms: list | None,
                  consistent: bool, P: list):
         self.case = case
         self.sign = sign
         self.degree = degree
-        self.coeffs = coeffs          # RatFunc entries, a_0 normalized to 1
-        self.terms = terms            # per entry: [(coeff, t-exp), ...] when polynomial
+        self.num = num                # Q as solved: its numerator rows over den
+        self.den = den                # one denominator row, {0: 1} when Q is polynomial
+        self.terms = terms            # per entry: [(Fraction coeff, t-exp), ...] when polynomial
         self.consistent = consistent
-        self.P = P                    # build_P(case), the P it was solved against
+        self.P = P                    # the rows of build_P(case), the P it was solved against
 
     def _key(self):
-        return self.case, self.sign, self.degree, self.coeffs, self.terms, self.consistent
+        return self.case, self.sign, self.degree, self.num, self.den, self.terms, self.consistent
 
     def __eq__(self, other):
         if other.__class__ is BisectionSolution:
@@ -292,22 +300,17 @@ def _solved_P(case: BisectionCase, sol: BisectionSolution):
     return sol.P
 
 
-def _poly_terms(r: RatFunc):
-    """The (coeff, t-exponent) terms of a polynomial solution entry."""
-    if r.is_zero:
-        return []
-    if not r.is_polynomial():
-        return None
-    p = r.as_poly()
-    return [(Fraction(c), i) for i, c in enumerate(p.coeffs) if c]
+def _scope(case: BisectionCase, bound: str) -> str:
+    """The case, the ansatz it covers and a degree bound on Q, as messages name them."""
+    return f"case {case.id}, ansatz T_n = {case.t.name}(n)*Q(q^(n/2)) of its t- keys, deg Q {bound}"
 
 
 def _fe_system(case: BisectionCase):
-    """P and the functional-equation factors A and B of a case."""
+    """P, A and B of a case as rows; P is converted from build_P once."""
     return (
-        build_P(case),
-        [_poly(row) for row in _ytimes([_ONE], _case_atoms(case.fe_a))],
-        [_poly(row) for row in _ytimes([_ONE], _case_atoms(case.fe_b))],
+        [_row(p) for p in build_P(case)],
+        _ytimes([_ONE], _case_atoms(case.fe_a)),
+        _ytimes([_ONE], _case_atoms(case.fe_b)),
     )
 
 
@@ -323,36 +326,34 @@ def solve_Q(case: BisectionCase, forced_sign: str | None = None):
 
 
 def _solve_signs(case: BisectionCase, system, deg_q: int, forced_sign: str | None):
-    P = system[0]
-    rows = len(P)
-    if rows - 1 < deg_q:
-        raise NoBisection(f"deg P = {rows - 1} cannot balance deg Q = {deg_q}")
+    """solve_Q on the rows (P, A, B) of _fe_system at degree deg_q.
 
-    sparse = [[_row(p) for p in part] for part in system]
+    A Q whose constant entry a_0 is zero does not count as a solution.
+    """
+    P = system[0]
+    if len(P) - 1 < deg_q:
+        raise NoBisection(f"{_scope(case, f'= {deg_q}')}: deg P = {len(P) - 1} cannot balance it")
     results = {}
     for sign_label, sign in (("+", 1), ("-", -1)):
         if forced_sign is not None and sign_label != forced_sign:
             continue
-        num = _forward_solve(case, sparse, deg_q, sign)
-        if num is None or num[0].is_zero:
+        solved = _forward_solve(case, system, deg_q, sign)
+        if solved is None or not solved[0][0]:
             continue
-        sol = [RatFunc(n, num[0]) for n in num]  # a_0 normalized to 1
-        terms = [_poly_terms(s) for s in sol]
-        results[sign_label] = BisectionSolution(
-            case.id, sign_label, deg_q, sol,
-            terms if all(t is not None for t in terms) else None, True, P,
-        )
+        num, den = solved
+        terms = [[(Fraction(x), j) for j, x in sorted(n.items())] for n in num] if den == _ONE else None
+        results[sign_label] = BisectionSolution(case.id, sign_label, deg_q, num, den, terms, True, P)
     if not results:
         if forced_sign is not None:
-            return BisectionSolution(case.id, forced_sign, deg_q, [], None, False, P)
-        raise NoBisection(f"case {case.id}: no consistent sign at degree {deg_q}")
+            return BisectionSolution(case.id, forced_sign, deg_q, [], _ONE, None, False, P)
+        raise NoBisection(f"{_scope(case, f'= {deg_q}')}: no consistent sign")
     if len(results) == 2:
         raise AmbiguousSign(results)
     return next(iter(results.values()))
 
 
 def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
-    """Numerators of Q (Poly) over one common denominator, or None when no Q fits P.
+    """Q as (numerator rows, one denominator row), or None when no Q fits P.
 
     system is P, A and B as lists of rows.  Row k of the system reads
     P_k = sum_i M[k][i] * Q_i with
@@ -362,12 +363,12 @@ def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
     time, each entry built when its row needs it.  Every Q_i is kept as
     num[i] / den, all rows in QQ[t]: den stays 1 while each division by
     M[k][k] is exact (a unit diagonal, the catalog's case, needs none; any
-    other goes through Poly.divmod), and a division that leaves a remainder
+    other goes through _tdiv), and a division that leaves a remainder
     multiplies den and the num[i] before it by M[k][k] instead, so no
-    rational function (and no gcd) is formed here.  Every row above deg_q
-    must then leave zero, up to the top of the system,
-    deg_q + max(deg A, shift_ypow + deg B), or of P if that is higher; P has
-    no rows past its degree.
+    rational function (and no gcd) is formed.  Hence den is 1 exactly when
+    every Q_i is a polynomial.  Every row above deg_q must then leave zero,
+    up to the top of the system, deg_q + max(deg A, shift_ypow + deg B), or
+    of P if that is higher; P has no rows past its degree.
     """
     P, A, B = system
     shift_texp, shift_ypow = case.fe_shift
@@ -402,14 +403,13 @@ def _forward_solve(case: BisectionCase, system, deg_q: int, sign: int):
             raise VanishingDiagonal(f"case {case.id}: sign {label}, y-row {k}: the diagonal "
                                     f"entry vanishes, so forward substitution has no pivot")
         if d != _ONE:
-            quo, rem = _poly(acc).divmod(_poly(d))
-            if rem.is_zero:
-                acc = _row(quo)
-            else:
+            try:
+                acc = _tdiv(acc, d, f"case {case.id}", f"the y-row {k} diagonal")
+            except ExactDivisionFailed:
                 den = _addmul({}, den, d)
                 num = [_addmul({}, n, d) for n in num]
         num.append(acc)
-    return [_poly(n) for n in num]
+    return num, den
 
 
 def degree_search(case: BisectionCase, max_deg: int):
@@ -423,29 +423,27 @@ def degree_search(case: BisectionCase, max_deg: int):
             return deg, _solve_signs(case, system, deg, None)
         except NoBisection:
             continue
-    raise NoBisection(f"case {case.id}: no solution up to degree {max_deg}")
+    raise NoBisection(f"{_scope(case, f'<= {max_deg}')}: no consistent sign")
 
 
 def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
-    """P - [Q*A + sign*shift*Q(q^(1/2)y)*B] as a y-polynomial (must be zero).
+    """den*P - [N*A + sign*shift*N(q^(1/2)y)*B] as rows (must be []), for Q = N / den.
 
     P is the one sol was solved against (sol.P); a solution of another
-    case raises ValueError.  Both products start from -Q (the second one
-    already shifted and with its coefficient i at t^(half*i)) and take the
-    atom steps of A and B.
+    case raises ValueError.  Both products start from -N (the second one
+    already shifted and with its entry i at t^(half*i)) and take the atom
+    steps of A and B.
     """
-    P = [_row(p) for p in _solved_P(case, sol)]
+    P = _solved_P(case, sol)
+    if sol.den != _ONE:
+        P = [_addmul({}, row, sol.den) for row in P]
     shift_texp, shift_ypow = case.fe_shift
     sign = 1 if sol.sign == "+" else -1
     half = case.root // 2
-    qa = []
-    qb = [{}] * shift_ypow
-    for i, r in enumerate(sol.coeffs):
-        c = r.as_poly().coeffs
-        qa.append({j: -x for j, x in enumerate(c) if x})
-        qb.append({j: -sign * x for j, x in enumerate(c, shift_texp + half * i) if x})
-    residual = _ysum([P, _ytimes(qa, _case_atoms(case.fe_a)), _ytimes(qb, _case_atoms(case.fe_b))])
-    return [_poly(row) for row in residual]
+    qa = [{j: -x for j, x in n.items()} for n in sol.num]
+    qb = [{}] * shift_ypow + [
+        {j + shift_texp + half * i: -sign * x for j, x in n.items()} for i, n in enumerate(sol.num)]
+    return _ysum([P, _ytimes(qa, _case_atoms(case.fe_a)), _ytimes(qb, _case_atoms(case.fe_b))])
 
 
 # ------------------------------------------------------------ emitted series
@@ -454,7 +452,7 @@ def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
 def reduced_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
     """The single-sum series recipe from the solved Q (evaluated at q^(n/2))."""
     if sol.terms is None:
-        raise NoBisection(f"case {case.id}: solution coefficients are not polynomial in t")
+        raise NoBisection(f"{_scope(case, f'= {sol.degree}')}: the solved Q is not polynomial in t")
     half = case.root // 2
     qgroup = tuple(
         BraceTerm(BExp(half * i, texp, coeff), (), ())
@@ -469,13 +467,12 @@ def pp_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
 
     P is the one sol was solved against (sol.P); a solution of another case
     raises ValueError.  The weight is one brace group of pure monomials,
-    one per nonzero coefficient of P.
+    one per nonzero coefficient of P, in ascending t-exponent per row.
     """
     group = tuple(
         BraceTerm(BExp(k * case.root, texp, coeff), (), ())
-        for k, c in enumerate(_solved_P(case, sol))
-        for texp, coeff in enumerate(c.coeffs)
-        if coeff
+        for k, row in enumerate(_solved_P(case, sol))
+        for texp, coeff in sorted(row.items())
     )
     return case.pp._replace(braces=(group,))
 

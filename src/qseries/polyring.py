@@ -1,9 +1,9 @@
 """Dense univariate polynomials and rational functions over the rationals.
 
-Poly carries the bisection functional equation across the boundary of
-qseries.bisection (P, A, B and Q as one polynomial in t per power of y; the
-module steps sparse rows inside) and is the coefficient domain of the
-reference Bareiss solver in qseries.linsolve.  Coefficients are canonical,
+Poly is the type of qseries.bisection.build_P's entries (one polynomial in
+t per power of y; the bisection itself works on sparse rows), the dense
+reference of the tests, and the coefficient domain of the reference
+Bareiss solver in qseries.linsolve.  Coefficients are canonical,
 as kernel.canonical makes them: an int wherever the value is integral, a
 Fraction only where it is not.
 """

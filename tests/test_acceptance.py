@@ -130,7 +130,7 @@ def test_criterion_5_bisection_regression(cat):
         assert [[(c, e) for c, e in entry] for entry in sol.terms] == want, cid
     plus = solve_Q(cat.cases["v1x3"], forced_sign="+")
     assert not plus.consistent
-    report("criterion-5", True, "Q(y) exact for v1x3 and v3x1 after a0=1; '+' inconsistent")
+    report("criterion-5", True, "Q(y) exact for v1x3 and v3x1 as solved; '+' inconsistent")
 
 
 def test_criterion_6_emitted_series(cat):

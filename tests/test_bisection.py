@@ -18,8 +18,8 @@ from qseries.bisection import (
     _atom_to_y,
     _case_atoms,
     _fe_system,
-    _poly_terms,
     _solve_signs,
+    _tdiv,
     _ydiv_atom,
     _ytimes,
     build_P,
@@ -106,6 +106,12 @@ def _rows(polys):
     return [{j: c for j, c in enumerate(p.coeffs) if c} for p in polys]
 
 
+def _solved_Q(sol):
+    """The solved Q of a solution, num[i] / den, as reduced RatFunc entries."""
+    den = _polys([sol.den])[0]
+    return [RatFunc(n, den) for n in _polys(sol.num)]
+
+
 def _dense_weight(case):
     """The theorem weight at the case parameters as a multiplied-out (num, den)."""
     bt = bind_theorem(case.theorem, case.params, case.root)
@@ -138,16 +144,16 @@ def _reference_P(case):
 
 
 def _reference_residual(case, sol, P):
-    """P - [Q*A + sign*shift*Q(q^(1/2)y)*B], multiplied out densely."""
+    """den*P - [N*A + sign*shift*N(q^(1/2)y)*B] for Q = N / den, multiplied out densely."""
     A = _yatoms_poly(_case_atoms(case.fe_a))
     B = _yatoms_poly(_case_atoms(case.fe_b))
     sign = 1 if sol.sign == "+" else -1
     half = case.root // 2
-    Q = [r.as_poly() for r in sol.coeffs]
-    Qshift = [c * Poly.monomial(1, half * i) for i, c in enumerate(Q)]
-    shifted = _ymul(_ymul(Qshift, B), _ymono(case.fe_shift[0], case.fe_shift[1], sign))
-    rhs = _yadd(_ymul(Q, A), shifted)
-    return _yadd(P, [-p for p in rhs])
+    N = _polys(sol.num)
+    Nshift = [c * Poly.monomial(1, half * i) for i, c in enumerate(N)]
+    shifted = _ymul(_ymul(Nshift, B), _ymono(case.fe_shift[0], case.fe_shift[1], sign))
+    rhs = _yadd(_ymul(N, A), shifted)
+    return _yadd(_ymul(_polys([sol.den]), P), [-p for p in rhs])
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +216,7 @@ def test_plus_sign_inconsistent(cat):
 def test_functional_equation_residual_zero(cat, sols):
     for cid, sol in sols.items():
         assert functional_equation_residual(cat.cases[cid], sol) == []
+        assert sol.den == {0: 1}
 
 
 @pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
@@ -218,18 +225,18 @@ def test_functional_equation_residual_matches_reference(cat, sols, ref_P, cid):
     sol = sols[cid]
     plus = _solution(sol, sign="+")  # the solved Q under the wrong sign
     forced = solve_Q(case, forced_sign="+")    # no Q at all: the residual is P
-    assert functional_equation_residual(case, sol) == _reference_residual(case, sol, ref_P[cid]) == []
+    assert _polys(functional_equation_residual(case, sol)) == _reference_residual(case, sol, ref_P[cid]) == []
     for wrong in (plus, forced):
         residual = functional_equation_residual(case, wrong)
-        assert residual == _reference_residual(case, wrong, ref_P[cid])
+        assert _polys(residual) == _reference_residual(case, wrong, ref_P[cid])
         assert residual != []
-    assert functional_equation_residual(case, forced) == build_P(case)
+    assert _polys(functional_equation_residual(case, forced)) == build_P(case)
 
 
 def test_normalization_invariance(cat):
     # scaling the clearing factor by a nonzero factor scales P accordingly,
     # and when the same factor scales both functional-equation sides the
-    # a_0 = 1 normalized Q is unchanged
+    # solved Q is unchanged: each non-unit diagonal divides exactly
     case = cat.cases["v3x1"]
     extra = (6, 0, 1)  # the factor (1 - t^6)
     scaled = BisectionCase(**{**case._asdict(), "clear_num": case.clear_num + (extra,)})
@@ -243,7 +250,9 @@ def test_normalization_invariance(cat):
         "fe_a": case.fe_a + (extra,),
         "fe_b": case.fe_b + (extra,),
     })
-    assert solve_Q(both).coeffs == solve_Q(case).coeffs
+    scaled_sol, sol = solve_Q(both), solve_Q(case)
+    assert (scaled_sol.num, scaled_sol.den) == (sol.num, sol.den)
+    assert sol.den == {0: 1}
 
 
 def test_exact_division_failure_names_case(cat):
@@ -307,18 +316,17 @@ def test_atom_steps_match_dense_product(cat):
         assert _polys(_ytimes(_rows(P), atoms)) == _ymul(P, _yatoms_poly(atoms))
 
 
-def _integral_fractions(polys):
-    return [c for p in polys for c in p.coeffs if type(c) is Fraction and c.denominator == 1]
+def _integral_fractions(rows):
+    return [c for row in rows for c in row.values() if type(c) is Fraction and c.denominator == 1]
 
 
 @pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
 def test_P_solution_and_residual_hold_no_integral_fraction(cat, sols, cid, monkeypatch):
-    # every Poly that leaves the module keeps an int wherever a coefficient is integral
+    # every row that leaves the module keeps an int wherever a coefficient is integral
     case, sol = cat.cases[cid], sols[cid]
     residual = functional_equation_residual(case, _solution(sol, sign="+"))
     assert residual != []
-    entries = [p for r in sol.coeffs for p in (r.num, r.den, r.as_poly())]
-    assert _integral_fractions([*sol.P, *entries, *residual]) == []
+    assert _integral_fractions([*sol.P, *sol.num, sol.den, *residual]) == []
     # also where Fraction atoms pass through the rows on the way
     weight = bisection.weight_y_fraction
 
@@ -328,7 +336,7 @@ def test_P_solution_and_residual_hold_no_integral_fraction(cat, sols, cid, monke
 
     monkeypatch.setattr(bisection, "weight_y_fraction", padded)
     P = build_P(case)
-    assert P == sol.P and _integral_fractions(P) == []
+    assert _rows(P) == sol.P and _integral_fractions(_rows(P)) == []
 
 
 _coeff = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
@@ -369,6 +377,23 @@ def test_zero_atom_division_keeps_its_text():
     with pytest.raises(ExactDivisionFailed) as exc:
         _ydiv_atom([{}, {2: 1}], (1, 0, 0), "drawn")
     assert str(exc.value) == "drawn: atom (1 - 1) is identically zero"
+
+
+@settings(max_examples=300, deadline=None)
+@given(quo=_sparse_row, d=_sparse_row.filter(bool), extra=_sparse_row)
+def test_sparse_division_matches_dense_divmod(quo, d, extra):
+    # any nonzero divisor, its lowest term not necessarily constant: the
+    # quotient of quo*d + extra is Poly.divmod's when its remainder is zero
+    num = _rows(_yadd(_ymul(_polys([quo]), _polys([d])), _polys([extra])))
+    num = num[0] if num else {}
+    q, r = _polys([num])[0].divmod(_polys([d])[0])
+    if r.is_zero:
+        got = _tdiv(num, d, "drawn", "d")
+        assert _polys([got]) == [q] and _integral_fractions([got]) == []
+    else:
+        with pytest.raises(ExactDivisionFailed) as exc:
+            _tdiv(num, d, "drawn", "d")
+        assert str(exc.value) == "drawn: d leaves a remainder in t"
 
 
 @pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
@@ -421,18 +446,29 @@ def test_atom_that_does_not_divide_names_case(cat, extra, level):
 
 
 def test_solve_residual_pairing_build_P_once(cat, monkeypatch):
-    # the solution carries the P it was solved against; residual and pairing read it
+    # the solution carries the P it was solved against; residual and pairing
+    # read it, and a degree search converts P's entries to rows once
     built = []
+    converted = []
+    row = bisection._row
 
     def spy(case):
         built.append(case.id)
         return build_P(case)
 
+    def counted(p):
+        converted.append(p)
+        return row(p)
+
     monkeypatch.setattr(bisection, "build_P", spy)
+    monkeypatch.setattr(bisection, "_row", counted)
+    deg, sol = degree_search(cat.cases["v1x3"], 8)
+    assert deg == 6 and len(converted) == len(sol.P) == 20
+    built.clear()
     for cid in ("v1x3", "v3x1"):
         case = cat.cases[cid]
         sol = solve_Q(case)
-        assert sol.P == build_P(case)
+        assert _polys(sol.P) == build_P(case)
         assert functional_equation_residual(case, sol) == []
         assert pairing_check(case, sol, 60)
         assert built.count(cid) == 1
@@ -567,13 +603,21 @@ def test_pairing_check_rejects_flipped_sign(cat, sols, cid):
 # --------------------- the functional-equation solve against the Bareiss oracle
 
 
+def _poly_terms(r):
+    """The (Fraction coeff, t-exponent) terms of a polynomial RatFunc entry, else None."""
+    if not r.is_polynomial():
+        return None
+    return [(Fraction(c), i) for i, c in enumerate(r.as_poly().coeffs) if c]
+
+
 def _bareiss_signs(case, system, deg_q, forced_sign):
     """_solve_signs by Bareiss elimination of the full R x C system (the reference).
 
     The rows run to the top of Q*A and of the shifted Q*B, or of P if that is
-    higher, with P's rows past its degree zero.
+    higher, with P's rows past its degree zero.  The solved entries n_i / d_i
+    are put over the one denominator d_0 * d_1 * ..., as _solve_signs keeps Q.
     """
-    P, A, B = system
+    P, A, B = (_polys(part) for part in system)
     shift_texp, shift_ypow = case.fe_shift
     half = case.root // 2
     if len(P) - 1 < deg_q:
@@ -596,13 +640,17 @@ def _bareiss_signs(case, system, deg_q, forced_sign):
             M.append(row)
         sol, ok = poly_solve_overdetermined(M, rhs)
         if ok and not sol[0].is_zero:
-            sol = [s / sol[0] for s in sol]
+            den = Poly.const(1)
+            for s in sol:
+                den = den * s.den
+            num = _rows([s.num * den.exact_div(s.den) for s in sol])
             terms = [_poly_terms(s) for s in sol]
             results[sign_label] = BisectionSolution(
-                case.id, sign_label, deg_q, sol, None if None in terms else terms, True, P)
+                case.id, sign_label, deg_q, num, _rows([den])[0], None if None in terms else terms, True,
+                system[0])
     if not results:
         if forced_sign is not None:
-            return BisectionSolution(case.id, forced_sign, deg_q, [], None, False, P)
+            return BisectionSolution(case.id, forced_sign, deg_q, [], {0: 1}, None, False, system[0])
         raise NoBisection("no consistent sign")
     if len(results) == 2:
         raise AmbiguousSign(results)
@@ -611,7 +659,7 @@ def _bareiss_signs(case, system, deg_q, forced_sign):
 
 def _outcome(solve, case, system, deg_q, forced_sign):
     def fields(sol):
-        return sol.sign, sol.degree, sol.coeffs, sol.terms, sol.consistent
+        return sol.sign, sol.degree, _solved_Q(sol), sol.terms, sol.consistent
 
     try:
         return fields(solve(case, system, deg_q, forced_sign))
@@ -631,8 +679,9 @@ def _fe_image(case, Q, sign):
     return _yadd(_ymul(Q, A), shifted)
 
 
-def _dense_system(case, P):
-    return P, _yatoms_poly(_case_atoms(case.fe_a)), _yatoms_poly(_case_atoms(case.fe_b))
+def _row_system(case, P):
+    """The rows of P (dense) and of the multiplied-out A and B of a case."""
+    return _rows(P), _rows(_yatoms_poly(_case_atoms(case.fe_a))), _rows(_yatoms_poly(_case_atoms(case.fe_b)))
 
 
 @pytest.mark.parametrize("cid", ["v1x3", "v3x1"])
@@ -692,7 +741,7 @@ def _fe_cases(draw):
     elif mode == "rational":
         D = (draw(st.integers(1, 3)), 0, 1)
         case = _with(case, fe_a=case.fe_a + (D,), fe_b=case.fe_b + (D,))
-    return case, _dense_system(case, P), deg_q
+    return case, _row_system(case, P), deg_q
 
 
 @settings(max_examples=150, deadline=None)
@@ -710,13 +759,47 @@ def test_forward_solve_matches_bareiss(drawn, forced):
 
 def test_rational_solution_entry(cat):
     # A and B carry the y^0 atom D = 1 - t^2 and P does not, so the solution
-    # is N / D, and a_0 = 1 normalizes it to N / N_0 = [1, 1/t]
+    # is Q / D for Q = [t, 1], kept as solved: no entry is normalized
     case = _with(cat.cases["v3x1"], fe_a=((2, 0, 1), (1, 1, 1)), fe_b=((2, 0, 1),), fe_shift=(1, 1))
     plain = _with(case, fe_a=((1, 1, 1),), fe_b=())
     P = _fe_image(plain, [Poly((0, 1)), Poly((1,))], -1)
-    sol = _solve_signs(case, _dense_system(case, P), 1, "-")
-    assert sol.consistent and sol.terms is None
-    assert sol.coeffs == [RatFunc(1), RatFunc(Poly((1,)), Poly((0, 1)))]
+    sol = _solve_signs(case, _row_system(case, P), 1, "-")
+    assert sol.consistent and sol.terms is None and sol.den != {0: 1}
+    D = Poly((1, 0, -1))
+    assert _solved_Q(sol) == [RatFunc(Poly((0, 1)), D), RatFunc(Poly((1,)), D)]
+    assert functional_equation_residual(case, sol) == []
+    with pytest.raises(NoBisection) as exc:
+        reduced_recipe(case, sol)
+    assert str(exc.value) == (f"case v3x1, ansatz T_n = {case.t.name}(n)*Q(q^(n/2)) of its t- keys, "
+                              "deg Q = 1: the solved Q is not polynomial in t")
+
+
+def test_solution_keeps_its_constant_entry(cat):
+    # Q = [2, t] is the solution as it stands; a_0 = 1 would halve it to [1, t/2]
+    case = _with(cat.cases["v3x1"], fe_a=((1, 1, 1),), fe_b=(), fe_shift=(1, 1))
+    P = _fe_image(case, [Poly((2,)), Poly((0, 1))], -1)
+    sol = _solve_signs(case, _row_system(case, P), 1, "-")
+    assert sol.consistent and sol.den == {0: 1}
+    assert sol.terms == [[(2, 0)], [(1, 1)]]
+    assert all(type(c) is Fraction for entry in sol.terms for c, _ in entry)
+    assert functional_equation_residual(case, sol) == []
+    assert functional_equation_residual(case, _solution(sol, num=[{0: 1}, {1: Fraction(1, 2)}])) != []
+
+
+def test_no_bisection_messages_name_case_ansatz_and_bound(cat):
+    case = cat.cases["v3x1"]
+    ansatz = "ansatz T_n = v3x1a(n)*Q(q^(n/2)) of its t- keys"
+    system = _fe_system(case)
+    with pytest.raises(NoBisection) as exc:
+        _solve_signs(case, system, 20, None)
+    assert str(exc.value) == f"case v3x1, {ansatz}, deg Q = 20: deg P = 19 cannot balance it"
+    bad = _with(case, fe_shift=(case.fe_shift[0] + 1, case.fe_shift[1]))
+    with pytest.raises(NoBisection) as exc:
+        solve_Q(bad)
+    assert str(exc.value) == f"case v3x1, {ansatz}, deg Q = 6: no consistent sign"
+    with pytest.raises(NoBisection) as exc:
+        degree_search(bad, 4)
+    assert str(exc.value) == f"case v3x1, {ansatz}, deg Q <= 4: no consistent sign"
 
 
 def test_vanishing_diagonal_is_a_located_error(cat):
