@@ -43,8 +43,8 @@ from collections import Counter
 from fractions import Fraction
 
 from qseries.polyring import Poly
-from qseries.qcore import SeriesRing
-from qseries.registry import BisectionCase, IdentityRecord
+from qseries.registry import BisectionCase, IdentityRecord, qpoly_group
+from qseries.series import LaurentSeries
 from qseries.theorems import (
     BExp,
     BraceTerm,
@@ -450,16 +450,14 @@ def functional_equation_residual(case: BisectionCase, sol: BisectionSolution):
 
 
 def reduced_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
-    """The single-sum series recipe from the solved Q (evaluated at q^(n/2))."""
+    """The single-sum series recipe from the solved Q (evaluated at q^(n/2)).
+
+    Its Q group comes from registry.qpoly_group, as a catalog record's does.
+    """
     if sol.terms is None:
         raise NoBisection(f"{_scope(case, f'= {sol.degree}')}: the solved Q is not polynomial in t")
-    half = case.root // 2
-    qgroup = tuple(
-        BraceTerm(BExp(half * i, texp, coeff), (), ())
-        for i, entry in enumerate(sol.terms)
-        for coeff, texp in entry
-    )
-    return case.t._replace(braces=(qgroup,), sign_alt=sol.sign == "-")
+    terms = [(i, coeff, texp) for i, entry in enumerate(sol.terms) for coeff, texp in entry]
+    return case.t._replace(braces=(qpoly_group(terms, case.root),), sign_alt=sol.sign == "-")
 
 
 def pp_recipe(case: BisectionCase, sol: BisectionSolution) -> SeriesRecipe:
@@ -482,8 +480,7 @@ def emit_reduced(case: BisectionCase, sol: BisectionSolution) -> IdentityRecord:
     return IdentityRecord(
         id=case.emit_id, kind="bisected", section="4.1",
         theorem=None, params=None, root=case.root,
-        recipe=reduced_recipe(case, sol), case=case.id, sign=sol.sign,
-        classical=None,
+        recipe=reduced_recipe(case, sol), case=case.id, classical=None,
     )
 
 
@@ -497,10 +494,9 @@ def pairing_check(case: BisectionCase, sol: BisectionSolution, order: int) -> bo
     zero to that order.  NonmonotoneValuation is raised when a valuation
     does not grow quadratically.
     """
-    ring = SeriesRing(order=order, root=case.root)
-    t = {n: tv.series for n, tv in carried_terms(ring, reduced_recipe(case, sol))}
-    pp = {n: tv.series for n, tv in carried_terms(ring, pp_recipe(case, sol))}
-    zero = ring.zero()
+    t = {n: tv.series for n, tv in carried_terms(reduced_recipe(case, sol), order)}
+    pp = {n: tv.series for n, tv in carried_terms(pp_recipe(case, sol), order)}
+    zero = LaurentSeries.zero(order)
     for n in sorted(set(pp) | {k // 2 for k in t}):
         pair = t.get(2 * n, zero) + t.get(2 * n + 1, zero)
         if pair.first_difference(pp.get(n, zero), order) is not None:

@@ -223,8 +223,8 @@ def poch_infinite(ring: SeriesRing, x: QMono, on_zero="zero"):
     return acc
 
 
-def poch_quotient(ring: SeriesRing, num, den):
-    """prod_{x in num} (x;q)_inf / prod_{y in den} (y;q)_inf, exact to the ring order.
+def poch_quotient(num, den, root: int, order: int):
+    """prod_{x in num} (x;q)_inf / prod_{y in den} (y;q)_inf, exact to t^order, with q = t^root.
 
     Factors with nonpositive valuation are taken out exactly: (1 - c*t^e)
     with e < 0 is -c*t^e * (1 - t^-e/c), and (1 - c) with c != 1 is a
@@ -237,8 +237,6 @@ def poch_quotient(ring: SeriesRing, num, den):
     Returns (series, dropped): dropped lists (from_num, i) for each product
     that lost a zero factor, numerator products first, in index order.
     """
-    if ring.mode != "series":
-        raise TypeError("infinite products require the series ring")
     lead = Fraction(1)
     val = 0
     single = []   # (c, m, sign): peeled binomials (1 - c*t^m)^sign, m > 0
@@ -258,13 +256,13 @@ def poch_quotient(ring: SeriesRing, num, den):
                     lead = lead * (1 - c) if sign > 0 else lead / (1 - c)
                 else:
                     dropped.append((sign > 0, i))
-                e += ring.root
+                e += root
             tails.append((c, e, sign))
     lead = _norm(lead)
-    coeffs = packed_product(single, tails, ring.root, ring.order - val)
+    coeffs = packed_product(single, tails, root, order - val)
     if lead != 1:
         coeffs = [_norm(lead * f) for f in coeffs]
-    return LaurentSeries(val, coeffs, ring.order, _canonical=True), dropped
+    return LaurentSeries(val, coeffs, order, _canonical=True), dropped
 
 
 def packed_product(single, tails, root: int, n: int):

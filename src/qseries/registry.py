@@ -9,7 +9,8 @@ docs/catalog-format.md).  Three record kinds exist:
   form is singular at the record's parameters and the displayed identity is
   the regularized limit, which factor-dropping cannot reproduce).
 * bisected -- a reduced single-sum alternating series produced by the
-  reverse bisection method, stored with its Q-polynomial.
+  reverse bisection method: its case's term block with the record's
+  Q-polynomial as its braces (qpoly_group) and the case's sign.
 
 Verification computes the left product and the right series independently
 and compares coefficients; a mismatch reports the lowest differing exponent
@@ -27,7 +28,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from qseries.qcore import QMono, SeriesRing
+from qseries.qcore import QMono
 from qseries.theorems import (
     BExp,
     BraceTerm,
@@ -112,7 +113,6 @@ class IdentityRecord(NamedTuple):
     root: int
     recipe: SeriesRecipe           # theorem records: bound from the parameters at load
     case: str | None               # bisection case id for bisected records
-    sign: str | None
     classical: ClassicalSeries | None
 
     def lhs_exponents(self):
@@ -137,7 +137,7 @@ class BisectionCase(NamedTuple):
     fe_shift: tuple[int, int]                      # (t-exp, y-power) of shift, shift*B = t(2n+1)/pp(n)
     fe_b: tuple[tuple[int, int, int], ...]
     deg_q: int
-    sign: str                                      # the declared consistent sign
+    sign: str                                      # the declared sign; its records alternate on '-'
     pp: SeriesRecipe      # the unreduced double-width series; bisection puts P(q^n) in its braces
     t: SeriesRecipe       # the term block T_n of the reduced series, on pp's product side
     emit_id: str
@@ -372,13 +372,13 @@ def _blocks(text):
         raise CatalogError(f"unterminated block starting at line {cur.lineno}")
 
 
-# The keys of one series recipe, read by _parse_recipe.  Explicit and
-# bisected records read them all; a bisection case reads its unreduced
-# series under "pp-" and its term block T_n under "t-", which takes the
-# product side of "pp-".
+# The keys of one series recipe, read by _parse_recipe.  Explicit records
+# read them all; a bisection case reads its unreduced series under "pp-"
+# and its term block T_n under "t-", which takes the product side of "pp-".
+# A bisected record reads only its case and its Q-polynomial (_parse_bisected).
 _PRODUCT_KEYS = ("lhs-num", "lhs-den")
 _TERM_KEYS = ("pref", "poch-num", "poch-den", "w-num", "w-den")
-_SERIES_KEYS = _PRODUCT_KEYS + _TERM_KEYS + ("sign-alt", "start", "leading-one", "brace", "qpoly")
+_SERIES_KEYS = _PRODUCT_KEYS + _TERM_KEYS + ("sign-alt", "start", "leading-one", "brace")
 
 # The keys each block kind reads; any other key is an error.  `note` is a
 # comment key: allowed everywhere and read by nothing.
@@ -391,11 +391,11 @@ _RECORD_KEYS = {
 _BLOCK_KEYS = {
     "theorem": _RECORD_KEYS | {"theorem", "a", "b", "c", "d"},
     "explicit": _RECORD_KEYS | set(_SERIES_KEYS),
+    "bisected": _RECORD_KEYS | {"case", "qpoly"},
     "case": {
         "note", "theorem", "a", "b", "c", "d", "deg-q", "sign", "emit-id",
     } | {"pp-" + k for k in _PRODUCT_KEYS + _TERM_KEYS} | {"t-" + k for k in _TERM_KEYS},
 }
-_BLOCK_KEYS["bisected"] = _BLOCK_KEYS["explicit"] | {"case", "sign"}
 _REPEATABLE_KEYS = {"note", "brace", "qpoly", "classical-brace"}
 
 
@@ -406,13 +406,6 @@ def _check_keys(blk, kind):
             raise CatalogError(f"{blk.where(key)}: unknown key {key!r} (kind {kind})")
         if len(at) > 1 and key not in _REPEATABLE_KEYS:
             raise CatalogError(f"{blk.where(key, 1)}: duplicate key {key!r}")
-
-
-def _parse_sign(blk):
-    sign, at = blk.value("sign")
-    if sign not in ("+", "-"):
-        raise CatalogError(f"{at}: sign must be '+' or '-', got {sign!r}")
-    return sign
 
 
 def _parse_theorem(blk, root):
@@ -496,7 +489,6 @@ def _parse_recipe(name, blk, root, prefix="", product=None):
         raise CatalogError(f"{at}: {prefix}pref needs three t-exponent coefficients")
     if pref[0] <= 0:
         raise CatalogError(f"{at}: {prefix}pref needs a positive quadratic coefficient, got {pref[0]}")
-    groups = []
     brace_terms = []
     for line, at in blk.values(prefix + "brace"):
         segs = [s.strip() for s in line.split("|")]
@@ -508,34 +500,45 @@ def _parse_recipe(name, blk, root, prefix="", product=None):
         num = tuple(_parse_atom(t, root, at) for t in segs[1].split())
         den = tuple(_parse_atom(t, root, at) for t in segs[2].split())
         brace_terms.append(BraceTerm(BExp(mono.ncoef, mono.const, coeff), num, den))
-    if brace_terms:
-        groups.append(tuple(brace_terms))
-    qpoly_terms = []
-    for line, at in blk.values(prefix + "qpoly"):
-        toks = line.split()
-        if len(toks) != 3:
-            raise CatalogError(f"{at}: qpoly line needs 'ypow coeff qexp'")
-        ypow = _int(toks[0], at)
-        coeff = _frac(toks[1], at)
-        texp = _texp(_frac(toks[2], at), root, at)
-        if root % 2:
-            raise CatalogError(f"{at}: half-step Q-polynomial needs an even root")
-        qpoly_terms.append(BraceTerm(BExp(ypow * root // 2, texp, coeff), (), ()))
-    if qpoly_terms:
-        groups.append(tuple(qpoly_terms))
-    if not groups:
-        groups.append((BraceTerm(BExp(0, 0, 1), (), ()),))
+    if not brace_terms:
+        brace_terms.append(BraceTerm(BExp(0, 0, 1), (), ()))
     return SeriesRecipe(
         name=name, root=root,
         lhs_num=lhs_num, lhs_den=lhs_den,
         pref_quad=pref[0], pref_lin=pref[1], pref_const=pref[2], pref_base=1,
         poch_num=pochs("poch-num"), poch_den=pochs("poch-den"),
         w_num=atoms("w-num"), w_den=atoms("w-den"),
-        braces=tuple(groups),
+        braces=(tuple(brace_terms),),
         leading_one=value("leading-one", "false")[0] == "true",
         n_start=_int(*value("start", "0")),
         sign_alt=value("sign-alt", "false")[0] == "true",
     )
+
+
+def qpoly_group(terms, root: int) -> tuple[BraceTerm, ...]:
+    """The brace group of Q(q^(n/2)) from the terms (ypow, coeff, t-exp) of Q.
+
+    A term stands for coeff * t^t-exp * y^ypow with y = q^(n/2), so its
+    monomial grows by t^(ypow*root/2) per n; root is even, as a case's is.
+    The catalog's bisected records and bisection.reduced_recipe both build
+    their Q here.
+    """
+    half = root // 2
+    return tuple(BraceTerm(BExp(ypow * half, texp, coeff), (), ()) for ypow, coeff, texp in terms)
+
+
+def _parse_bisected(blk, case: BisectionCase) -> SeriesRecipe:
+    """A bisected record's recipe: its case's t recipe, which carries pp's product side, with
+    the record's qpoly lines (read in the case's root) as its braces and the case's sign.
+    """
+    terms = []
+    for line, at in blk.values("qpoly"):
+        toks = line.split()
+        if len(toks) != 3:
+            raise CatalogError(f"{at}: qpoly line needs 'ypow coeff qexp'")
+        terms.append((_int(toks[0], at), _frac(toks[1], at), _texp(_frac(toks[2], at), case.root, at)))
+    braces = (qpoly_group(terms, case.root),) if terms else case.t.braces
+    return case.t._replace(name=blk.name, braces=braces, sign_alt=case.sign == "-")
 
 
 def _derive(blk, what, parts, normalized=False, polynomial=False):
@@ -555,7 +558,12 @@ def _parse_case(blk, root):
     shift*B = t(2n+1)/pp(n), and the clearing factor theta(n)/pp(n) times
     pp's product side over the theorem's.
     """
+    if root % 2:
+        raise CatalogError(f"{blk.where()}: a bisection case needs an even root, for Q at q^(n/2); got {root}")
     thm, params = _parse_theorem(blk, root)
+    sign, at = blk.value("sign")
+    if sign not in ("+", "-"):
+        raise CatalogError(f"{at}: sign must be '+' or '-', got {sign!r}")
     deg_q = _int(*blk.value("deg-q"))
     if deg_q < 0:
         raise CatalogError(f"{blk.where('deg-q')}: deg-q must be nonnegative, got {deg_q}")
@@ -579,7 +587,7 @@ def _parse_case(blk, root):
         id=blk.name, theorem=thm, params=params, root=root,
         clear_num=clear_num, clear_den=clear_den,
         fe_a=fe_a, fe_shift=fe_shift, fe_b=fe_b,
-        deg_q=deg_q, sign=_parse_sign(blk), pp=pp, t=t, emit_id=emit_id,
+        deg_q=deg_q, sign=sign, pp=pp, t=t, emit_id=emit_id,
     )
 
 
@@ -594,7 +602,7 @@ def load_catalog(path=None) -> Catalog:
     records = []
     cases = {}
     seen = set()
-    bisected = []
+    bisected = []   # (index in records, block): the recipe is read once every case is
     for blk in _blocks(text):
         if blk.kind == "root":
             root = _int(blk.name, blk.where())
@@ -619,26 +627,19 @@ def load_catalog(path=None) -> Catalog:
         if rkind == "theorem":
             thm, params = _parse_theorem(blk, root)
             records.append(IdentityRecord(blk.name, rkind, section, thm, params, root,
-                                          bind_theorem(thm, params, root), None, None, classical))
-            continue
-        sign = None
-        if "sign" in blk.body:
-            sign = _parse_sign(blk)
-            alt = blk.value("sign-alt", "false")[0]
-            if (sign == "-") != (alt == "true"):
-                raise CatalogError(f"{blk.where('sign')}: sign {sign} contradicts sign-alt {alt}")
-        records.append(IdentityRecord(
-            blk.name, rkind, section, None, None, root, _parse_recipe(blk.name, blk, root),
-            blk.body.get("case", [None])[0], sign, classical,
-        ))
-        if rkind == "bisected":
-            bisected.append((records[-1], blk))
-    for rec, blk in bisected:
-        case = cases.get(rec.case)
+                                          bind_theorem(thm, params, root), None, classical))
+        elif rkind == "explicit":
+            records.append(IdentityRecord(blk.name, rkind, section, None, None, root,
+                                          _parse_recipe(blk.name, blk, root), None, classical))
+        else:
+            bisected.append((len(records), blk))
+            records.append(IdentityRecord(blk.name, rkind, section, None, None, root, None, None, classical))
+    for i, blk in bisected:
+        cid, at = blk.value("case")
+        case = cases.get(cid)
         if case is None:
-            raise CatalogError(f"{blk.where('case')}: unknown bisection case {rec.case!r}")
-        if rec.sign not in (None, case.sign):
-            raise CatalogError(f"{blk.where('sign')}: sign {rec.sign} contradicts case {case.id}'s sign {case.sign}")
+            raise CatalogError(f"{at}: unknown bisection case {cid!r}")
+        records[i] = records[i]._replace(root=case.root, recipe=_parse_bisected(blk, case), case=cid)
     return Catalog(root, records, cases)
 
 
@@ -692,12 +693,12 @@ def reduced_sides(rec: IdentityRecord, order: int):
     only for a theorem record with such a factor.
     """
     bt, g = reduce_root(rec.recipe)
-    ring = SeriesRing(order=-(-order // g), root=bt.root)
+    s_order = -(-order // g)
     bsh = None
     if rec.kind == "theorem" and has_unit_factor(bt):
         bsh = bind_theorem(rec.theorem, *shadow_params(rec.params, rec.root))
-    lhs, net, phi = theorem_lhs(ring, bt, shadow=bsh)
-    res = theorem_series(ring, bt, shadow=bsh, expected_net=net, divisor=phi)
+    lhs, net, phi = theorem_lhs(bt, s_order, shadow=bsh)
+    res = theorem_series(bt, s_order, shadow=bsh, expected_net=net, divisor=phi)
     return lhs, res.series, res.terms_used, g
 
 

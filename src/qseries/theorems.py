@@ -49,7 +49,7 @@ remaining product of binomials is expanded as one Kronecker-packed integer
 (qcore.packed_product): F evaluated at t = 2^B modulo 2^(nB), one big-int
 shift-add per factor, read back once as n balanced base-2^B digits.  The
 digit width B comes from Cauchy's bound on a majorant of F
-(qcore.digit_width), so the expansion is exact to the ring order; the
+(qcore.digit_width), so the expansion is exact to the requested order; the
 right side stays on the coefficient-list kernels, independent of it.
 
 Parameter specializations may make a fixed binomial factor (1 - q^0) vanish
@@ -918,11 +918,11 @@ def _weight_window(win, n: int, work: int, weight, unit: int):
     return win, net, phi
 
 
-def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
+def carried_terms(bt: SeriesRecipe, order: int, shadow: SeriesRecipe | None = None):
     """(n, TermValue) for each term of the right side, each block built from the one before.
 
     The terms are those theorem_series sums: n from n_start through
-    stop_index whose valuation bound is below the ring order.  The finite
+    stop_index whose valuation bound is below t^order.  The finite
     Pochhammer block B(n) (numerator over denominator products, without the
     prefactor) is carried across n: block n is the previous block times only
     the new factors of each (x; t^step)_{kn*n+kc}, with the drop count and
@@ -946,15 +946,17 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
     only for each finished term, in _resolved.  Nothing compiled outlives
     the call.
 
-    Every term equals eval_term(ring, bt, n, shadow), the per-term
-    reference, and raises what it raises: NonmonotoneValuation for a term
-    short of the order or below its bound, and for a vanishing factor the
-    error of the first term whose block holds it.  A count that shrinks with
-    n (kn < 0) cannot be carried and raises ValueError.
+    Every term equals eval_term(SeriesRing(order, bt.root), bt, n, shadow),
+    the per-term reference, and raises what it raises: NonmonotoneValuation
+    for a term short of the order or below its bound, and for a vanishing
+    factor the error of the first term whose block holds it.  An order below
+    1, or a count that shrinks with n (kn < 0), raises ValueError.
     """
+    if order <= 0:
+        raise ValueError("order must be positive")
     if any(f.kn < 0 for f in (*bt.poch_num, *bt.poch_den)):
         raise ValueError("a Pochhammer count must not shrink with n (kn < 0)")
-    order, unit = ring.order, bt.unit
+    unit = bt.unit
     # past _stop_estimate every bound clears the order, so these are stop_index's terms
     terms = [(n, b) for n in range(bt.n_start, _stop_estimate(bt, order) + 1)
              if (b := term_valuation_bound(bt, n)) < order]
@@ -1003,7 +1005,7 @@ def carried_terms(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
         term = _weight_window(window_scale(m + texp, a, None if o is None else o + texp, coeff),
                               n, order + margin[i], weight, unit)
         if term is None:
-            yield n, TermValue(ring.zero(), None)
+            yield n, TermValue(LaurentSeries.zero(order), None)
         else:
             win, wnet, wphi = term
             yield n, TermValue(_resolved(*win, order, bound, n, unit), net + wnet, phi * wphi)
@@ -1020,9 +1022,9 @@ class SeriesResult:
         self.terms_used = terms_used
 
 
-def theorem_series(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None,
+def theorem_series(bt: SeriesRecipe, order: int, shadow: SeriesRecipe | None = None,
                    expected_net: int = 0, divisor=1) -> SeriesResult:
-    """Right side of a catalogued identity, summed exactly to the ring order, over divisor.
+    """Right side of a catalogued identity, summed exactly to t^order, over divisor.
 
     Identically-vanishing binomial factors are dropped; each drop weighs the
     term by its shadow form, so terms enter as naive_value * phi.  Terms less
@@ -1036,8 +1038,7 @@ def theorem_series(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None,
     brought to the lcm L of their denominators, each term enters times its
     integer multiple of 1/L, and the window is divided by L once.
     """
-    order = ring.order
-    terms = list(carried_terms(ring, bt, shadow))
+    terms = list(carried_terms(bt, order, shadow))
     terms_used = len(terms)
     # a term with net_drops None vanished through an n-dependent numerator zero
     terms = [(n, tv) for n, tv in terms if tv.net_drops is not None]
@@ -1053,7 +1054,7 @@ def theorem_series(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None,
     if bt.leading_one and expected_net == 0:
         parts.append((0, (1,), 1 / Fraction(divisor)))
     if not parts:
-        return SeriesResult(ring.zero(), expected_net, terms_used)
+        return SeriesResult(LaurentSeries.zero(order), expected_net, terms_used)
     lcm_den = lcm(*(w.denominator for _, _, w in parts))
     lo = min(m for m, _, _ in parts)
     total = [0] * (order - lo)
@@ -1079,20 +1080,20 @@ def theorem_weight(ring, name: str, p: WPParams, n: int):
     return ring.zero() if dead else w
 
 
-def theorem_lhs(ring, bt: SeriesRecipe, shadow: SeriesRecipe | None = None):
+def theorem_lhs(bt: SeriesRecipe, order: int, shadow: SeriesRecipe | None = None):
     """Left side: the infinite-product quotient, with drop accounting.
 
     The quotient comes from one exact expansion (qcore.poch_quotient):
     leading factors of nonpositive valuation are taken out exactly, and the
     rest is expanded as one Kronecker-packed integer whose digit width is
-    proven by Cauchy's bound on a majorant, to exactly the ring order.
+    proven by Cauchy's bound on a majorant, to exactly t^order, q = t^bt.root.
 
     Returns (series, net_drops, phi): net_drops counts identically-zero
     (1 - q^0) factors removed from the products, phi is the product of
     their shadow forms (numerator drops over denominator drops).  The
     regularized identity is then series * phi == theorem_series(...).
     """
-    series, dropped = poch_quotient(ring, bt.lhs_num, bt.lhs_den)
+    series, dropped = poch_quotient(bt.lhs_num, bt.lhs_den, bt.root, order)
     net = 0
     phi = 1
     for from_num, i in dropped:

@@ -34,9 +34,8 @@ from qseries.bisection import (
 )
 from qseries.linsolve import poly_solve_overdetermined
 from qseries.polyring import Poly, RatFunc
-from qseries.qcore import SeriesRing
 from qseries.registry import BisectionCase, CatalogError, load_catalog, record_sides
-from qseries.theorems import NonmonotoneValuation, bind_theorem, eval_term, theorem_lhs, theorem_series
+from qseries.theorems import NonmonotoneValuation, bind_theorem, theorem_lhs, theorem_series
 
 F = Fraction
 
@@ -178,12 +177,11 @@ def test_P_degree_19(cat):
 
 def test_pp_form_verifies_against_product(cat, sols):
     # the double-width series with P(q^n) reproduces its displayed product
-    ring = SeriesRing(order=120)
     for cid in ("v1x3", "v3x1"):
         bt = pp_recipe(cat.cases[cid], sols[cid])
-        lhs, net, phi = theorem_lhs(ring, bt)
+        lhs, net, phi = theorem_lhs(bt, 120)
         assert net == 0
-        res = theorem_series(ring, bt)
+        res = theorem_series(bt, 120)
         assert lhs.first_difference(res.series, 120) is None
 
 
@@ -552,15 +550,11 @@ def test_emitted_records_verify(cat, sols):
 
 
 def test_emitted_matches_shipped_catalog_record(cat, sols):
-    # the shipped bisected records carry exactly the re-derived Q
-    ring = SeriesRing(order=100)
+    # the shipped bisected records print exactly the re-derived Q, up to the order of its terms
     for cid, sol in sols.items():
-        derived = reduced_recipe(cat.cases[cid], sol)
-        shipped = cat.get(cat.cases[cid].emit_id).recipe
-        for n in range(4):
-            a = eval_term(ring, derived, n).series
-            b = eval_term(ring, shipped, n).series
-            assert a.first_difference(b, 100) is None
+        (derived,) = reduced_recipe(cat.cases[cid], sol).braces
+        (shipped,) = cat.get(cat.cases[cid].emit_id).recipe.braces
+        assert sorted(derived) == sorted(shipped)
 
 
 @pytest.mark.parametrize("cid", ["v1x3", "v3x1"])

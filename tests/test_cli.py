@@ -257,3 +257,63 @@ def test_verify_all_json_is_byte_identical_to_recorded(order):
     proc = run_cli("--json", "verify-all", "--order", str(order))
     assert proc.returncode == 0
     assert proc.stdout == (DATA / f"verify_all_t{order}.json").read_text()
+
+
+def _edited_catalog(tmp_path, header, old, new):
+    """(path, line number): the shipped catalog with the first line old after header replaced by new."""
+    text = resources.files("qseries").joinpath("data/catalog.txt").read_text()
+    start = text.index(f"\n{old}\n", text.index(f"\n{header}\n")) + 1
+    p = tmp_path / "catalog.txt"
+    p.write_text(text[:start] + new + text[start + len(old):])
+    return p, text.count("\n", 0, start) + 1
+
+
+def test_limit_unknown_id_exits_2(capsys):
+    assert main(["--json", "limit", "no-such-id"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unknown record id 'no-such-id'" in out.err
+
+
+def test_limit_without_classical_value_exits_2(tmp_path, capsys):
+    p = tmp_path / "mini.txt"
+    p.write_text("root 12\nrecord only\n  kind theorem\n  theorem 2U\n  a 3/2\n  b 1\n  c 1\n  d 5/6\nend\n")
+    assert main(["--catalog", str(p), "--json", "limit", "only"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "record only has no classical limit" in out.err
+
+
+def test_bisect_unknown_case_exits_2(capsys):
+    assert main(["--json", "bisect", "v9x9"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unknown bisection case 'v9x9'" in out.err
+
+
+def test_verify_mismatch_exits_1_with_its_first_difference(tmp_path, capsys):
+    # every right-side term of u2-05 moved up by t: the constant terms differ
+    p, _ = _edited_catalog(tmp_path, "record u2-05", "  pref 12 8 0", "  pref 12 8 1")
+    assert main(["--catalog", str(p), "verify", "u2-05", "--order", "40"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "u2-05  mismatch   terms=3    first_diff_exp=0 lhs=1 rhs=0",
+        "-- 0/1 verified",
+    ]
+
+
+def test_unverified_report_gives_its_cause(tmp_path, capsys):
+    # d = q^-1 makes a weight denominator of v2-12 vanish at n = 1
+    p, _ = _edited_catalog(tmp_path, "record v2-12", "  d -1/3", "  d -1")
+    cause = "denominator factor (1 - 1*t^(24n-24)) vanishes at n=1"
+    assert main(["--catalog", str(p), "verify", "v2-12", "--order", "48"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"v2-12  unverified terms=0    cause={cause}"
+    assert main(["--catalog", str(p), "--json", "verify", "v2-12", "--order", "48"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["cause"]) == ("unverified", cause)
+
+
+def test_json_error_object_on_a_bad_catalog(tmp_path, capsys):
+    # a command that raises prints one {"error", "message"} object on stdout and exits 1
+    p, line = _edited_catalog(tmp_path, "record g1x5pp", "  classical-base 1/16", "  classical-base 1/x")
+    assert main(["--catalog", str(p), "--json", "list"]) == 1
+    out = capsys.readouterr()
+    message = f"record g1x5pp (line {line}): bad rational '1/x'"
+    assert json.loads(out.out) == {"error": "CatalogError", "message": message}
+    assert out.err == f"error: {message}\n"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from euler_reference import euler_product, expand_factors
 from qseries import qcore
-from qseries.qcore import SeriesRing, digit_width, packed_product
+from qseries.qcore import digit_width, packed_product
 from qseries.registry import load_catalog
 from qseries.theorems import reduce_root
 
@@ -103,7 +103,7 @@ def catalog_products(order):
     with mock.patch.object(qcore, "packed_product", wraps=qcore.packed_product) as spy:
         for rec in CATALOG.records:
             bt, g = reduce_root(rec.recipe)
-            qcore.poch_quotient(SeriesRing(order=-(-order // g), root=bt.root), bt.lhs_num, bt.lhs_den)
+            qcore.poch_quotient(bt.lhs_num, bt.lhs_den, bt.root, -(-order // g))
             calls.append((rec.id, spy.call_args.args))
     return calls
 

@@ -68,10 +68,9 @@ def shadow_of(rec):
 
 def unreduced_sides(rec, order):
     """record_sides at the catalog root, with no reduction."""
-    ring = SeriesRing(order=order, root=rec.root)
     shadow = shadow_of(rec)
-    lhs, net, phi = theorem_lhs(ring, rec.recipe, shadow=shadow)
-    res = theorem_series(ring, rec.recipe, shadow=shadow, expected_net=net if shadow else 0)
+    lhs, net, phi = theorem_lhs(rec.recipe, order, shadow=shadow)
+    res = theorem_series(rec.recipe, order, shadow=shadow, expected_net=net if shadow else 0)
     return lhs, res.series.scale(1 / F(phi)), res.terms_used
 
 
@@ -83,7 +82,7 @@ def carried_outcomes(ring, bt, shadow):
     """carried_terms' terms and the exception that ended them, if any."""
     out = []
     try:
-        for n, tv in carried_terms(ring, bt, shadow):
+        for n, tv in carried_terms(bt, ring.order, shadow):
             out.append(values(n, tv))
     except ArithmeticError as exc:
         out.append((type(exc), str(exc)))
@@ -323,7 +322,7 @@ def test_carried_terms_reject_a_shrinking_count():
     bt = CATALOG.get("u2-05").recipe._replace(poch_num=(shrinking,), poch_den=())
     ring = SeriesRing(order=120, root=12)
     with pytest.raises(ValueError, match="kn < 0"):
-        next(carried_terms(ring, bt))
+        next(carried_terms(bt, ring.order))
     for n in evaluated(bt, 120):
         # at each n the block is (t^3; t^12)_{6-n}, the same as a constant count
         fixed = bt._replace(poch_num=(shrinking._replace(kn=0, kc=max(0, shrinking.count(n))),))
@@ -444,7 +443,7 @@ def test_has_unit_factor_on_synthetic_factors():
 def test_no_drop_without_a_unit_factor(rec):
     """A theorem record bound without its shadow never needed it."""
     bs, g = reduce_root(rec.recipe)
-    ring = SeriesRing(order=-(-400 // g), root=bs.root)
-    _, net, _ = theorem_lhs(ring, bs, shadow=shadow_of(rec))
-    drops = {tv.net_drops for _, tv in carried_terms(ring, bs, shadow_of(rec))}
+    order = -(-400 // g)
+    _, net, _ = theorem_lhs(bs, order, shadow=shadow_of(rec))
+    drops = {tv.net_drops for _, tv in carried_terms(bs, order, shadow_of(rec))}
     assert has_unit_factor(bs) or (net, drops <= {0, None}) == (0, True)

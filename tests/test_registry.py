@@ -173,7 +173,32 @@ def test_zero_denominator_is_a_located_catalog_error(tmp_path):
      f"case v1x3 (line {_line('pp-poch-den')}): bad count 'm'"),
     ("t-w-den", lambda line: "  t-w-den 0:1/5", f"case v1x3 (line {_line('t-w-den')}): exponent 1/5 is not a multiple of 1/12"),
     ("qpoly", lambda line: line + "\n  qpoly 0 1", f"record v1x3a (line {_line('qpoly') + 1}): qpoly line needs 'ypow coeff qexp'"),
-], ids=["record-parameter", "case-pp-poch", "case-t-w-den", "second-qpoly"])
+    ("poch-num", lambda line: line + " 1/2:1",
+     f"record u2-05 (line {_line('poch-num')}): Pochhammer factor needs exp:step:count, got '1/2:1'"),
+    ("w-num", lambda line: line + " 3", f"record u2-05 (line {_line('w-num')}): atom needs ncoef:const (q-units), got '3'"),
+    ("classical-fnum", lambda line: line + " 3/2:2n",
+     f"record w1+1+1a (line {_line('classical-fnum')}): factorial factor needs p:count:power, got '3/2:2n'"),
+    ("classical-value", lambda line: "  classical-value 32 gamma^-2",
+     f"record g1x5pp (line {_line('classical-value')}): value factor 'gamma^-2' needs an argument"),
+    ("classical-value", lambda line: "  classical-value 32 root(2,0)",
+     f"record g1x5pp (line {_line('classical-value')}): root index 0 in 'root(2,0)'"),
+    ("classical-value", lambda line: "  classical-value 32 e(1)",
+     f"record g1x5pp (line {_line('classical-value')}): unknown value factor 'e(1)'"),
+    ("classical-brace", lambda line: "  classical-brace 1 2 /",
+     f"record w729a (line {_line('classical-brace')}): two coefficients in brace term"),
+    ("classical-brace", lambda line: "  classical-brace 1 (1+n)",
+     f"record w729a (line {_line('classical-brace')}): bad brace factor '(1+n)'"),
+    ("classical-brace", lambda line: "  classical-brace 1 / 2 (1+1n)",
+     f"record w729a (line {_line('classical-brace')}): denominators take only linear factors"),
+    ("classical-factor", lambda line: "  classical-factor 2 (1+2n)",
+     f"record w1+1+1a (line {_line('classical-factor')}): classical-factor takes only linear factors"),
+    ("pref", lambda line: "  pref 12 8", f"record u2-05 (line {_line('pref')}): pref needs three t-exponent coefficients"),
+    ("brace", lambda line: "  brace 1 0:0 |",
+     f"record u2-05 (line {_line('brace')}): brace line needs 'coeff mono | num | den'"),
+], ids=["record-parameter", "case-pp-poch", "case-t-w-den", "second-qpoly", "poch-arity", "atom-arity",
+        "factorial-factor-arity", "value-factor-without-argument", "root-index-0", "unknown-value-factor",
+        "brace-two-coefficients", "bad-brace-factor", "brace-coefficient-in-denominator",
+        "classical-factor-with-coefficient", "pref-with-two-numbers", "brace-line-without-three-segments"])
 def test_value_error_names_its_key_line(tmp_path, key, edit, message):
     with pytest.raises(CatalogError) as exc:
         load_catalog(_mutated(tmp_path, key, edit))
@@ -320,41 +345,52 @@ def test_bad_functional_equation_data_is_a_located_catalog_error(tmp_path, key, 
      f"record u2-05 (line {_line('w-num') + 1}): unknown key 'case' (kind explicit)"),
     ("w-num", lambda line: line + "\n  sign -",
      f"record u2-05 (line {_line('w-num') + 1}): unknown key 'sign' (kind explicit)"),
+    # a bisected record reads its series from its case: only its Q is its own
+    ("qpoly", lambda line: line + "\n  sign -",
+     f"record v1x3a (line {_line('qpoly') + 1}): unknown key 'sign' (kind bisected)"),
+    ("qpoly", lambda line: line + "\n  pref 9 7 0",
+     f"record v1x3a (line {_line('qpoly') + 1}): unknown key 'pref' (kind bisected)"),
+    ("w-num", lambda line: line + "\n  qpoly 0 1 0",
+     f"record u2-05 (line {_line('w-num') + 1}): unknown key 'qpoly' (kind explicit)"),
+    ("b", lambda line: "", f"record g1x5pp (line {_line(None, 'record g1x5pp')}): missing key 'b'"),
+    ("classical-poly", lambda line: line + "\nend\n  stray 1",
+     f"line {_line('classical-poly') + 2}: expected 'record <id>' or 'case <id>', got 'stray 1'"),
+    ("kind", lambda line: "  kind theorm", f"record g1x5pp (line {_line('kind')}): unknown kind 'theorm'"),
+    ("case", lambda line: "  case v1x4", f"record v1x3a (line {_line('case')}): unknown bisection case 'v1x4'"),
 ], ids=["misspelt-key", "pref-on-theorem", "second-w-num", "second-classical-fnum", "second-t-w-den",
         "classical-without-value", "misspelt-key-deep-in-bisected", "misspelt-key-deep-in-case",
-        "derived-key-on-case", "case-on-explicit", "sign-on-explicit"])
+        "derived-key-on-case", "case-on-explicit", "sign-on-explicit", "sign-on-bisected", "pref-on-bisected",
+        "qpoly-on-explicit", "missing-key", "line-outside-a-block", "unknown-kind", "unknown-bisection-case"])
 def test_unread_or_repeated_key_is_a_located_catalog_error(tmp_path, key, edit, message):
     with pytest.raises(CatalogError) as exc:
         load_catalog(_mutated(tmp_path, key, edit))
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("key, edit, message", [
-    ("sign", lambda line: "  sign +", f"record v1x3a (line {_line('sign')}): sign + contradicts sign-alt true"),
-    ("sign", lambda line: "  sign x", f"record v1x3a (line {_line('sign')}): sign must be '+' or '-', got 'x'"),
-    ("sign-alt", lambda line: "  sign-alt false",
-     f"record v1x3a (line {_line('sign')}): sign - contradicts sign-alt false"),
-], ids=["plus-with-alternation", "not-a-sign", "minus-without-alternation"])
-def test_bisected_sign_must_agree_with_sign_alt(tmp_path, key, edit, message):
-    with pytest.raises(CatalogError) as exc:
-        load_catalog(_mutated(tmp_path, key, edit))
-    assert str(exc.value) == message
-
-
-def test_bisected_sign_plus_without_alternation_loads(tmp_path):
-    p = _mutated(tmp_path, "sign", lambda line: "  sign +")
-    p.write_text(p.read_text().replace("  sign-alt true\n", "", 1)  # v1x3a's, the first
-                 .replace("deg-q 6\n  sign -", "deg-q 6\n  sign +", 1))  # and its case's
+def test_bisected_sign_plus_without_alternation_loads(cat, tmp_path):
+    # a bisected record alternates exactly when its case's sign is '-'
+    p = _mutated(tmp_path, "sign", lambda line: "  sign +")   # case v1x3's, the first
+    assert _line("sign") == _line("sign", "case v1x3")
     rec = load_catalog(p).get("v1x3a")
-    assert rec.sign == "+" and not rec.recipe.sign_alt
+    assert rec.case == "v1x3" and not rec.recipe.sign_alt
+    assert rec.recipe == cat.get("v1x3a").recipe._replace(sign_alt=False)
 
 
-def test_bisected_sign_must_equal_its_case_sign(tmp_path):
-    p = _mutated(tmp_path, "sign", lambda line: "  sign +")
-    p.write_text(p.read_text().replace("  sign-alt true\n", "", 1))
+_CASE_START = _CATALOG.index("\ncase v1x3\n") + 1
+_CASE_V1X3 = _CATALOG[_CASE_START:_CATALOG.index("\nend\n", _CASE_START) + 5]   # the block, its end line included
+
+
+@pytest.mark.parametrize("text, message", [
+    ("root 0\n", "root 0 (line 1): root must be positive"),
+    # Q is taken at q^(n/2), so a case needs t^(root/2): a record's qpoly is read in its case's root
+    ("root 3\n" + _CASE_V1X3, "case v1x3 (line 2): a bisection case needs an even root, for Q at q^(n/2); got 3"),
+], ids=["root-0", "odd-root-case"])
+def test_bad_root_is_a_located_catalog_error(tmp_path, text, message):
+    p = tmp_path / "catalog.txt"
+    p.write_text(text)
     with pytest.raises(CatalogError) as exc:
         load_catalog(p)
-    assert str(exc.value) == f"record v1x3a (line {_line('sign')}): sign + contradicts case v1x3's sign -"
+    assert str(exc.value) == message
 
 
 def _edited_in_block(tmp_path, header, old, new):
@@ -371,8 +407,7 @@ def _edited_in_block(tmp_path, header, old, new):
     ("  a 4/3", "  a 4/5",
      f"case v1x3 (line {_line('a', 'case v1x3')}): exponent 4/5 is not a multiple of 1/12"),
     ("  sign -", "  sign x", f"case v1x3 (line {_line('sign', 'case v1x3')}): sign must be '+' or '-', got 'x'"),
-    ("  sign -", "  sign +", f"record v1x3a (line {_line('sign')}): sign - contradicts case v1x3's sign +"),
-], ids=["unknown-theorem", "off-root-parameter", "not-a-sign", "record-contradicts-case"])
+], ids=["unknown-theorem", "off-root-parameter", "not-a-sign"])
 def test_bad_case_header_is_a_located_catalog_error(tmp_path, old, new, message):
     with pytest.raises(CatalogError) as exc:
         load_catalog(_edited_in_block(tmp_path, "case v1x3", old, new))
@@ -464,6 +499,9 @@ def test_trivial_low_order(cat):
     # order 1 sees only the constant term 1 = 1
     rep = verify_identity(cat.get("g1x5pp"), order=1)
     assert rep.status == "verified"
+    # order 0 would compare nothing: refused, not verified
+    rep = verify_identity(cat.get("g1x5pp"), order=0)
+    assert (rep.status, rep.cause) == ("unverified", "order must be positive")
 
 
 def test_truncation_monotonicity(cat):

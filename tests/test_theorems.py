@@ -15,8 +15,12 @@ from qseries.inversion import (
     params_from_exponents,
 )
 from qseries.qcore import RationalRing, SeriesRing
+from qseries.series import LaurentSeries
 from qseries.theorems import (
     THEOREM_NAMES,
+    BExp,
+    BraceTerm,
+    SingularMismatch,
     VanishingDenominatorFactor,
     bind_theorem,
     eval_term,
@@ -75,13 +79,12 @@ def test_specialized_matches_general_dual(name):
 
 @pytest.mark.parametrize("name", THEOREM_NAMES)
 def test_lhs_equals_series_generic(name):
-    ring = SeriesRing(order=150)
     bt = bind_theorem(name, params_from_exponents(*GENERIC[name]), 12)
-    lhs, net, phi = theorem_lhs(ring, bt)
+    lhs, net, phi = theorem_lhs(bt, 150)
     assert net == 0 and phi == 1
-    res = theorem_series(ring, bt)
+    res = theorem_series(bt, 150)
     assert res.net_drops == 0
-    assert lhs.first_difference(res.series, ring.order) is None
+    assert lhs.first_difference(res.series, 150) is None
 
 
 @pytest.mark.parametrize(
@@ -95,14 +98,13 @@ def test_lhs_equals_series_generic(name):
     ],
 )
 def test_lhs_equals_series_regularized(name, exps):
-    ring = SeriesRing(order=140)
     p = params_from_exponents(*exps)
     bt = bind_theorem(name, p, 12)
     bsh = bind_theorem(name, *shadow_params(p, 12))
-    lhs, net, phi = theorem_lhs(ring, bt, shadow=bsh)
+    lhs, net, phi = theorem_lhs(bt, 140, shadow=bsh)
     assert net == 1
-    res = theorem_series(ring, bt, shadow=bsh, expected_net=net)
-    assert lhs.scale(phi).first_difference(res.series, ring.order) is None
+    res = theorem_series(bt, 140, shadow=bsh, expected_net=net)
+    assert lhs.scale(phi).first_difference(res.series, 140) is None
 
 
 def test_weight_2U_at_equal_parameters():
@@ -169,11 +171,28 @@ def test_vanishing_denominator_reported():
 
 
 def test_series_below_first_valuation_is_zero():
-    ring = SeriesRing(order=10)  # below every nonconstant exponent
     bt = bind_theorem("2U", params_from_exponents(*GENERIC["2U"]), 12)
-    res = theorem_series(ring, bt)
-    lhs, _, _ = theorem_lhs(ring, bt)
+    res = theorem_series(bt, 10)   # below every nonconstant exponent
+    lhs, _, _ = theorem_lhs(bt, 10)
     assert lhs.first_difference(res.series, 10) is None
+
+
+def test_term_more_singular_than_the_identity_is_a_mismatch():
+    # a unit w_den atom, weighed by its shadow form n + 1, drops once in every term
+    bt = bind_theorem("2U", params_from_exponents(*GENERIC["2U"]), 12)
+    shadow = bt._replace(w_den=bt.w_den + (BExp(1, 1),))
+    with pytest.raises(SingularMismatch) as exc:
+        theorem_series(bt._replace(w_den=bt.w_den + (BExp(0, 0),)), 60, shadow=shadow, expected_net=0)
+    assert str(exc.value) == "2U: term n=0 is more singular (1 drops) than the identity (0)"
+
+
+def test_series_of_vanishing_terms_is_zero_at_the_order():
+    # every term is zero (a zero brace) and there is no leading one: the sum is empty
+    bt = bind_theorem("2U", params_from_exponents(*GENERIC["2U"]), 12)
+    res = theorem_series(bt._replace(braces=((BraceTerm(BExp(0, 0, 0)),),)), 60)
+    assert not bt.leading_one and res.terms_used > 0
+    assert res.series == LaurentSeries.zero(60) and res.series.order == 60
+    assert res.net_drops == 0
 
 
 def test_term_valuation_bound_holds():
